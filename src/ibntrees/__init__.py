@@ -13,12 +13,11 @@ wreath products over the first Grigorchuk group.
 __version__ = "0.1.0"
 
 from .trees import Tree, FlowCheck, check_flow
-from .generators import (DegreeSequence, MemoryCapError, TreeFamily,
-                         binary_family, family_by_name, from_branch_marks,
-                         marks_family, path_family, sequence_degree,
-                         sequence_family, sequence_level_sizes,
-                         spherically_symmetric, three_one_family,
-                         three_one_stretched)
+from .generators import (MemoryCapError, TreeFamily, binary_family,
+                         family_by_name, from_branch_marks, marks_family,
+                         path_family, sequence_degree, sequence_family,
+                         sequence_level_sizes, spherically_symmetric,
+                         three_one_family, three_one_stretched)
 from .flowcut import (BracketResult, DepthSchedule, DepthWeights, IgrEstimate,
                       MinCut, ibn_estimate, igr_estimate, max_flow, min_cut,
                       min_cut_symmetric, three_one_log_min_cut)

@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
@@ -26,18 +25,10 @@ from .trees import Tree
 
 @dataclass
 class ExperimentConfig:
-    """Everything that determines a run; round-trips through JSON."""
+    """Everything that determines a run."""
 
     subcommand: str
     options: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "ExperimentConfig":
-        raw = json.loads(text)
-        return ExperimentConfig(raw["subcommand"], raw["options"])
 
 
 def _outdir() -> str:
@@ -69,9 +60,11 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
-    """a:b:step or a comma list."""
+    """a:b:step (finite, a <= b, step > 0) or a comma list."""
     if ":" in text:
         a, b, step = (float(x) for x in text.split(":"))
+        if not (all(map(math.isfinite, (a, b, step))) and step > 0 and a <= b):
+            raise ValueError("a:b:step needs finite a <= b and step > 0")
         n = int(round((b - a) / step)) + 1
         return tuple(round(a + i * step, 10) for i in range(n) if a + i * step <= b + 1e-12)
     return tuple(float(x) for x in text.split(","))
@@ -79,6 +72,32 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 
 def _parse_depths(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
+
+
+def _grid_type(upper: float):
+    """argparse type for a grid with values in (0, upper); the option keeps
+    the string as written, which the manifest echoes."""
+
+    def check(text: str) -> str:
+        try:
+            values = _parse_grid(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"invalid grid {text!r}: {exc}") from None
+        if not all(0 < v < upper for v in values):
+            raise argparse.ArgumentTypeError(
+                f"invalid grid {text!r}: values must lie in (0, {upper:g})")
+        return text
+
+    return check
+
+
+def _depths_type(text: str) -> str:
+    """argparse type for a depth list: positive and strictly increasing."""
+    try:
+        flowcut.DepthSchedule(_parse_depths(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid depth list {text!r}: {exc}") from None
+    return text
 
 
 def _load_source(opts: dict):
@@ -110,19 +129,11 @@ def _schedule(opts: dict) -> flowcut.DepthSchedule:
 
 def _run_generate(config: ExperimentConfig) -> dict:
     opts = config.options
-    source = _load_source(opts)
-    tree = source if isinstance(source, Tree) else source.build(opts["depth"])
+    tree = generators.truncation(_load_source(opts), opts["depth"])
     out = _resolve(opts["out"])
     with open(out, "w") as fh:
         fh.write(tree.to_text())
     return {"vertices": tree.n_vertices, "height": tree.height(), "out": out}
-
-
-def _grid_map(fn, grid, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, grid))
-    return [fn(g) for g in grid]
 
 
 def _run_estimate_ibn(config: ExperimentConfig) -> dict:
@@ -130,28 +141,14 @@ def _run_estimate_ibn(config: ExperimentConfig) -> dict:
     source = _load_source(opts)
     schedule = _schedule(opts)
     grid = _parse_grid(opts["grid"])
-
-    results = _grid_map(
-        lambda lam: flowcut.ibn_estimate(source, schedule, grid=(lam,)),
-        grid, opts.get("threads", 1))
-    rows = []
-    classifications = {}
-    trajectories = {}
-    for lam, res in zip(grid, results):
-        classifications[lam] = res.classifications[lam]
-        trajectories[lam] = res.trajectories[lam]
-        for depth, logv in zip(res.depths_used[lam], res.trajectories[lam]):
-            rows.append([lam, depth, math.exp(logv) if logv > -700 else 0.0,
-                         res.classifications[lam]])
-    below = [g for g in grid if classifications[g] == "below"]
-    above = [g for g in grid if classifications[g] == "above"]
-    lower = max(below) if below else None
-    upper = min(above) if above else None
+    res = flowcut.ibn_estimate(source, schedule, grid)
+    rows = [[lam, depth, math.exp(logv) if logv > -700 else 0.0, res.classifications[lam]]
+            for lam in grid for depth, logv in zip(res.depths_used, res.trajectories[lam])]
     out = _resolve(opts["out"])
     _write_csv(out, ["lambda", "depth", "mincut", "classification"], rows)
-    summary = {"ibn_lower": lower, "ibn_upper": upper,
+    summary = {"ibn_lower": res.lower, "ibn_upper": res.upper,
                "family": opts.get("family"), "out": out}
-    if not isinstance(source, Tree):
+    if opts.get("family"):
         N = schedule.depths[-1]
         est = flowcut.igr_estimate(source.level_log2_sizes(N), N)
         summary["igr"] = est.estimate
@@ -164,16 +161,16 @@ def _run_walk(config: ExperimentConfig) -> dict:
     lam, trials = opts["lam"], opts["trials"]
     cap, seed = opts.get("cap", 10 ** 6), opts["seed"]
     rows = []
-    if isinstance(source, Tree) or source.degree is None:
-        tree = source if isinstance(source, Tree) else source.build(opts["depth"])
+    if generators.route(source) == "symmetric":
+        returned, steps, maxd = walks.depth_walk_batch(
+            source.degree, lam, opts["depth"], trials, cap, seed)
+        rows = [[t, int(returned[t]), int(steps[t]), int(maxd[t])] for t in range(trials)]
+    else:
+        tree = generators.truncation(source, opts["depth"])
         cf = walks.deterministic_conductances(tree, lam)
         for t in range(trials):
             r = walks.simulate_walk(tree, cf, cap, seed, t)
             rows.append([t, int(r.returned), r.steps, r.max_depth])
-    else:
-        returned, steps, maxd = walks.depth_walk_batch(
-            source.degree, lam, opts["depth"], trials, cap, seed)
-        rows = [[t, int(returned[t]), int(steps[t]), int(maxd[t])] for t in range(trials)]
     out = _resolve(opts["out"])
     _write_csv(out, ["trial", "returned", "steps", "maxdepth"], rows)
     freq = float(np.mean([r[1] for r in rows]))
@@ -186,7 +183,7 @@ def _run_rwrc(config: ExperimentConfig) -> dict:
     schedule = _schedule(opts)
     grid = _parse_grid(opts["gamma_grid"])
     N = schedule.depths[-1]
-    tree = source if isinstance(source, Tree) else source.build(N)
+    tree = generators.truncation(source, N)
     field = walks.sample_conductances(tree, opts["lam"], opts["seed"])
     psi = walks.psi_field(tree, field, N)
     res = walks.rt_estimate(tree, psi, grid, schedule)
@@ -203,37 +200,40 @@ def _run_rwrc(config: ExperimentConfig) -> dict:
 
 
 def _run_percolate(config: ExperimentConfig) -> dict:
+    """Survival, Monte Carlo and conductance bound per (lambda, depth).
+
+    Each truncation a route needs is built once and serves the whole grid;
+    with --grid the theta bracket is read off the exact survival column.
+    """
     opts = config.options
     source = _load_source(opts)
     depths = _parse_depths(opts["depths"])
     grid = _parse_grid(opts["grid"]) if opts.get("grid") else (opts["lam"],)
     mc_trials = opts.get("mc", 0)
     seed = opts.get("seed", 0)
-    rows = []
-    for lam in grid:
-        law = percolation.PercolationLaw(lam)
-        for N in depths:
-            if isinstance(source, Tree):
-                exact = percolation.exact_survival(source, law, N)
-                bound = percolation.conductance_bound(source, law, N)
-            elif source.degree is not None:
+    symmetric = generators.route(source) == "symmetric"
+    table = {}
+    for N in depths:
+        tree = None if symmetric and not mc_trials else generators.truncation(source, N)
+        for lam in grid:
+            law = percolation.PercolationLaw(lam)
+            if symmetric:
                 exact = percolation.survival_symmetric(source.degree, law, N)
                 bound = percolation.conductance_bound_symmetric(source, lam, N)
             else:
-                tree = source.build(N)
                 exact = percolation.exact_survival(tree, law, N)
                 bound = percolation.conductance_bound(tree, law, N)
             mc, err = (float("nan"), float("nan"))
             if mc_trials:
-                tree = source if isinstance(source, Tree) else source.build(N)
                 mc, err = percolation.mc_survival(tree, law, N, mc_trials, seed)
-            rows.append([lam, N, exact, mc, err, bound])
+            table[lam, N] = [lam, N, exact, mc, err, bound]
     out = _resolve(opts["out"])
-    _write_csv(out, ["lambda", "depth", "exact", "mc", "stderr", "bound"], rows)
+    _write_csv(out, ["lambda", "depth", "exact", "mc", "stderr", "bound"],
+               [table[lam, N] for lam in grid for N in depths])
     summary = {"out": out, "family": opts.get("family")}
     if opts.get("grid"):
-        schedule = flowcut.DepthSchedule(depths)
-        res = percolation.theta_estimate(source, schedule, grid)
+        res = percolation.theta_from_survival(
+            flowcut.DepthSchedule(depths), {lam: [table[lam, N][2] for N in depths] for lam in grid})
         summary |= {"theta_lower": res.lower, "theta_upper": res.upper}
     return summary
 
@@ -376,76 +376,74 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Branching-number estimates and random processes on "
                     "intermediate-growth trees.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    unit_grid = _grid_type(1.0)
 
-    def common(p, seed=True, family=False, tree=False):
-        p.add_argument("--threads", type=int, default=1)
+    def command(name, help, seed=True, source=None):
+        """A subcommand; source is "family" (--family required) or
+        "family-or-tree" (exactly one of --family and --tree)."""
+        p = sub.add_parser(name, help=help)
         if seed:
             p.add_argument("--seed", type=int, default=0)
-        if family:
-            p.add_argument("--family", choices=["seq", "three-one", "binary", "path", "marks"])
+        if source:
+            group = p.add_mutually_exclusive_group(required=True)
+            group.add_argument("--family", choices=["seq", "three-one", "binary", "path", "marks"])
+            if source == "family-or-tree":
+                group.add_argument("--tree")
             p.add_argument("--marks-file", dest="marks_file")
-        if tree:
-            p.add_argument("--tree")
+        return p
 
-    p = sub.add_parser("generate", help="materialize a tree truncation")
-    common(p, family=True)
+    p = command("generate", "materialize a tree truncation", source="family")
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("estimate-ibn", help="bracket the branching number")
-    common(p, family=True, tree=True)
-    p.add_argument("--grid", default="0.05:0.95:0.05")
-    p.add_argument("--schedule", default="16,32,64,128,256,512,1024")
+    p = command("estimate-ibn", "bracket the branching number", source="family-or-tree")
+    p.add_argument("--grid", type=unit_grid, default="0.05:0.95:0.05")
+    p.add_argument("--schedule", type=_depths_type, default="16,32,64,128,256,512,1024")
     p.add_argument("--eps-stop", dest="eps_stop", type=float, default=1e-6)
     p.add_argument("--c-stay", dest="c_stay", type=float, default=1e-3)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("walk", help="conductance-weighted walks from the root")
-    common(p, family=True, tree=True)
+    p = command("walk", "conductance-weighted walks from the root", source="family-or-tree")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--depth", type=int, default=128)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--cap", type=int, default=10 ** 6)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("rwrc", help="random-conductance recurrence classifier")
-    common(p, family=True, tree=True)
+    p = command("rwrc", "random-conductance recurrence classifier", source="family-or-tree")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--gamma-grid", dest="gamma_grid", default="0.25:2.0:0.25")
-    p.add_argument("--schedule", default="16,32,64,128")
+    p.add_argument("--gamma-grid", dest="gamma_grid", type=_grid_type(math.inf),
+                   default="0.25:2.0:0.25")
+    p.add_argument("--schedule", type=_depths_type, default="16,32,64,128")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("percolate", help="independent percolation survival")
-    common(p, family=True, tree=True)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--grid")
-    p.add_argument("--depths", default="16,32,64,128")
+    p = command("percolate", "independent percolation survival", source="family-or-tree")
+    rate = p.add_mutually_exclusive_group(required=True)
+    rate.add_argument("--lambda", dest="lam", type=float)
+    rate.add_argument("--grid", type=unit_grid)
+    p.add_argument("--depths", type=_depths_type, default="16,32,64,128")
     p.add_argument("--mc", type=int, default=0)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("firefight", help="containment-threshold attempts")
-    common(p, family=True, tree=True)
+    p = command("firefight", "containment-threshold attempts", source="family-or-tree")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--K", dest="K", type=float, default=1.0)
-    p.add_argument("--gamma-grid", dest="gamma_grid", default="0.2:0.9:0.1")
-    p.add_argument("--schedule", default="8,16,32,64,128,200")
+    p.add_argument("--gamma-grid", dest="gamma_grid", type=unit_grid, default="0.2:0.9:0.1")
+    p.add_argument("--schedule", type=_depths_type, default="8,16,32,64,128,200")
     p.add_argument("--horizon", type=int, default=200)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("nathanson", help="matrix semigroup ball and spanning tree")
-    common(p)
+    p = command("nathanson", "matrix semigroup ball and spanning tree")
     p.add_argument("--depth", type=int, default=40)
     p.add_argument("--emit-tree", dest="emit_tree")
     p.add_argument("--emit-stats", dest="emit_stats")
 
-    p = sub.add_parser("grig", help="inverted-orbit word search and branch marks")
-    common(p)
+    p = command("grig", "inverted-orbit word search and branch marks")
     p.add_argument("--search", type=int, required=True)
     p.add_argument("--beam", type=int, default=256)
     p.add_argument("--emit-marks", dest="emit_marks")
 
-    p = sub.add_parser("report", help="merge manifested runs into one table")
-    common(p, seed=False)
+    p = command("report", "merge manifested runs into one table", seed=False)
     p.add_argument("results_dir")
     p.add_argument("--out")
 
@@ -455,6 +453,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = vars(parser.parse_args(argv))
+    if args.get("family") == "marks" and not args.get("marks_file"):
+        parser.error("--family marks needs --marks-file")
     sub = args.pop("subcommand")
     options = {k: v for k, v in args.items() if v is not None}
     return run(ExperimentConfig(sub, options))

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .flowcut import DepthSchedule, DepthWeights, min_cut, min_cut_symmetric
-from .generators import DEFAULT_VERTEX_CAP, TreeFamily
+from .generators import DEFAULT_VERTEX_CAP, TreeFamily, route, truncation
 from .trees import Tree
 
 
@@ -207,7 +207,7 @@ def attempt_containment(source: TreeFamily | Tree, k: int, gamma: float, K: floa
     eps = containment_margin(k, gamma)
     budgets = BudgetSchedule.exponential(K, gamma)
     weights = DepthWeights.ibn(gamma)
-    symmetric = isinstance(source, TreeFamily) and source.degree is not None
+    symmetric = route(source) == "symmetric"
     last_play = None
     for N in schedule.depths:
         if N <= k + 1:
@@ -219,7 +219,7 @@ def attempt_containment(source: TreeFamily | Tree, k: int, gamma: float, K: floa
             tree = source.build(level, max_vertices)
             cut = tree.level_set(level)
         else:
-            tree = source if isinstance(source, Tree) else source.build(N, max_vertices)
+            tree = truncation(source, N, max_vertices)
             res = min_cut(tree, weights, N, want_cut=True)
             if res.log_value >= math.log(eps):
                 continue

@@ -5,16 +5,16 @@ the depths the estimators need, so every cut computation here works on log
 weights; linear values are derived views.  Three evaluation routes feed
 the same classifier:
 
-* generic trees: a bottom-up recursion m(v) = min(w(v), sum over children),
-  vectorized level by level;
+* explicit trees and materialized truncations: a bottom-up recursion
+  m(v) = min(w(v), sum over children), vectorized level by level;
 * spherically symmetric families: the recursion collapses to
   min over n of #E_n * w(n), evaluated from level sizes alone;
 * the stretched 3-1 family: a piecewise-constant dynamic program over base
   levels (see three_one_log_min_cut) that reaches depths far beyond any
   materializable truncation.
 
-Per-lambda evaluations are independent and may run concurrently; each one
-reads a frozen tree or level table single-threaded.
+generators.route decides which route a source takes, and
+generators.truncation supplies the trees the level sweeps run on.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .generators import (DEFAULT_VERTEX_CAP, LOG2, TreeFamily,
-                         base_level_at_depth, triangular)
+                         base_level_at_depth, route, triangular, truncation)
 from .trees import Tree
 
 NEG_INF = float("-inf")
@@ -321,17 +321,26 @@ def classify_trajectory(log_values: Sequence[float], schedule: DepthSchedule) ->
 
 @dataclass
 class BracketResult:
-    """Grid classification with the induced bracket for a critical value."""
+    """Grid classification with the induced bracket for a critical value.
+
+    Each grid value's trajectory is classified against the schedule;
+    depths_used (the truncation depths the trajectories were taken at)
+    defaults to the schedule's depths.
+    """
 
     grid: tuple[float, ...]
     schedule: DepthSchedule
-    depths_used: dict[float, tuple[int, ...]]
     trajectories: dict[float, tuple[float, ...]]  # log values per depth
-    classifications: dict[float, str]
+    depths_used: tuple[int, ...] = ()
+    classifications: dict[float, str] = field(init=False)
     lower: float | None = field(init=False)  # largest grid value classified below
     upper: float | None = field(init=False)  # smallest grid value classified above
 
     def __post_init__(self):
+        if not self.depths_used:
+            self.depths_used = self.schedule.depths
+        self.classifications = {g: classify_trajectory(self.trajectories[g], self.schedule)
+                                for g in self.grid}
         below = [g for g in self.grid if self.classifications[g] == "below"]
         above = [g for g in self.grid if self.classifications[g] == "above"]
         self.lower = max(below) if below else None
@@ -362,45 +371,29 @@ def ibn_estimate(source: TreeFamily | Tree, schedule: DepthSchedule,
                  max_vertices: int = DEFAULT_VERTEX_CAP) -> BracketResult:
     """Bracket the branching number by classifying min-cut trajectories.
 
-    source may be a TreeFamily (symmetric families and the stretched 3-1
-    tree use their exact non-materialized routes) or an explicit Tree deep
-    enough for the schedule.
+    The route follows generators.route: symmetric families use level sizes,
+    the stretched 3-1 family its DP at base-level depths, and anything else
+    a level sweep over each truncation (an explicit Tree must reach the
+    deepest scheduled depth).
     """
     grid = tuple(sorted(grid))
     if any(not 0 < g < 1 for g in grid):
         raise ValueError("grid must lie inside (0, 1)")
-    trajectories: dict[float, tuple[float, ...]] = {}
-    depths_used: dict[float, tuple[int, ...]] = {}
-
-    if isinstance(source, Tree):
-        if source.height() < schedule.depths[-1]:
-            raise ValueError("tree shallower than the schedule")
-        for lam in grid:
-            w = DepthWeights.ibn(lam)
-            vals = [min_cut(source, w, N, want_cut=False).log_value for N in schedule.depths]
-            trajectories[lam] = tuple(vals)
-            depths_used[lam] = schedule.depths
-    elif source.name == "three-one":
+    kind = route(source)
+    if kind == "three-one":
         ms = tuple(max(1, base_level_at_depth(N) - (0 if triangular(base_level_at_depth(N)) <= N else 1))
                    for N in schedule.depths)
-        used = tuple(triangular(m) for m in ms)
-        for lam in grid:
-            trajectories[lam] = tuple(three_one_log_min_cut(lam, m) for m in ms)
-            depths_used[lam] = used
-    elif source.degree is not None:
+        trajectories = {lam: tuple(three_one_log_min_cut(lam, m) for m in ms) for lam in grid}
+        return BracketResult(grid, schedule, trajectories,
+                             depths_used=tuple(triangular(m) for m in ms))
+    if kind == "symmetric":
         lv = source.level_log2_sizes(schedule.depths[-1])
-        for lam in grid:
-            vals = [min_cut_symmetric(lv, lam, N)[0] for N in schedule.depths]
-            trajectories[lam] = tuple(vals)
-            depths_used[lam] = schedule.depths
-    else:
-        trees = {N: source.build(N, max_vertices) for N in schedule.depths}
-        for lam in grid:
-            w = DepthWeights.ibn(lam)
-            vals = [min_cut(trees[N], w, N, want_cut=False).log_value for N in schedule.depths]
-            trajectories[lam] = tuple(vals)
-            depths_used[lam] = schedule.depths
-
-    classifications = {lam: classify_trajectory(trajectories[lam], schedule) for lam in grid}
-    return BracketResult(grid=grid, schedule=schedule, depths_used=depths_used,
-                         trajectories=trajectories, classifications=classifications)
+        trajectories = {lam: tuple(min_cut_symmetric(lv, lam, N)[0] for N in schedule.depths)
+                        for lam in grid}
+        return BracketResult(grid, schedule, trajectories)
+    columns: dict[float, list[float]] = {lam: [] for lam in grid}
+    for N in schedule.depths:
+        tree = truncation(source, N, max_vertices)
+        for lam, column in columns.items():
+            column.append(min_cut(tree, DepthWeights.ibn(lam), N, want_cut=False).log_value)
+    return BracketResult(grid, schedule, {lam: tuple(c) for lam, c in columns.items()})

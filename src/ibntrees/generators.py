@@ -9,13 +9,15 @@ is why they appear among the examples, but sub-periodicity itself is never
 computed here.
 
 Families bundle a generator with the cheap level-size arithmetic that the
-estimators use when a truncation is too large to materialize.
+estimators use when a truncation is too large to materialize.  route() and
+truncation() are the one place that decides how a source -- an explicit
+Tree or a family -- is evaluated.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,20 +31,6 @@ LOG2 = math.log(2.0)
 
 class MemoryCapError(RuntimeError):
     """Raised when a requested truncation would exceed the vertex cap."""
-
-
-@dataclass(frozen=True)
-class DegreeSequence:
-    """Children-count rule n -> degree(n) with a depth horizon."""
-
-    rule: Callable[[int], int]
-    horizon: int
-
-    def __call__(self, n: int) -> int:
-        d = int(self.rule(n))
-        if d < 1:
-            raise ValueError(f"degree sequence must be >= 1, got {d} at depth {n}")
-        return d
 
 
 def sequence_degree(n: int) -> int:
@@ -98,14 +86,6 @@ def from_branch_marks(marks: Sequence[bool], N: int,
     if len(marks) < N:
         raise ValueError("marks must be defined up to depth N")
     return spherically_symmetric(lambda n: 2 if marks[n] else 1, N, max_vertices)
-
-
-def path_tree(N: int) -> Tree:
-    return spherically_symmetric(lambda n: 1, N)
-
-
-def binary_tree(N: int) -> Tree:
-    return spherically_symmetric(lambda n: 2, N)
 
 
 # -- the stretched 3-1 tree ---------------------------------------------
@@ -256,3 +236,35 @@ def family_by_name(name: str, marks: Sequence[bool] | None = None) -> TreeFamily
     if name not in table:
         raise ValueError(f"unknown family {name!r}")
     return table[name]()
+
+
+# -- evaluation routes -----------------------------------------------------
+
+def route(source: TreeFamily | Tree) -> str:
+    """How the estimators evaluate a source.
+
+    "symmetric": a family with a degree rule, evaluated from level sizes;
+    "three-one": the stretched 3-1 family, whose min-cut has a structured
+    DP (its other quantities still sweep materialized truncations);
+    "tree": an explicit Tree, or any other family, swept level by level on
+    truncation(source, N).
+    """
+    if isinstance(source, Tree):
+        return "tree"
+    if source.degree is not None:
+        return "symmetric"
+    if source.name == "three-one":
+        return "three-one"
+    return "tree"
+
+
+def truncation(source: TreeFamily | Tree, N: int,
+               max_vertices: int = DEFAULT_VERTEX_CAP) -> Tree:
+    """The depth-N truncation of a family; an explicit Tree as it is.
+
+    An explicit Tree is not checked against N here: every level sweep
+    raises on a tree shallower than its depth.
+    """
+    if isinstance(source, Tree):
+        return source
+    return source.build(N, max_vertices)

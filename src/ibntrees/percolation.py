@@ -16,8 +16,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import rng, walks
-from .flowcut import BracketResult, DepthSchedule, classify_trajectory
-from .generators import TreeFamily
+from .flowcut import BracketResult, DepthSchedule
+from .generators import TreeFamily, route, truncation
 from .trees import Tree
 
 LOG_FLOOR = -744.0  # log of the smallest positive double, used as a clamp
@@ -123,27 +123,32 @@ def mc_survival(tree: Tree, law: PercolationLaw, N: int, trials: int,
 def theta_estimate(source: TreeFamily | Tree, schedule: DepthSchedule,
                    grid: Sequence[float]) -> BracketResult:
     """Bracket the percolation threshold by classifying survival
-    trajectories over the schedule (supercritical side = 'below')."""
+    trajectories over the schedule (supercritical side = 'below').
+
+    Symmetric families use survival_symmetric; every other source is swept
+    on each truncation, built once per scheduled depth.
+    """
     grid = tuple(sorted(grid))
     if any(not 0 < g < 1 for g in grid):
         raise ValueError("grid must lie inside (0, 1)")
-    trajectories: dict[float, tuple[float, ...]] = {}
-    for lam in grid:
-        law = PercolationLaw(lam)
-        vals = []
-        for N in schedule.depths:
-            if isinstance(source, Tree):
-                s = exact_survival(source, law, N)
-            elif source.degree is not None:
-                s = survival_symmetric(source.degree, law, N)
-            else:
-                s = exact_survival(source.build(N), law, N)
-            vals.append(math.log(s) if s > 0.0 else LOG_FLOOR)
-        trajectories[lam] = tuple(vals)
-    classifications = {lam: classify_trajectory(trajectories[lam], schedule) for lam in grid}
-    return BracketResult(grid=grid, schedule=schedule,
-                         depths_used={lam: schedule.depths for lam in grid},
-                         trajectories=trajectories, classifications=classifications)
+    survival: dict[float, list[float]] = {lam: [] for lam in grid}
+    symmetric = route(source) == "symmetric"
+    for N in schedule.depths:
+        tree = None if symmetric else truncation(source, N)
+        for lam, column in survival.items():
+            law = PercolationLaw(lam)
+            column.append(survival_symmetric(source.degree, law, N) if symmetric
+                          else exact_survival(tree, law, N))
+    return theta_from_survival(schedule, survival)
+
+
+def theta_from_survival(schedule: DepthSchedule,
+                        survival: dict[float, Sequence[float]]) -> BracketResult:
+    """The theta bracket from survival probabilities, one per scheduled
+    depth for each grid value; zeros are clamped to LOG_FLOOR."""
+    trajectories = {lam: tuple(math.log(s) if s > 0.0 else LOG_FLOOR for s in column)
+                    for lam, column in survival.items()}
+    return BracketResult(tuple(sorted(survival)), schedule, trajectories)
 
 
 def percolation_conductances(tree: Tree, law: PercolationLaw, N: int) -> walks.ConductanceField:
@@ -177,14 +182,12 @@ def conductance_bound_symmetric(family: TreeFamily, lam: float, N: int) -> float
     if family.degree is None:
         raise ValueError("family is not spherically symmetric")
     law = PercolationLaw(lam)
-    n = np.arange(1, N + 1, dtype=float)
-    logp = law.log_p(n)
-    log_reach = np.cumsum(logp)
-    with np.errstate(divide="ignore"):
-        log_c = log_reach - np.log(-np.expm1(logp))
-    lv = np.asarray(family.level_log2_sizes(N), dtype=float)
-    terms = -log_c - lv[1:N + 1] * math.log(2.0)
-    hi = terms.max()
-    log_R = hi + math.log(np.exp(terms - hi).sum())
+
+    def log_c_at(n: np.ndarray) -> np.ndarray:
+        logp = law.log_p(n)
+        with np.errstate(divide="ignore"):
+            return np.cumsum(logp) - np.log(-np.expm1(logp))
+
+    log_R = -walks.log_effective_conductance_symmetric(family.level_log2_sizes(N), log_c_at, N)
     # C/(1+C) = 1/(1+R)
     return float(math.exp(-np.logaddexp(0.0, log_R)))

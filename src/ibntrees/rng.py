@@ -17,7 +17,6 @@ EDGE_STREAM = 1
 WALK_STREAM = 2
 PERC_STREAM = 3
 SEARCH_STREAM = 4
-GAME_STREAM = 5
 
 
 def stream_rng(seed: int, stream: int, index: int = 0) -> np.random.Generator:

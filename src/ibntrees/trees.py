@@ -27,14 +27,6 @@ class Tree:
         self._children: list[list[int]] = [[]]
         self._cache: dict[str, object] = {}
 
-    @classmethod
-    def from_parents(cls, parents) -> "Tree":
-        """Build from a parent list; parents[i] < i+1 is the parent of vertex i+1."""
-        t = cls()
-        for p in parents:
-            t.add_child(int(p))
-        return t
-
     # -- construction ---------------------------------------------------
 
     def add_child(self, parent: int) -> int:
@@ -54,10 +46,6 @@ class Tree:
     @property
     def n_vertices(self) -> int:
         return len(self._parent)
-
-    @property
-    def root(self) -> int:
-        return 0
 
     def parent(self, v: int) -> int:
         return self._parent[v]

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import rng
-from .flowcut import BracketResult, DepthSchedule, classify_trajectory, min_cut
+from .flowcut import BracketResult, DepthSchedule, min_cut
 from .generators import LOG2, TreeFamily
 from .trees import Tree
 
@@ -32,10 +32,6 @@ class ConductanceField:
     log_c: np.ndarray  # indexed by child vertex id; slot 0 unused
     lam: float
     seed: int | None = None  # None for deterministic fields
-
-    def linear(self) -> np.ndarray:
-        c = np.exp(self.log_c)
-        return c
 
 
 def deterministic_conductances(tree: Tree, lam: float) -> ConductanceField:
@@ -279,10 +275,7 @@ def rt_estimate(tree: Tree, psi: PsiField, gamma_grid: Sequence[float],
         w[0] = np.nan
         vals = [min_cut(tree, w, N, want_cut=False).log_value for N in schedule.depths]
         trajectories[g] = tuple(vals)
-    classifications = {g: classify_trajectory(trajectories[g], schedule) for g in gamma_grid}
-    return BracketResult(grid=gamma_grid, schedule=schedule,
-                         depths_used={g: schedule.depths for g in gamma_grid},
-                         trajectories=trajectories, classifications=classifications)
+    return BracketResult(gamma_grid, schedule, trajectories)
 
 
 # -- percolation coupled to the conductance field ----------------------------

@@ -1,6 +1,14 @@
 import json
+import math
+import os
+import tempfile
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import run_cli
+from ibntrees import cli, flowcut, generators, percolation
 
 
 def test_generate_and_round_trip(tmp_path):
@@ -109,11 +117,65 @@ def test_report_empty_dir(tmp_path):
     assert r.returncode == 0
 
 
-def test_threads_flag_identical_output(tmp_path):
-    base = ["estimate-ibn", "--family", "binary", "--grid", "0.2:0.8:0.2",
-            "--schedule", "8,16"]
-    r = run_cli(base + ["--out", "s1.csv"], tmp_path)
-    assert r.returncode == 0, r.stderr
-    r = run_cli(base + ["--threads", "4", "--out", "s4.csv"], tmp_path)
-    assert r.returncode == 0, r.stderr
-    assert (tmp_path / "s1.csv").read_bytes() == (tmp_path / "s4.csv").read_bytes()
+@pytest.mark.parametrize("argv", [
+    pytest.param(["estimate-ibn", "--grid", "0.5", "--schedule", "4,8"], id="no-source"),
+    pytest.param(["generate", "--depth", "4"], id="generate-no-family"),
+    pytest.param(["estimate-ibn", "--family", "seq", "--tree", "t.txt"], id="family-and-tree"),
+    pytest.param(["percolate", "--family", "seq"], id="percolate-no-rate"),
+    pytest.param(["percolate", "--family", "seq", "--lambda", "0.3", "--grid", "0.3"],
+                 id="percolate-lambda-and-grid"),
+    pytest.param(["estimate-ibn", "--family", "seq", "--grid", "0.1:0.5:0"], id="zero-step"),
+    pytest.param(["estimate-ibn", "--family", "seq", "--grid", "abc"], id="grid-not-a-number"),
+    pytest.param(["percolate", "--family", "seq", "--grid", "0.5:0.1:0.1"], id="reversed-grid"),
+    pytest.param(["firefight", "--family", "seq", "--gamma-grid", "0.9:0.2:0.1"],
+                 id="reversed-gamma-grid"),
+    pytest.param(["estimate-ibn", "--family", "seq", "--grid", "0.5,1.5"], id="grid-outside-unit"),
+    pytest.param(["estimate-ibn", "--family", "seq", "--schedule", "64,32"], id="schedule-decreasing"),
+    pytest.param(["generate", "--family", "marks", "--depth", "4"], id="marks-without-file"),
+])
+def test_usage_errors_exit_2(argv, tmp_path, capsys):
+    out = str(tmp_path / "x.out")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", out])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid=st.text(alphabet="0123456789.:,-", max_size=8),
+       schedule=st.text(alphabet="0123456789,-", max_size=5))
+def test_malformed_grid_and_schedule_exit_2_or_write_rows(grid, schedule):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "x.csv")
+        try:
+            rc = cli.main(["estimate-ibn", "--family", "seq", f"--grid={grid}",
+                           f"--schedule={schedule}", "--out", out])
+        except SystemExit as exc:
+            assert exc.code == 2
+            return
+        assert rc == 0
+        with open(out) as fh:
+            assert len(fh.read().splitlines()) >= 2
+
+
+@pytest.mark.parametrize("source", ["seq", "three-one", "tree"])
+def test_percolate_theta_matches_theta_estimate(source, tmp_path):
+    depths = (10, 28, 45)
+    grid = "0.95,0.05,0.6,0.3"
+    if source == "tree":
+        tree = generators.three_one_stretched(depths[-1])
+        (tmp_path / "t.txt").write_text(tree.to_text())
+        argv, src = ["--tree", str(tmp_path / "t.txt")], tree
+    else:
+        argv, src = ["--family", source], generators.family_by_name(source)
+    out = tmp_path / "p.csv"
+    assert cli.main(["percolate", *argv, "--grid", grid, "--depths", "10,28,45",
+                     "--out", str(out)]) == 0
+    summary = json.loads((tmp_path / "p.csv.manifest.json").read_text())["summary"]
+    res = percolation.theta_estimate(src, flowcut.DepthSchedule(depths), cli._parse_grid(grid))
+    assert (summary["theta_lower"], summary["theta_upper"]) == (res.lower, res.upper) == (0.3, 0.95)
+    rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+    assert [float(r[0]) for r in rows[::len(depths)]] == [0.95, 0.05, 0.6, 0.3]
+    for r in rows:
+        assert math.log(float(r[2])) == res.trajectories[float(r[0])][depths.index(int(r[1]))]
