@@ -91,6 +91,28 @@ def _grid_type(upper: float):
     return check
 
 
+def _open_unit(text: str) -> float:
+    """argparse type for a rate in (0, 1)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid rate {text!r}: not a number") from None
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"invalid rate {text!r}: must lie in (0, 1)")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"invalid value {text!r}: must be >= 1")
+    return value
+
+
 def _depths_type(text: str) -> str:
     """argparse type for a depth list: positive and strictly increasing."""
     try:
@@ -267,7 +289,8 @@ def _run_nathanson(config: ExperimentConfig) -> dict:
             fh.write(lt.tree.to_text())
         summary["tree_out"] = path
     if opts.get("emit_stats"):
-        ball, level = nathanson.ball_sizes(n)
+        level = lt.tree.level_sizes()
+        ball = np.cumsum(level) - 1  # the ball excludes the identity root
         rows = []
         for m in range(1, n + 1):
             ratio = (math.log(math.log(float(ball[m]))) / math.log(m)
@@ -411,7 +434,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = command("rwrc", "random-conductance recurrence classifier", source="family-or-tree")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    p.add_argument("--lambda", dest="lam", type=_open_unit, required=True)
     p.add_argument("--gamma-grid", dest="gamma_grid", type=_grid_type(math.inf),
                    default="0.25:2.0:0.25")
     p.add_argument("--schedule", type=_depths_type, default="16,32,64,128")
@@ -419,7 +442,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("percolate", "independent percolation survival", source="family-or-tree")
     rate = p.add_mutually_exclusive_group(required=True)
-    rate.add_argument("--lambda", dest="lam", type=float)
+    rate.add_argument("--lambda", dest="lam", type=_open_unit)
     rate.add_argument("--grid", type=unit_grid)
     p.add_argument("--depths", type=_depths_type, default="16,32,64,128")
     p.add_argument("--mc", type=int, default=0)
@@ -434,7 +457,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = command("nathanson", "matrix semigroup ball and spanning tree")
-    p.add_argument("--depth", type=int, default=40)
+    p.add_argument("--depth", type=_positive_int, default=40)
     p.add_argument("--emit-tree", dest="emit_tree")
     p.add_argument("--emit-stats", dest="emit_stats")
 
@@ -455,6 +478,8 @@ def main(argv=None) -> int:
     args = vars(parser.parse_args(argv))
     if args.get("family") == "marks" and not args.get("marks_file"):
         parser.error("--family marks needs --marks-file")
+    if "eps_stop" in args and not 0 < args["eps_stop"] < args["c_stay"]:
+        parser.error("need 0 < --eps-stop < --c-stay")
     sub = args.pop("subcommand")
     options = {k: v for k, v in args.items() if v is not None}
     return run(ExperimentConfig(sub, options))

@@ -3,10 +3,13 @@
 The semigroup is generated by a = [[1,1],[0,1]] and b = [[1,0],[1,0]]
 under multiplication.  Words over {a, b} are ordered length-first, then
 lexicographically with b < a; breadth-first search that extends by b
-before a therefore reaches every element through its minimal word, and
-those words form a spanning tree under the prefix relation (asserted
-during construction).  Matrix entries are exact big integers: deduping is
-by the matrix itself, never a hash truncation.
+before a therefore reaches every element through its minimal word, in
+that order, and those words form a spanning tree under the prefix
+relation.  One BFS emits the tree directly: each element records the
+frontier element it extended (its parent vertex) and the last letter, so
+vertex ids are the length-then-lex order, and words are rebuilt from the
+letters only on demand.  Matrix entries are exact big integers: deduping
+is by the matrix itself, never a hash truncation.
 
 The tree supports a flow from the identity that is routed entirely into
 the b-subtree and halves at every branch vertex; branches occur exactly
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,57 +51,86 @@ def mat_of_word(word: str) -> Mat2:
     return m
 
 
-def bfs_ball(n: int, max_elements: int = 2_000_000) -> dict[Mat2, str]:
-    """All semigroup elements of word length <= n with their minimal words.
+def _ball(n: int, max_elements: int) -> tuple[dict[Mat2, int], list[int], bytearray, list[int]]:
+    """One BFS of the ball of radius n: (ids, parent, letters, level_ends).
 
-    BFS by length, extending each frontier word by b then a; the frontier
-    is kept in lexicographic order (b < a), so the first word reaching a
-    matrix is the length-then-lex minimal one.  Includes the identity as
-    the empty word.
+    Vertex ids are discovery order.  The frontier stays in lexicographic
+    order (b < a) and each element is extended by b before a, so discovery
+    order is length-then-lex order and the first word reaching a matrix is
+    its minimal one; ids[m] is the vertex of matrix m.  Vertex v > 0 is its
+    parent's word followed by letters[v], so the parent's word is the
+    one-shorter prefix of v's minimal word and is itself minimal.  Level
+    k >= 1 is the id range [level_ends[k-1], level_ends[k]); level 0 is the
+    root, id 0.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    elements: dict[Mat2, str] = {MAT_ID: ""}
-    frontier: list[tuple[Mat2, str]] = [(MAT_ID, "")]
+    ids: dict[Mat2, int] = {MAT_ID: 0}
+    parent = [-1]
+    letters = bytearray(b"-")
+    level_ends = [1]
+    frontier = [MAT_ID]
+    b, a = ord("b"), ord("a")
     for _ in range(n):
-        nxt: list[tuple[Mat2, str]] = []
-        for m, w in frontier:
-            for ch in "ba":
-                m2 = mat_mul(m, GEN[ch])
-                if m2 not in elements:
-                    elements[m2] = w + ch
-                    nxt.append((m2, w + ch))
-                    if len(elements) > max_elements:
-                        raise BallCapError(f"ball exceeds {max_elements} elements")
+        first = len(parent) - len(frontier)
+        nxt: list[Mat2] = []
+        for v, (m00, m01, m10, m11) in enumerate(frontier, first):
+            s0, s1 = m00 + m01, m10 + m11
+            # m*B then m*A, for B = [[1,0],[1,0]] and A = [[1,1],[0,1]]
+            for letter, m2 in ((b, (s0, 0, s1, 0)), (a, (m00, s0, m10, s1))):
+                if m2 not in ids:
+                    ids[m2] = len(parent)
+                    parent.append(v)
+                    letters.append(letter)
+                    nxt.append(m2)
+            if len(parent) > max_elements:
+                raise BallCapError(f"ball exceeds {max_elements} elements")
         frontier = nxt
-    return elements
+        level_ends.append(len(parent))
+    return ids, parent, letters, level_ends
+
+
+def _words(parent: list[int], letters: bytes) -> tuple[str, ...]:
+    """Minimal word of every vertex, rebuilt from parent ids and last letters."""
+    text = letters.decode("ascii")
+    words = [""]
+    for v in range(1, len(parent)):
+        words.append(words[parent[v]] + text[v])
+    return tuple(words)
+
+
+def bfs_ball(n: int, max_elements: int = 2_000_000) -> dict[Mat2, str]:
+    """All semigroup elements of word length <= n with their minimal words
+    (length first, then lexicographic with b < a).  Includes the identity
+    as the empty word."""
+    ids, parent, letters, _ = _ball(n, max_elements)
+    words = _words(parent, letters)
+    return {m: words[v] for m, v in ids.items()}
 
 
 @dataclass(frozen=True)
 class LexTree:
     tree: Tree
-    words: tuple[str, ...]  # words[v] is the minimal word of vertex v
+    letters: bytes  # letters[v] is the last letter of vertex v's minimal word (root: '-')
+
+    @cached_property
+    def words(self) -> tuple[str, ...]:
+        """words[v] is the minimal word of vertex v."""
+        return _words(self.tree.parent_array().tolist(), self.letters)
 
     def word_index(self) -> dict[str, int]:
         return {w: i for i, w in enumerate(self.words)}
 
 
 def lex_tree(n: int, max_elements: int = 2_000_000) -> LexTree:
-    """Spanning tree of the ball: parent of a word is its one-shorter prefix.
-
-    Raises if some minimal word has a non-minimal prefix, which would break
-    the spanning-tree property.
-    """
-    elements = bfs_ball(n, max_elements)
-    words = sorted(elements.values(), key=lambda w: (len(w), [0 if c == "b" else 1 for c in w]))
-    index = {"": 0}
+    """Spanning tree of the ball: parent of a word is its one-shorter prefix,
+    and vertex ids are in length-then-lex order of the minimal words."""
+    ids, parent, letters, _ = _ball(n, max_elements)
+    del ids  # the matrices are not needed for the tree; free them before building it
     t = Tree()
-    for w in words[1:]:
-        p = index.get(w[:-1])
-        if p is None:
-            raise AssertionError(f"prefix {w[:-1]!r} of minimal word {w!r} is not minimal")
-        index[w] = t.add_child(p)
-    return LexTree(t, tuple(words))
+    for p in parent[1:]:
+        t.add_child(p)
+    return LexTree(t, bytes(letters))
 
 
 def _is_prime(m: int) -> bool:
@@ -144,13 +177,12 @@ def prime_flow(lt: LexTree, c: float) -> np.ndarray:
     if c <= 0:
         raise ValueError("c must be positive")
     t = lt.tree
-    idx = lt.word_index()
     theta = np.zeros(t.n_vertices)
-    theta[idx["b"]] = c
-    if "a" in idx:
-        theta[idx["a"]] = 0.0
-    order = sorted(range(1, t.n_vertices), key=lambda v: t.depth(v))
-    for v in order:
+    for ch in t.children(0):
+        if lt.letters[ch] == ord("b"):
+            theta[ch] = c
+    # ids are in BFS order, so every vertex comes after its parent
+    for v in range(1, t.n_vertices):
         kids = t.children(v)
         if not kids:
             continue
@@ -167,9 +199,8 @@ def ball_sizes(n: int, max_elements: int = 2_000_000) -> tuple[np.ndarray, np.nd
     identity root of the spanning tree is excluded; with it, the radius-1
     ball would already overshoot the 2 m**(2 sqrt(m) + 2) bound.
     """
-    elements = bfs_ball(n, max_elements)
-    lengths = np.fromiter((len(w) for w in elements.values()), dtype=np.int64)
-    level = np.bincount(lengths, minlength=n + 1)
+    level_ends = _ball(n, max_elements)[3]
+    level = np.diff(np.asarray(level_ends, dtype=np.int64), prepend=0)
     return np.cumsum(level) - 1, level
 
 

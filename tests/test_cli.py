@@ -132,6 +132,11 @@ def test_report_empty_dir(tmp_path):
     pytest.param(["estimate-ibn", "--family", "seq", "--grid", "0.5,1.5"], id="grid-outside-unit"),
     pytest.param(["estimate-ibn", "--family", "seq", "--schedule", "64,32"], id="schedule-decreasing"),
     pytest.param(["generate", "--family", "marks", "--depth", "4"], id="marks-without-file"),
+    pytest.param(["estimate-ibn", "--family", "seq", "--eps-stop", "1e-2", "--c-stay", "1e-3"],
+                 id="eps-stop-above-c-stay"),
+    pytest.param(["percolate", "--family", "seq", "--lambda", "1.5"],
+                 id="percolate-lambda-outside-unit"),
+    pytest.param(["rwrc", "--family", "seq", "--lambda", "1.5"], id="rwrc-lambda-outside-unit"),
 ])
 def test_usage_errors_exit_2(argv, tmp_path, capsys):
     out = str(tmp_path / "x.out")
@@ -140,6 +145,16 @@ def test_usage_errors_exit_2(argv, tmp_path, capsys):
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("depth", ["0", "-3"])
+def test_nathanson_depth_below_1_exits_2(depth, tmp_path, capsys):
+    stats = str(tmp_path / "s.csv")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["nathanson", "--depth", depth, "--emit-stats", stats])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not os.path.exists(stats)
 
 
 @settings(max_examples=100, deadline=None)

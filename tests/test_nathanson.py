@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -39,25 +40,88 @@ def test_bfs_ball_small_counts_vs_exhaustive():
     assert len(na.bfs_ball(1)) == 3  # identity + a + b
 
 
-def test_bfs_ball_words_are_lex_minimal():
-    # brute-force minimal words for n <= 12 under length-then-lex, b < a
-    def key(w):
-        return (len(w), [0 if c == "b" else 1 for c in w])
+def _lex_key(w):
+    """Length first, then lexicographic with b < a."""
+    return (len(w), [0 if c == "b" else 1 for c in w])
 
-    ball = na.bfs_ball(12)
+
+def _brute_minimal_words(n):
+    """Matrix -> minimal word over every word of length <= n."""
     brute: dict = {}
-    for length in range(0, 13):
+    for length in range(0, n + 1):
         for word in itertools.product("ba", repeat=length):
             w = "".join(word)
             m = na.mat_of_word(w)
-            if m not in brute or key(w) < key(brute[m]):
+            if m not in brute or _lex_key(w) < _lex_key(brute[m]):
                 brute[m] = w
-    assert ball == brute
+    return brute
+
+
+def test_bfs_ball_words_are_lex_minimal():
+    assert na.bfs_ball(12) == _brute_minimal_words(12)
+
+
+def test_lex_tree_matches_brute_force_order():
+    # vertex v is the v-th minimal word in length-then-lex order, and its
+    # parent is its one-shorter prefix
+    words = sorted(_brute_minimal_words(12).values(), key=_lex_key)
+    lt = na.lex_tree(12)
+    assert list(lt.words) == words
+    index = {w: v for v, w in enumerate(words)}
+    parents = lt.tree.parent_array()
+    assert all(parents[v] == index[w[:-1]] for v, w in enumerate(words) if w)
+
+
+# Recorded from the sort-based construction that the one-pass BFS replaced.
+PINNED_TREE_SHA256 = {
+    12: "26f14aa06a085c7298990320d3dad183586f034d2a7d8475021110094a803c5f",
+    30: "de9ea1ae3116ffe6a37392af9f55fdf0eb2445f716841a64e851682700d8ea6e",
+}
+PINNED_BALL_40 = [
+    0, 2, 5, 10, 18, 30, 48, 74, 111, 162, 231, 323, 444, 601, 803, 1060, 1384, 1789,
+    2292, 2912, 3672, 4598, 5720, 7073, 8697, 10638, 12948, 15687, 18922, 22730, 27198,
+    32424, 38519, 45607, 53828, 63339, 74315, 86953, 101472, 118116, 137157]
+PINNED_LEVEL_40 = [
+    1, 2, 3, 5, 8, 12, 18, 26, 37, 51, 69, 92, 121, 157, 202, 257, 324, 405, 503, 620,
+    760, 926, 1122, 1353, 1624, 1941, 2310, 2739, 3235, 3808, 4468, 5226, 6095, 7088,
+    8221, 9511, 10976, 12638, 14519, 16644, 19041]
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_TREE_SHA256))
+def test_lex_tree_text_pinned(n):
+    text = na.lex_tree(n).tree.to_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_TREE_SHA256[n]
+
+
+def test_ball_sizes_pinned():
+    ball, level = na.ball_sizes(40)
+    assert ball.dtype == level.dtype == np.int64
+    assert ball.tolist() == PINNED_BALL_40
+    assert level.tolist() == PINNED_LEVEL_40
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 20, 40])
+def test_level_counts_agree(n):
+    ball, level = na.ball_sizes(n)
+    lengths = [len(w) for w in na.bfs_ball(n).values()]
+    assert level.tolist() == np.bincount(lengths, minlength=n + 1).tolist()
+    assert level.tolist() == na.lex_tree(n).tree.level_sizes().tolist()
+    assert ball.tolist() == (np.cumsum(level) - 1).tolist()
 
 
 def test_ball_cap():
     with pytest.raises(na.BallCapError):
         na.bfs_ball(40, max_elements=100)
+
+
+@pytest.mark.parametrize("view", [na.bfs_ball, na.lex_tree, na.ball_sizes])
+def test_ball_cap_same_for_every_view(view):
+    size = len(na.bfs_ball(10))  # identity included
+    view(10, max_elements=size)
+    with pytest.raises(na.BallCapError):
+        view(10, max_elements=size - 1)
+    with pytest.raises(na.BallCapError):
+        view(40, max_elements=100)
 
 
 def test_theorem_bound_holds_to_40():
