@@ -102,15 +102,22 @@ def _open_unit(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"invalid value {text!r}: must be >= 1")
-    return value
+def _int_at_least(low: int):
+    """argparse type for an integer >= low."""
+
+    def check(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}: must be >= {low}")
+        return value
+
+    return check
+
+
+_positive_int = _int_at_least(1)
 
 
 def _depths_type(text: str) -> str:
@@ -416,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("generate", "materialize a tree truncation", source="family")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_positive_int, required=True)
     p.add_argument("--out", required=True)
 
     p = command("estimate-ibn", "bracket the branching number", source="family-or-tree")
@@ -428,9 +435,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("walk", "conductance-weighted walks from the root", source="family-or-tree")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--depth", type=int, default=128)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--cap", type=int, default=10 ** 6)
+    p.add_argument("--depth", type=_positive_int, default=128)
+    p.add_argument("--trials", type=_positive_int, default=1000)
+    p.add_argument("--cap", type=_positive_int, default=10 ** 6)
     p.add_argument("--out", required=True)
 
     p = command("rwrc", "random-conductance recurrence classifier", source="family-or-tree")
@@ -445,7 +452,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rate.add_argument("--lambda", dest="lam", type=_open_unit)
     rate.add_argument("--grid", type=unit_grid)
     p.add_argument("--depths", type=_depths_type, default="16,32,64,128")
-    p.add_argument("--mc", type=int, default=0)
+    p.add_argument("--mc", type=_int_at_least(0), default=0)
     p.add_argument("--out", required=True)
 
     p = command("firefight", "containment-threshold attempts", source="family-or-tree")
@@ -462,7 +469,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-stats", dest="emit_stats")
 
     p = command("grig", "inverted-orbit word search and branch marks")
-    p.add_argument("--search", type=int, required=True)
+    p.add_argument("--search", type=_positive_int, required=True)
     p.add_argument("--beam", type=int, default=256)
     p.add_argument("--emit-marks", dest="emit_marks")
 

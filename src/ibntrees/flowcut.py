@@ -93,19 +93,14 @@ def _cut_tables(tree: Tree, logw: np.ndarray, N: int):
     if N < 1 or tree.height() < N:
         raise ValueError(f"tree must reach depth N={N}")
     n = tree.n_vertices
-    par = tree.parent_array()
     m = np.full(n, NEG_INF)
     msum = np.full(n, NEG_INF)
-    levels = [np.asarray(tree.level_set(k), dtype=np.int64) for k in range(N + 1)]
-    msum[levels[N]] = np.inf  # frontier: the edge itself is the only option
+    msum[tree.level(N)] = np.inf  # frontier: the edge itself is the only option
     for k in range(N, 0, -1):
-        lv = levels[k]
+        lv = tree.level(k)
         m[lv] = np.minimum(logw[lv], msum[lv])
-        pk = par[lv]
-        order = np.argsort(pk, kind="stable")
-        lv_sorted, pk_sorted = lv[order], pk[order]
-        starts = np.concatenate([[0], np.flatnonzero(np.diff(pk_sorted)) + 1])
-        msum[pk_sorted[starts]] = _segment_logsumexp(m[lv_sorted], starts)
+        ids, starts, parents = tree.siblings(k)
+        msum[parents] = _segment_logsumexp(m[ids], starts)
     return m, msum
 
 
@@ -121,15 +116,19 @@ def min_cut(tree: Tree, weights, N: int, want_cut: bool = True) -> MinCut:
     log_value = float(msum[0])
     cut = None
     if want_cut:
-        picked: list[int] = []
-        stack = [c for c in tree.children(0) if m[c] > NEG_INF]
-        while stack:
-            v = stack.pop()
-            if logw[v] <= msum[v]:
-                picked.append(v)
-            else:
-                stack.extend(c for c in tree.children(v) if m[c] > NEG_INF)
-        cut = tuple(sorted(picked))
+        # from the root down: a live vertex cuts its own edge when that is no
+        # dearer than its children's cuts, and otherwise passes the search on
+        par = tree.parent_array()
+        searched = np.zeros(tree.n_vertices, dtype=bool)
+        searched[0] = True
+        picked = []
+        for k in range(1, N + 1):
+            lv = tree.level(k)
+            live = searched[par[lv]] & (m[lv] > NEG_INF)
+            take = live & (logw[lv] <= msum[lv])
+            picked.append(lv[take])
+            searched[lv] = live & ~take
+        cut = tuple(np.sort(np.concatenate(picked)).tolist())
     return MinCut(log_value, cut, clamped=log_value <= math.log(UNDERFLOW_FLOOR))
 
 
@@ -147,9 +146,7 @@ def max_flow(tree: Tree, weights, N: int) -> np.ndarray:
     for c in tree.children(0):
         theta[c] = math.exp(m[c]) if m[c] > NEG_INF else 0.0
     for k in range(2, N + 1):
-        lv = np.asarray(tree.level_set(k), dtype=np.int64)
-        if len(lv) == 0:
-            break
+        lv = tree.level(k)
         p = par[lv]
         with np.errstate(invalid="ignore"):
             share = np.exp(m[lv] - msum[p])

@@ -62,7 +62,7 @@ def spherically_symmetric(degree: Callable[[int], int], N: int,
     """Tree where every depth-n vertex has degree(n) children, to depth N."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    total, width = 1, 1
+    degrees, total, width = [], 1, 1
     for n in range(N):
         d = int(degree(n))
         if d < 1:
@@ -72,12 +72,16 @@ def spherically_symmetric(degree: Callable[[int], int], N: int,
         if total > max_vertices:
             raise MemoryCapError(
                 f"truncation needs ~{total} vertices at depth {n + 1} (cap {max_vertices})")
-    t = Tree()
-    frontier = [0]
-    for n in range(N):
-        d = int(degree(n))
-        frontier = [t.add_child(v) for v in frontier for _ in range(d)]
-    return t
+        degrees.append(d)
+    # ids run level by level; the i-th vertex of level k hangs below the
+    # (i // degree(k-1))-th vertex of level k-1
+    widths = np.cumprod([1] + degrees)
+    first = np.concatenate(([0], np.cumsum(widths)))
+    depth = np.repeat(np.arange(N + 1), widths)
+    k = depth[1:]
+    offset = np.arange(1, total) - first[k]
+    parent = first[k - 1] + offset // np.asarray(degrees, dtype=np.int64)[k - 1]
+    return Tree(np.concatenate(([-1], parent)), depth)
 
 
 def from_branch_marks(marks: Sequence[bool], N: int,
@@ -119,29 +123,26 @@ def three_one_stretched(N: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Tree:
     if est > max_vertices:
         raise MemoryCapError(f"stretched truncation needs ~{est} vertices (cap {max_vertices})")
 
-    t = Tree()
-
-    def grow_path(top: int, steps: int) -> int:
-        v = top
-        for _ in range(steps):
-            if t.depth(v) >= N:
-                return -1
-            v = t.add_child(v)
-        return v
-
-    level = 1
-    # ids of base vertices at the current base level, left to right (-1 where truncated)
-    base = [grow_path(0, 1), grow_path(0, 1)]
-    while triangular(level) < N:
-        nxt: list[int] = []
-        half = 1 << (level - 1)
-        for i, v in enumerate(base):
-            deg = 1 if i < half else 3
-            for _ in range(deg):
-                nxt.append(-1 if v < 0 else grow_path(v, level + 1))
-        base = nxt
-        level += 1
-    return t
+    # Paths into base level j leave base level j-1 (depth D(j-1)) in order,
+    # fanout[i] of them from its i-th vertex; each path's vertices take
+    # consecutive ids, top first, and the last base level's paths stop at N.
+    parent, depth = [np.array([-1])], [np.array([0])]
+    n = 1
+    base = np.array([0])      # vertex ids of the current base level, left to right
+    fanout = np.array([2])    # paths leaving each of them
+    for j in range(1, base_level_at_depth(N) + 1):
+        top = triangular(j - 1)
+        length = min(j, N - top)
+        tops = np.repeat(base, fanout)
+        ids = np.arange(n, n + len(tops) * length).reshape(len(tops), length)
+        par = ids - 1
+        par[:, 0] = tops
+        parent.append(par.ravel())
+        depth.append(np.tile(np.arange(top + 1, top + length + 1), len(tops)))
+        n += ids.size
+        base = ids[:, -1]
+        fanout = np.repeat([1, 3], len(base) // 2)  # left half thin, right half thick
+    return Tree(np.concatenate(parent), np.concatenate(depth))
 
 
 def three_one_level_log2_sizes(N: int) -> np.ndarray:

@@ -20,6 +20,8 @@ ties to prime run lengths.
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -51,7 +53,7 @@ def mat_of_word(word: str) -> Mat2:
     return m
 
 
-def _ball(n: int, max_elements: int) -> tuple[dict[Mat2, int], list[int], bytearray, list[int]]:
+def _ball(n: int, max_elements: int) -> tuple[dict[Mat2, int], array, bytearray, list[int]]:
     """One BFS of the ball of radius n: (ids, parent, letters, level_ends).
 
     Vertex ids are discovery order.  The frontier stays in lexicographic
@@ -66,7 +68,7 @@ def _ball(n: int, max_elements: int) -> tuple[dict[Mat2, int], list[int], bytear
     if n < 0:
         raise ValueError("n must be >= 0")
     ids: dict[Mat2, int] = {MAT_ID: 0}
-    parent = [-1]
+    parent = array("q", [-1])
     letters = bytearray(b"-")
     level_ends = [1]
     frontier = [MAT_ID]
@@ -90,7 +92,7 @@ def _ball(n: int, max_elements: int) -> tuple[dict[Mat2, int], list[int], bytear
     return ids, parent, letters, level_ends
 
 
-def _words(parent: list[int], letters: bytes) -> tuple[str, ...]:
+def _words(parent: Sequence[int], letters: bytes) -> tuple[str, ...]:
     """Minimal word of every vertex, rebuilt from parent ids and last letters."""
     text = letters.decode("ascii")
     words = [""]
@@ -125,12 +127,10 @@ class LexTree:
 def lex_tree(n: int, max_elements: int = 2_000_000) -> LexTree:
     """Spanning tree of the ball: parent of a word is its one-shorter prefix,
     and vertex ids are in length-then-lex order of the minimal words."""
-    ids, parent, letters, _ = _ball(n, max_elements)
+    ids, parent, letters, level_ends = _ball(n, max_elements)
     del ids  # the matrices are not needed for the tree; free them before building it
-    t = Tree()
-    for p in parent[1:]:
-        t.add_child(p)
-    return LexTree(t, bytes(letters))
+    depth = np.repeat(np.arange(n + 1), np.diff(level_ends, prepend=0))
+    return LexTree(Tree(np.frombuffer(parent, dtype=np.int64), depth), bytes(letters))
 
 
 def _is_prime(m: int) -> bool:
@@ -178,17 +178,12 @@ def prime_flow(lt: LexTree, c: float) -> np.ndarray:
         raise ValueError("c must be positive")
     t = lt.tree
     theta = np.zeros(t.n_vertices)
-    for ch in t.children(0):
-        if lt.letters[ch] == ord("b"):
-            theta[ch] = c
-    # ids are in BFS order, so every vertex comes after its parent
-    for v in range(1, t.n_vertices):
-        kids = t.children(v)
-        if not kids:
-            continue
-        share = theta[v] / len(kids)
-        for ch in kids:
-            theta[ch] = share
+    lv1 = t.level(1)
+    theta[lv1[np.frombuffer(lt.letters, dtype=np.uint8)[lv1] == ord("b")]] = c
+    par, kids = t.parent_array(), t.n_children_array()
+    for k in range(2, t.height() + 1):
+        lv = t.level(k)
+        theta[lv] = theta[par[lv]] / kids[par[lv]]
     return theta
 
 

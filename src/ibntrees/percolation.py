@@ -58,19 +58,15 @@ def exact_survival(tree: Tree, law: PercolationLaw, N: int) -> float:
     if N < 1 or tree.height() < N:
         raise ValueError(f"tree must reach depth N={N}")
     d = tree.depth_array()
-    par = tree.parent_array()
     s = np.zeros(tree.n_vertices)
-    s[np.asarray(tree.level_set(N), dtype=np.int64)] = 1.0
+    s[tree.level(N)] = 1.0
     for k in range(N, 0, -1):
-        lv = np.asarray(tree.level_set(k), dtype=np.int64)
-        ps = law.p(d[lv]) * s[lv]
-        acc = np.zeros(tree.n_vertices)
+        ids, starts, parents = tree.siblings(k)
+        ps = law.p(d[ids]) * s[ids]
         with np.errstate(divide="ignore"):
-            np.add.at(acc, par[lv], np.log1p(-np.minimum(ps, 1.0)))
-        up = np.asarray(tree.level_set(k - 1), dtype=np.int64)
-        has_child = np.zeros(tree.n_vertices, dtype=bool)
-        has_child[par[lv]] = True
-        s[up] = np.where(has_child[up], -np.expm1(acc[up]), s[up])
+            log_miss = np.log1p(-np.minimum(ps, 1.0))
+        # + 0.0 gives an all-(-0.0) segment the sum 0.0, as accumulating from 0.0 does
+        s[parents] = -np.expm1(np.add.reduceat(log_miss, starts) + 0.0)
     return float(s[0])
 
 
@@ -96,11 +92,10 @@ def mc_survival(tree: Tree, law: PercolationLaw, N: int, trials: int,
     d = tree.depth_array()
     p_edge = np.ones(tree.n_vertices)
     p_edge[1:] = law.p(d[1:].astype(float))
-    frontier = np.asarray(tree.level_set(N), dtype=np.int64)
+    frontier = tree.level(N)
     if len(frontier) == 0:
         raise ValueError(f"tree must reach depth N={N}")
     par = tree.parent_array()
-    levels = [np.asarray(tree.level_set(k), dtype=np.int64) for k in range(N + 1)]
     hits = 0
     done = 0
     index = 0
@@ -109,7 +104,7 @@ def mc_survival(tree: Tree, law: PercolationLaw, N: int, trials: int,
         gen = rng.stream_rng(seed, rng.PERC_STREAM, index)
         reach = np.ones((m, tree.n_vertices), dtype=bool)
         for k in range(1, N + 1):
-            lv = levels[k]
+            lv = tree.level(k)
             u = gen.random((m, len(lv)))
             reach[:, lv] = reach[:, par[lv]] & (u < p_edge[lv])
         hits += int(reach[:, frontier].any(axis=1).sum())
@@ -160,7 +155,7 @@ def percolation_conductances(tree: Tree, law: PercolationLaw, N: int) -> walks.C
     log_reach = np.full(tree.n_vertices, np.nan)
     log_c = np.full(tree.n_vertices, np.nan)
     for k in range(1, N + 1):
-        lv = np.asarray(tree.level_set(k), dtype=np.int64)
+        lv = tree.level(k)
         prev = np.zeros(len(lv)) if k == 1 else log_reach[par[lv]]
         log_reach[lv] = prev + logp[lv]
         with np.errstate(divide="ignore"):

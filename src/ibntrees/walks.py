@@ -94,18 +94,13 @@ def effective_conductance(tree: Tree, field: ConductanceField, N: int) -> float:
     active = (d >= 1) & (d <= N)
     if (c[active] <= 0.0).any():
         raise ValueError("conductance underflowed to zero; use a symmetric route")
-    par = tree.parent_array()
-    R = np.zeros(tree.n_vertices)
-    cond = np.zeros(tree.n_vertices)  # conductance seen entering v from above
+    R = np.full(tree.n_vertices, np.inf)  # childless above the frontier: no current
+    R[tree.level(N)] = 0.0
     for k in range(N, 0, -1):
-        lv = np.asarray(tree.level_set(k), dtype=np.int64)
+        ids, starts, parents = tree.siblings(k)
         with np.errstate(divide="ignore"):
-            cond[lv] = 1.0 / (1.0 / c[lv] + R[lv])
-        acc = np.zeros(tree.n_vertices)
-        np.add.at(acc, par[lv], cond[lv])
-        up = np.asarray(tree.level_set(k - 1), dtype=np.int64)
-        with np.errstate(divide="ignore"):
-            R[up] = np.where(acc[up] > 0.0, 1.0 / acc[up], np.inf)
+            cond = 1.0 / (1.0 / c[ids] + R[ids])  # conductance entering each child
+            R[parents] = 1.0 / np.add.reduceat(cond, starts)
     return float(1.0 / R[0]) if R[0] > 0 else float("inf")
 
 
@@ -245,14 +240,12 @@ def psi_field(tree: Tree, field: ConductanceField, N: int) -> PsiField:
     log_S = np.full(tree.n_vertices, np.nan)
     log_psi = np.full(tree.n_vertices, np.nan)
     log_Psi = np.full(tree.n_vertices, np.nan)
-    lv1 = np.asarray(tree.level_set(1), dtype=np.int64)
+    lv1 = tree.level(1)
     log_S[lv1] = -field.log_c[lv1]
     log_psi[lv1] = 0.0
     log_Psi[lv1] = 0.0
     for k in range(2, N + 1):
-        lv = np.asarray(tree.level_set(k), dtype=np.int64)
-        if len(lv) == 0:
-            break
+        lv = tree.level(k)
         p = par[lv]
         log_S[lv] = np.logaddexp(log_S[p], -field.log_c[lv])
         log_psi[lv] = log_S[p] - log_S[lv]
@@ -297,12 +290,9 @@ def coupled_percolation(tree: Tree, field: ConductanceField, lam: float, N: int)
     ok[sel] = -field.log_c[sel] <= np.power(d[sel].astype(float), lam)
     open_mask = np.zeros(tree.n_vertices, dtype=bool)
     par = tree.parent_array()
-    lv1 = np.asarray(tree.level_set(1), dtype=np.int64)
-    open_mask[lv1] = True
+    open_mask[tree.level(1)] = True
     for k in range(2, N + 1):
-        lv = np.asarray(tree.level_set(k), dtype=np.int64)
-        if len(lv) == 0:
-            break
+        lv = tree.level(k)
         open_mask[lv] = open_mask[par[lv]] & ok[lv]
     psi_c = np.ones(tree.n_vertices)
     psi_c[sel] = 1.0 - np.power(d[sel].astype(float), lam - 1.0)

@@ -42,15 +42,19 @@ def run_cli(args, cwd, env=None) -> subprocess.CompletedProcess:
 def random_tree(seed: int, max_depth: int, extra: int = 12, ensure_depth: bool = True) -> Tree:
     """Small random tree; optionally guaranteed to reach max_depth."""
     gen = np.random.default_rng(seed)
-    t = Tree()
+    parent, depth = [-1], [0]
+
+    def attach(p: int) -> None:
+        parent.append(p)
+        depth.append(depth[p] + 1)
+
     for _ in range(extra):
-        candidates = [v for v in range(t.n_vertices) if t.depth(v) < max_depth]
-        t.add_child(int(gen.choice(candidates)))
+        candidates = [v for v in range(len(parent)) if depth[v] < max_depth]
+        attach(int(gen.choice(candidates)))
     if ensure_depth:
-        while t.height() < max_depth:
-            deepest = max(range(t.n_vertices), key=t.depth)
-            t.add_child(deepest)
-    return t
+        while max(depth) < max_depth:
+            attach(max(range(len(parent)), key=depth.__getitem__))
+    return Tree(parent, depth)
 
 
 def all_cutsets(t: Tree, N: int) -> list[list[int]]:

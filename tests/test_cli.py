@@ -137,13 +137,25 @@ def test_report_empty_dir(tmp_path):
     pytest.param(["percolate", "--family", "seq", "--lambda", "1.5"],
                  id="percolate-lambda-outside-unit"),
     pytest.param(["rwrc", "--family", "seq", "--lambda", "1.5"], id="rwrc-lambda-outside-unit"),
+    pytest.param(["generate", "--family", "seq", "--depth", "0"], id="generate-depth-0"),
+    pytest.param(["walk", "--family", "seq", "--lambda", "0.3", "--depth", "0"],
+                 id="walk-depth-0"),
+    pytest.param(["walk", "--family", "seq", "--lambda", "0.3", "--trials", "0"],
+                 id="walk-trials-0"),
+    pytest.param(["walk", "--family", "seq", "--lambda", "0.3", "--cap", "0"], id="walk-cap-0"),
+    pytest.param(["grig", "--search", "0"], id="grig-search-0"),
+    pytest.param(["percolate", "--family", "seq", "--lambda", "0.3", "--mc", "-5"],
+                 id="percolate-mc-negative"),
 ])
 def test_usage_errors_exit_2(argv, tmp_path, capsys):
     out = str(tmp_path / "x.out")
+    out_option = "--emit-marks" if argv[0] == "grig" else "--out"
     with pytest.raises(SystemExit) as exc:
-        cli.main(argv + ["--out", out])
+        cli.main(argv + [out_option, out])
     assert exc.value.code == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "unrecognized arguments" not in err, err
     assert not os.path.exists(out)
 
 
@@ -194,3 +206,21 @@ def test_percolate_theta_matches_theta_estimate(source, tmp_path):
     assert [float(r[0]) for r in rows[::len(depths)]] == [0.95, 0.05, 0.6, 0.3]
     for r in rows:
         assert math.log(float(r[2])) == res.trajectories[float(r[0])][depths.index(int(r[1]))]
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("0 - 0\n1 1 1\n", id="parent-not-below-id"),
+    pytest.param("0 - 0\n1 0\n", id="two-tokens"),
+    pytest.param("0 - 0\n1 0 2\n", id="depth-mismatch"),
+    pytest.param("0 - 0\n2 0 1\n", id="ids-not-consecutive"),
+    pytest.param("", id="empty-file"),
+    pytest.param("0 - 0\n1 x 1\n", id="parent-not-integer"),
+])
+def test_malformed_tree_file_exits_1(text, tmp_path):
+    (tmp_path / "bad.txt").write_text(text)
+    r = run_cli(["estimate-ibn", "--tree", "bad.txt", "--grid", "0.5", "--schedule", "1",
+                 "--out", "x.csv"], tmp_path)
+    assert r.returncode == 1, r.stderr
+    assert r.stderr.startswith("error:"), r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "x.csv").exists()

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from conftest import all_cutsets, cutset_weight, random_tree
 from ibntrees import generators as gen
 from ibntrees import flowcut as fc
-from ibntrees.trees import check_flow
+from ibntrees import percolation as pc
+from ibntrees.trees import Tree, check_flow
 
 
 def test_min_cut_path_closed_form():
@@ -173,3 +175,30 @@ def test_ibn_explicit_tree_route():
 def test_ibn_rejects_bad_grid():
     with pytest.raises(ValueError):
         fc.ibn_estimate(gen.sequence_family(), fc.DepthSchedule((16,)), grid=(0.0, 0.5))
+
+
+def test_sweeps_on_levels_out_of_id_order():
+    # level 2 is 3, 4, 5 with parents 2, 1, 2 and level 3 is 6..9 with
+    # parents 4, 3, 5, 3, so each sweep must regroup siblings
+    t = Tree([-1, 0, 0, 2, 1, 2, 4, 3, 5, 3], [0, 1, 1, 2, 2, 2, 3, 3, 3, 3])
+    for k in (2, 3):
+        assert (np.diff(t.parent_array()[t.level(k)]) < 0).any()
+    d = t.depth_array()
+    for lam in (0.3, 0.6, 0.9):
+        res = fc.min_cut(t, fc.DepthWeights.ibn(lam), 3)
+        best = min(cutset_weight(t, c, lam) for c in all_cutsets(t, 3))
+        assert math.isclose(res.value, best, rel_tol=1e-12)
+        assert t.is_cutset(res.cut, 3)
+
+        law = pc.PercolationLaw(lam)
+        p = np.concatenate(([1.0], law.p(d[1:])))  # slot 0 unused
+        total = 0.0
+        for bits in itertools.product([False, True], repeat=t.n_vertices - 1):
+            is_open = (True,) + bits  # slot 0 is the root, always reached
+            pr = math.prod(p[v] if is_open[v] else 1.0 - p[v] for v in range(1, t.n_vertices))
+            reached = [True] + [False] * (t.n_vertices - 1)
+            for v in range(1, t.n_vertices):
+                reached[v] = reached[t.parent(v)] and is_open[v]
+            if any(reached[v] for v in t.level_set(3)):
+                total += pr
+        assert math.isclose(pc.exact_survival(t, law, 3), total, rel_tol=1e-12)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -104,3 +105,39 @@ def test_family_lookup():
         gen.family_by_name("nope")
     with pytest.raises(ValueError):
         gen.family_by_name("marks")
+
+
+def _sha(tree) -> str:
+    return hashlib.sha256(tree.to_text().encode()).hexdigest()
+
+
+# to_text() SHA-256 of each builder's output, recorded from the earlier
+# builders that grew the tree one vertex at a time: the bulk builders keep
+# their vertex ids, parents, depths and file bytes.
+THREE_ONE_SHA = {
+    1: "06689bdae2a14116ec942f608e379d3163eae23636672f58627e1fc264074689",
+    2: "2c0c5d5a97ed61e7c40d9261e939558963ce730865d1b0055aa8690545473787",
+    3: "54d766006d255dad2762a43d7be668c43f0be85d55636b8f4f2a0deb608d2682",
+    6: "aeae1306741bfbae622c92d8b700e8398a8e707c6a5a699cb2e6c6cc431bc227",
+    15: "53e4de3a467ea0d50fbccaff94d04e10153892e6a4d52c3505fd6cd6d755fe73",
+    45: "a70304a028ba4be58bcc0cbc83903a1eedf60bdb60bf29d5a93848423a8527e8",
+    78: "213828f09f4a5eb2bc206a465594a4959ec3ecd1c13ec6d127f69320c168135c",
+}
+
+
+@pytest.mark.parametrize("N", sorted(THREE_ONE_SHA))
+def test_three_one_text_pinned(N):
+    assert _sha(gen.three_one_stretched(N)) == THREE_ONE_SHA[N]
+
+
+def test_sequence_tree_text_pinned():
+    t = gen.spherically_symmetric(gen.sequence_degree, 96)
+    assert t.n_vertices == 73729
+    assert _sha(t) == "83c873fe215c4a13a54854eaee40072c796586e228eac31591472a104f6abbb1"
+
+
+def test_branch_marks_tree_text_pinned():
+    marks = [(i * 7 + 3) % 5 < 2 for i in range(20)]
+    t = gen.from_branch_marks(marks, 18)
+    assert t.n_vertices == 552
+    assert _sha(t) == "7055fac77931a992e721ba84a949b80765d713da3fddc5f6ecb7484cc735bb8f"

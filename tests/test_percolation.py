@@ -20,9 +20,7 @@ def test_survival_path_closed_form():
 
 
 def test_survival_star_path_enumeration():
-    t = Tree()
-    c1, c2 = t.add_child(0), t.add_child(0)
-    t.add_child(c1), t.add_child(c2)
+    t = Tree([-1, 0, 0, 1, 2], [0, 1, 1, 2, 2])  # two paths of two edges
     lam = 0.35
     law = pc.PercolationLaw(lam)
     p1, p2 = math.exp(-1.0), math.exp(-(2.0 ** (lam - 1.0)))
@@ -40,8 +38,7 @@ def test_survival_star_path_enumeration():
 
 
 def test_survival_depth_one_edge_is_exp_minus_one():
-    t = Tree()
-    t.add_child(0)
+    t = Tree([-1, 0], [0, 1])
     s = pc.exact_survival(t, pc.PercolationLaw(0.5), 1)
     assert math.isclose(s, math.exp(-1.0), rel_tol=1e-12)
 
@@ -69,8 +66,7 @@ def test_mc_always_open_and_single_edge():
     t = random_tree(4, 4)
     est, err = pc.mc_survival(t, pc.PercolationLaw.always_open(), 4, 500, seed=0)
     assert est == 1.0
-    t1 = Tree()
-    t1.add_child(0)
+    t1 = Tree([-1, 0], [0, 1])
     est, err = pc.mc_survival(t1, pc.PercolationLaw(0.5), 1, 50_000, seed=1)
     assert abs(est - math.exp(-1.0)) < 3 * err
 
@@ -131,8 +127,7 @@ def test_conductance_bound_below_exact():
 
 
 def test_conductance_bound_single_edge_equality():
-    t = Tree()
-    t.add_child(0)
+    t = Tree([-1, 0], [0, 1])
     law = pc.PercolationLaw(0.5)
     b = pc.conductance_bound(t, law, 1)
     assert math.isclose(b, math.exp(-1.0), rel_tol=1e-12)

@@ -9,29 +9,30 @@ from conftest import random_tree
 from ibntrees.trees import Tree, check_flow
 
 
-def test_add_child_depth_recurrence():
-    t = Tree()
-    v = t.add_child(0)
+def test_constructor_depth_recurrence():
+    # two children of the root, then a path of four edges below the first
+    t = Tree([-1, 0, 0, 1, 3, 4, 5], [0, 1, 1, 2, 3, 4, 5])
+    v, x = 1, 6
     assert t.depth(v) == 1
-    w = t.add_child(0)
     assert len(t.level_set(1)) == 2
-    x = v
-    for _ in range(4):
-        x = t.add_child(x)
     assert t.depth(x) == 5
+    with pytest.raises(ValueError):
+        Tree([-1, 0, 0, 1], [0, 1, 1, 3])  # depth must be the parent's plus one
+    with pytest.raises(ValueError):
+        Tree([0, 0], [0, 1])  # vertex 0 must be the root
 
 
-def test_add_child_unknown_parent():
-    t = Tree()
+def test_constructor_unknown_parent():
     with pytest.raises(KeyError):
-        t.add_child(7)
+        Tree([-1, 7], [0, 1])
+    with pytest.raises(KeyError):
+        Tree([-1, 0, 2], [0, 1, 2])  # a parent id must be below the child's
 
 
 def test_level_set_root_and_binary():
-    t = Tree()
-    frontier = [0]
-    for _ in range(4):
-        frontier = [t.add_child(v) for v in frontier for _ in range(2)]
+    # ids in breadth-first order: the children of v are 2v+1 and 2v+2
+    t = Tree([-1] + [(v - 1) // 2 for v in range(1, 31)],
+             [(v + 1).bit_length() - 1 for v in range(31)])
     assert t.level_set(0) == [0]
     assert len(t.level_set(3)) == 8
     assert t.level_set(9) == []
@@ -57,10 +58,7 @@ def test_is_cutset_frontier_precondition():
 
 
 def test_check_flow_zero_and_path():
-    t = Tree()
-    v = 0
-    for _ in range(4):
-        v = t.add_child(v)
+    t = Tree([-1, 0, 1, 2, 3], [0, 1, 2, 3, 4])
     zero = np.zeros(t.n_vertices)
     res = check_flow(t, zero)
     assert res.valid and res.strength == 0.0
@@ -103,3 +101,47 @@ def test_serialization_round_trip():
 def test_from_text_rejects_bad_ids():
     with pytest.raises(ValueError):
         Tree.from_text("0 - 0\n2 0 1\n")
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), max_depth=st.integers(1, 7), extra=st.integers(0, 30))
+def test_text_round_trip_keeps_arrays(seed, max_depth, extra):
+    t = random_tree(seed, max_depth, extra)
+    back = Tree.from_text(t.to_text())
+    assert np.array_equal(back.parent_array(), t.parent_array())
+    assert np.array_equal(back.depth_array(), t.depth_array())
+
+
+def test_levels_and_sibling_groups_out_of_id_order():
+    # level 2 is 3, 4, 5 with parents 2, 1, 2: siblings are not contiguous in id order
+    t = Tree([-1, 0, 0, 2, 1, 2, 4, 3, 5, 3], [0, 1, 1, 2, 2, 2, 3, 3, 3, 3])
+    assert t.level(2).tolist() == [3, 4, 5] and t.height() == 3
+    ids, starts, parents = t.siblings(2)
+    assert ids.tolist() == [4, 3, 5] and starts.tolist() == [0, 1] and parents.tolist() == [1, 2]
+    ids, starts, parents = t.siblings(3)
+    assert ids.tolist() == [7, 9, 6, 8] and starts.tolist() == [0, 2, 3]
+    assert parents.tolist() == [3, 4, 5]
+    assert [t.children(v) for v in range(6)] == [[1, 2], [4], [3, 5], [7, 9], [6], [8]]
+    assert t.n_children_array().tolist() == [2, 1, 2, 2, 1, 1, 0, 0, 0, 0]
+    assert t.level_sizes().tolist() == [1, 2, 3, 4]
+    assert t.level(4).tolist() == []
+
+
+@pytest.mark.parametrize("text", ["", "\n \n", "1 - 0\n", "0 - 0\n1 0\n", "0 - 0\n1 0 1 1\n",
+                                  "0 - 0\n1 x 1\n", "0 - 0\n1 - 1\n", "0 - 0\n1 0 1.5\n",
+                                  "0 - 0\n1 0 99999999999999999999\n", "0 - 0\n1 0 1\n\u00e9\n"])
+def test_from_text_rejects_malformed(text):
+    with pytest.raises(ValueError):
+        Tree.from_text(text)
+
+
+def test_from_text_unknown_parent():
+    for text in ("0 - 0\n1 -1 0\n", "0 - 0\n1 1 1\n", "0 - 0\n1 0 1\n2 5 2\n"):
+        with pytest.raises(KeyError):
+            Tree.from_text(text)
+
+
+def test_from_text_skips_blank_lines_and_spacing():
+    t = Tree.from_text("\n0 - 0\r\n\n  1\t0 1  \n2 1 2")
+    assert t.parent_array().tolist() == [-1, 0, 1]
+    assert t.to_text() == "0 - 0\n1 0 1\n2 1 2\n"

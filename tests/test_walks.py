@@ -93,8 +93,7 @@ def test_sampler_reproducible_by_edge_id():
 
 
 def test_single_edge_walk_returns_at_step_two():
-    t = Tree()
-    t.add_child(0)
+    t = Tree([-1, 0], [0, 1])
     cf = walks.deterministic_conductances(t, 0.5)
     for trial in range(20):
         r = walks.simulate_walk(t, cf, 100, seed=1, trial=trial)
@@ -263,9 +262,8 @@ def test_coupled_percolation_matches_product_law():
 def test_coupled_percolation_factorizes_across_branches():
     # root with one child at depth 1 that has two depth-2 children:
     # openings of the two siblings are conditionally independent
-    t = Tree()
-    v1 = t.add_child(0)
-    a, b = t.add_child(v1), t.add_child(v1)
+    t = Tree([-1, 0, 1, 1], [0, 1, 2, 2])
+    a, b = 2, 3
     lam = 0.5
     both = one_a = one_b = 0
     trials = 40_000
