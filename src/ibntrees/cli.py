@@ -120,6 +120,22 @@ def _int_at_least(low: int):
 _positive_int = _int_at_least(1)
 
 
+def _finite(positive: bool = False):
+    """argparse type for a finite number, > 0 when positive is set."""
+
+    def check(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+        if not math.isfinite(value) or (positive and value <= 0):
+            rule = "a finite number > 0" if positive else "finite"
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}: must be {rule}")
+        return value
+
+    return check
+
+
 def _depths_type(text: str) -> str:
     """argparse type for a depth list: positive and strictly increasing."""
     try:
@@ -434,7 +450,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = command("walk", "conductance-weighted walks from the root", source="family-or-tree")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    p.add_argument("--lambda", dest="lam", type=_finite(), required=True)
     p.add_argument("--depth", type=_positive_int, default=128)
     p.add_argument("--trials", type=_positive_int, default=1000)
     p.add_argument("--cap", type=_positive_int, default=10 ** 6)
@@ -456,8 +472,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = command("firefight", "containment-threshold attempts", source="family-or-tree")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--K", dest="K", type=float, default=1.0)
+    p.add_argument("--k", type=_int_at_least(0), default=2)
+    p.add_argument("--K", dest="K", type=_finite(positive=True), default=1.0)
     p.add_argument("--gamma-grid", dest="gamma_grid", type=unit_grid, default="0.2:0.9:0.1")
     p.add_argument("--schedule", type=_depths_type, default="8,16,32,64,128,200")
     p.add_argument("--horizon", type=int, default=200)
@@ -470,7 +486,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("grig", "inverted-orbit word search and branch marks")
     p.add_argument("--search", type=_positive_int, required=True)
-    p.add_argument("--beam", type=int, default=256)
+    p.add_argument("--beam", type=_positive_int, default=256)
     p.add_argument("--emit-marks", dest="emit_marks")
 
     p = command("report", "merge manifested runs into one table", seed=False)

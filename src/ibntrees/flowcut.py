@@ -11,7 +11,10 @@ the same classifier:
   min over n of #E_n * w(n), evaluated from level sizes alone;
 * the stretched 3-1 family: a piecewise-constant dynamic program over base
   levels (see three_one_log_min_cut) that reaches depths far beyond any
-  materializable truncation.
+  materializable truncation.  Its breakpoints lie on a lattice of floors
+  floor(2**(n+k-1) / 3**k) that the deepest frontier fixes and every
+  shallower one shares, so one level pass over a (positions, columns)
+  array evaluates every (rate, depth) pair of a bracket at once.
 
 generators.route decides which route a source takes, and
 generators.truncation supplies the trees the level sweeps run on.
@@ -20,8 +23,10 @@ generators.truncation supplies the trees the level sweeps run on.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import neg
 from typing import Callable, Sequence
 
 import numpy as np
@@ -173,62 +178,130 @@ def min_cut_symmetric(log2_levels: Sequence[float], lam: float, N: int) -> tuple
 
 # -- stretched 3-1 tree: exact min-cut without materialization -------------
 
-def three_one_log_min_cut(lam: float, m: int) -> float:
-    """Log min-cut of the stretched 3-1 tree truncated at depth D(m) = m(m+1)/2.
+# Lattice positions below this are placed by an int64 search; above it the
+# floors lie far enough apart for the closed-form child piece.
+EXACT_BELOW = 1 << 40
+
+
+def _three_one_gathers(M: int):
+    """Gather indices of the 3-1 DP on the breakpoint lattice of frontier M.
+
+    Yields, for base levels n = M-1, ..., 1, an int64 array idx[r, p]: the
+    row, among level n+1's positions followed by one thin row, of the piece
+    that holds the child 3s + r of level n's p-th position s.  A level's
+    positions are the small ones -- 0, 1 and F, F + 1 for its floors below
+    EXACT_BELOW, sorted -- then F_k, F_k + 1 for k = kb, ..., 1, its kb
+    floors above; the frontier has the position 0 alone.
+    """
+    floors = ()  # the child level's nonzero floors, descending
+    kb, n_small, P = 0, 1, 1
+    low = np.zeros(1, dtype=np.int64)  # the child's positions below 4 * EXACT_BELOW
+    for n in range(M - 1, 0, -1):
+        child_small, child_kb, child_low, child_P = n_small, kb, low, P
+        floors, rems = zip(*map(divmod, [1 << n, *floors], repeat(3)))
+        floors = floors[:bisect_right(floors, -1, key=neg)]  # drop the zeros
+        kb = bisect_right(floors, -EXACT_BELOW, key=neg)
+        small = sorted({0, 1, *floors[kb:], *[f + 1 for f in floors[kb:]]})
+        del small[bisect_left(small, 1 << (n - 1)):]  # thick states s < 2**(n-1)
+        near = floors[bisect_right(floors, -4 * EXACT_BELOW, hi=kb, key=neg):kb]
+        low = np.array(small + [p for f in reversed(near) for p in (f, f + 1)], dtype=np.int64)
+        n_small = len(small)
+        P = n_small + 2 * kb
+
+        x = 3 * low[:n_small] + np.arange(3)[:, None]
+        idx_small = np.searchsorted(child_low, x, side="right") - 1
+        if n < 62:
+            idx_small[x >= 1 << n] = child_P  # a thin child
+        # F_k + e for k = kb..1: its child F'_{k-1} + o lies in the piece at
+        # row at[k], or the one before or after it by the sign of o
+        t = np.array(rems[:kb][::-1], dtype=np.int64)
+        o = 3 * np.arange(2) - t[:, None] + np.arange(3)[:, None, None]  # [r, k, e]
+        at = child_small + 2 * (child_kb + 1 - np.arange(kb, 0, -1))
+        idx_big = at[:, None] + np.sign(o)
+        np.minimum(idx_big, child_P, out=idx_big)  # past F'_0 = 2**n: a thin child
+        yield np.concatenate((idx_small, idx_big.reshape(3, -1)), axis=1)
+
+
+def three_one_log_min_cut(lams: Sequence[float], ms: Sequence[int]) -> np.ndarray:
+    """Log min-cut of the stretched 3-1 tree at depth D(m) = m(m+1)/2, for
+    every rate in lams and base level in ms: an array [len(lams), len(ms)].
 
     Subtrees of the base tree are classified by (level n, distance s from
     the right edge): a thick vertex (n, s) has children (n+1, 3s+r) for
     r in {0,1,2}, thick iff 3s+r <= 2**n - 1, thin children being rays that
     are cut at the frontier.  The cut value mu_n(s) = min(W_n, sum of child
-    values) is nonincreasing and piecewise constant in s, so each level is
-    stored as its breakpoint list; the min() clip keeps the piece count
-    small.  Breakpoint positions are exact big integers.
+    values) is nonincreasing and piecewise constant in s.
+
+    For the deepest frontier M = max(ms), every breakpoint of level n lies
+    on the lattice {0, 1} and {F_k, F_k + 1 : 1 <= k <= M - n} below
+    2**(n-1), with F_k = floor(2**(n+k-1) / 3**k): a breakpoint b of the
+    child level gives ceil((b - r) / 3), and F'_{k-1} = 3 F_k + t with
+    t in {0,1,2}.  Each level's floors come from the child's by one
+    divmod by 3, starting from F'_0 = 2**n, the child's thick bound.  The
+    child of a lattice position F_k + e is 3(F_k + e) + r = F'_{k-1} + o
+    with o = 3e + r - t in [-2, 5], so it lies in the child piece before,
+    at or after F'_{k-1} by the sign of o, with no big-integer search;
+    positions below EXACT_BELOW, where floors can collide, are placed by
+    np.searchsorted on exact int64 values instead.
+
+    A shallower frontier m <= M has a subset of this lattice at every
+    level, so each (rate, m) column samples its own piecewise-constant
+    function on the shared lattice: one pass over (positions, columns)
+    arrays serves them all.  Column m joins at level m - 1 with the
+    constant frontier value W_m, the same value its thin children take.
+    Every column gets the float operations of the scalar breakpoint DP
+    (log-sum-exp of the three children with the maximum pulled out, then
+    the min with W_n), evaluated at more positions; numpy's exp and log
+    may differ from math's in the last bit.
     """
-    if m < 1:
+    lams = [float(lam) for lam in lams]
+    ms = [int(m) for m in ms]
+    if any(m < 1 for m in ms):
         raise ValueError("m must be >= 1")
-    logW = [0.0] + [-(float(triangular(j)) ** lam) for j in range(1, m + 1)]
-    thin = logW[m]  # any surviving ray is cut at the frontier
-    if m == 1:
-        return math.log(2.0) + logW[1]
+    if not lams or not ms:
+        return np.empty((len(lams), len(ms)))
+    L = len(lams)
+    frontiers = sorted(set(ms), reverse=True)
+    M = frontiers[0]
+    logW = np.array([[0.0] + [-(float(triangular(j)) ** lam) for j in range(1, M + 1)]
+                     for lam in lams])  # [rate, base level]
+    # column f * L + i is (lams[i], frontiers[f]); the live columns at
+    # level n (frontier m > n) are a prefix
+    thin = logW[:, frontiers].T.ravel()
+    W = np.tile(logW.T, (1, len(frontiers)))  # [base level, column]
 
-    def lse3(a: float, b: float, c: float) -> float:
-        hi = max(a, b, c)
-        return hi + math.log(math.exp(a - hi) + math.exp(b - hi) + math.exp(c - hi))
-
-    # level m: every thick state is a frontier path
-    starts: list[int] = [0]
-    vals: list[float] = [logW[m]]
-    for n in range(m - 1, 0, -1):
-        dom = 1 << (n - 1)        # thick states s in [0, dom-1] at level n
-        child_bound = 1 << n      # child thick iff s' < child_bound
-
-        def val(x: int) -> float:
-            if x >= child_bound:
-                return thin
-            return vals[bisect_right(starts, x) - 1]
-
-        cands = {0}
-        for b in starts + [child_bound]:
-            for r in (0, 1, 2):
-                s0 = -((-(b - r)) // 3)  # ceil((b - r) / 3)
-                if 0 < s0 < dom:
-                    cands.add(s0)
-        new_starts: list[int] = []
-        new_vals: list[float] = []
-        prev = None
-        for s in sorted(cands):
-            h = lse3(val(3 * s), val(3 * s + 1), val(3 * s + 2))
-            v = min(logW[n], h)
-            if prev is not None and v > prev + 1e-9:
-                raise AssertionError("cut profile must be nonincreasing in s")
-            if prev is None or v != prev:
-                new_starts.append(s)
-                new_vals.append(v)
-                prev = v
-        starts, vals = new_starts, new_vals
+    # level M: the frontier, one piece at s = 0; vals[-1] is the thin row
+    vals = np.empty((2, 0))
+    live = 0
+    gathers = _three_one_gathers(M)
+    for n in range(M - 1, -1, -1):
+        if n + 1 in frontiers:  # columns with frontier m = n + 1 join
+            grown = np.empty((len(vals), live + L))
+            grown[:, :live] = vals
+            grown[:, live:] = logW[:, n + 1]
+            vals, live = grown, live + L
+        if n == 0:
+            break
+        g = vals[next(gathers)]  # [child r, position, column]
+        hi = np.maximum(g[0], g[1])
+        np.maximum(hi, g[2], out=hi)
+        g -= hi
+        np.exp(g, out=g)
+        P = g.shape[1]
+        vals = np.empty((P + 1, live))
+        v = vals[:P]
+        np.add(g[0], g[1], out=v)
+        v += g[2]
+        np.log(v, out=v)
+        v += hi
+        np.minimum(v, W[n, :live], out=v)
+        vals[P] = thin[:live]
+        if (v[1:] - v[:-1] > 1e-9).any():
+            raise AssertionError("cut profile must be nonincreasing in s")
 
     # root: one thin child (a ray) plus the thick level-1 child at s = 0
-    return float(np.logaddexp(thin, vals[0]))
+    root = np.logaddexp(thin, vals[0]).reshape(len(frontiers), L)
+    return root[[frontiers.index(m) for m in ms]].T
 
 
 # -- growth estimate --------------------------------------------------------
@@ -380,7 +453,8 @@ def ibn_estimate(source: TreeFamily | Tree, schedule: DepthSchedule,
     if kind == "three-one":
         ms = tuple(max(1, base_level_at_depth(N) - (0 if triangular(base_level_at_depth(N)) <= N else 1))
                    for N in schedule.depths)
-        trajectories = {lam: tuple(three_one_log_min_cut(lam, m) for m in ms) for lam in grid}
+        table = three_one_log_min_cut(grid, ms)
+        trajectories = {lam: tuple(row) for lam, row in zip(grid, table.tolist())}
         return BracketResult(grid, schedule, trajectories,
                              depths_used=tuple(triangular(m) for m in ms))
     if kind == "symmetric":

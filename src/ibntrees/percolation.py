@@ -74,9 +74,10 @@ def survival_symmetric(degree: Callable[[int], int], law: PercolationLaw, N: int
     """exact_survival on a spherically symmetric tree from its degree rule."""
     if N < 1:
         raise ValueError("N must be >= 1")
+    p_at = law.p(np.arange(1, N + 1)).tolist()  # p_at[n - 1] opens edges at depth n
     s = 1.0
     for n in range(N, 0, -1):
-        p = float(law.p(np.array([n]))[0])
+        p = p_at[n - 1]
         d = degree(n - 1)
         ps = min(p * s, 1.0)
         s = -math.expm1(d * math.log1p(-ps)) if ps < 1.0 else 1.0

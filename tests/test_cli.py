@@ -146,6 +146,12 @@ def test_report_empty_dir(tmp_path):
     pytest.param(["grig", "--search", "0"], id="grig-search-0"),
     pytest.param(["percolate", "--family", "seq", "--lambda", "0.3", "--mc", "-5"],
                  id="percolate-mc-negative"),
+    pytest.param(["firefight", "--family", "seq", "--k", "-1"], id="firefight-k-negative"),
+    pytest.param(["firefight", "--family", "seq", "--K", "0"], id="firefight-K-0"),
+    pytest.param(["firefight", "--family", "seq", "--K", "nan"], id="firefight-K-nan"),
+    pytest.param(["grig", "--search", "20", "--beam", "0"], id="grig-beam-0"),
+    pytest.param(["walk", "--family", "seq", "--lambda", "nan"], id="walk-lambda-nan"),
+    pytest.param(["walk", "--family", "seq", "--lambda", "inf"], id="walk-lambda-inf"),
 ])
 def test_usage_errors_exit_2(argv, tmp_path, capsys):
     out = str(tmp_path / "x.out")

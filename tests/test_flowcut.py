@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 
@@ -84,20 +85,101 @@ def test_min_cut_binary_duality_deeper():
     assert abs(theta[t.children(0)].sum() - res.value) <= 1e-12
 
 
+def three_one_oracle(lam: float, m: int) -> float:
+    """The scalar breakpoint DP for one (rate, base level): each level's
+    nonincreasing piecewise-constant profile as a list of breakpoints at
+    exact big-integer positions, found by bisect."""
+    logW = [0.0] + [-(float(gen.triangular(j)) ** lam) for j in range(1, m + 1)]
+    thin = logW[m]
+    if m == 1:
+        return math.log(2.0) + logW[1]
+
+    def lse3(a, b, c):
+        hi = max(a, b, c)
+        return hi + math.log(math.exp(a - hi) + math.exp(b - hi) + math.exp(c - hi))
+
+    starts, vals = [0], [logW[m]]
+    for n in range(m - 1, 0, -1):
+        dom, child_bound = 1 << (n - 1), 1 << n
+
+        def val(x):
+            return thin if x >= child_bound else vals[bisect.bisect_right(starts, x) - 1]
+
+        cands = {0}
+        for b in starts + [child_bound]:
+            for r in (0, 1, 2):
+                s0 = -((-(b - r)) // 3)  # ceil((b - r) / 3)
+                if 0 < s0 < dom:
+                    cands.add(s0)
+        new_starts, new_vals, prev = [], [], None
+        for s in sorted(cands):
+            v = min(logW[n], lse3(val(3 * s), val(3 * s + 1), val(3 * s + 2)))
+            assert prev is None or v <= prev + 1e-9
+            if prev is None or v != prev:
+                new_starts.append(s)
+                new_vals.append(v)
+                prev = v
+        starts, vals = new_starts, new_vals
+    return float(np.logaddexp(thin, vals[0]))
+
+
+def three_one_lattice(n: int, M: int) -> list[int]:
+    """Positions of base level n for frontier M, in closed form: 0, 1 and
+    F, F + 1 with F = 2**(n+k-1) // 3**k for 1 <= k <= M - n, below 2**(n-1)."""
+    if n == M:
+        return [0]
+    floors = [2 ** (n + k - 1) // 3 ** k for k in range(1, M - n + 1)]
+    return sorted(p for p in {0, 1, *floors, *[f + 1 for f in floors]} if p < 2 ** (n - 1))
+
+
+def test_three_one_gathers_find_the_child_piece():
+    # deep enough that floors pass EXACT_BELOW and take the closed-form route
+    M = 120
+    assert 2 ** (M - 2) // 3 > fc.EXACT_BELOW
+    levels = range(M - 1, 0, -1)
+    for n, idx in zip(levels, fc._three_one_gathers(M), strict=True):
+        child = three_one_lattice(n + 1, M)
+        expect = [[len(child) if 3 * s + r >= 2 ** n else bisect.bisect_right(child, 3 * s + r) - 1
+                   for s in three_one_lattice(n, M)] for r in range(3)]
+        assert idx.tolist() == expect, n
+
+
+def test_three_one_dp_matches_oracle():
+    lams = tuple(round(0.05 * k, 2) for k in range(1, 20))
+    ms = (1, 2, 3, 17, 40, 90, 90, 256)
+    table = fc.three_one_log_min_cut(lams, ms)
+    assert table.shape == (len(lams), len(ms))
+    for i, lam in enumerate(lams):
+        for j, m in enumerate(ms):
+            assert math.isclose(table[i, j], three_one_oracle(lam, m), rel_tol=1e-12), (lam, m)
+
+
+def test_three_one_dp_columns_are_independent():
+    # unsorted and duplicate base levels, m = 1, and a column on its own
+    table = fc.three_one_log_min_cut((0.3, 0.7), (40, 1, 7, 40))
+    for i, lam in enumerate((0.3, 0.7)):
+        for j, m in enumerate((40, 1, 7, 40)):
+            alone = fc.three_one_log_min_cut((lam,), (m,))[0, 0]
+            assert math.isclose(table[i, j], alone, rel_tol=1e-12)
+    assert table[0, 1] == math.log(2.0) - 1.0
+    with pytest.raises(ValueError):
+        fc.three_one_log_min_cut((0.5,), (3, 0))
+
+
 def test_three_one_dp_matches_materialized():
     for m in range(2, 7):
         N = gen.triangular(m)
         t = gen.three_one_stretched(N)
         for lam in (0.2, 0.4, 0.6, 0.8):
             g = fc.min_cut(t, fc.DepthWeights.ibn(lam), N, want_cut=False).log_value
-            dp = fc.three_one_log_min_cut(lam, m)
+            dp = fc.three_one_log_min_cut((lam,), (m,))[0, 0]
             assert abs(g - dp) < 1e-9, (m, lam)
 
 
 def test_three_one_dp_decays_for_every_lambda():
-    for lam in (0.1, 0.2, 0.3, 0.5, 0.7, 0.9):
-        vals = [fc.three_one_log_min_cut(lam, m) for m in (8, 32, 128, 512)]
-        assert all(b < a for a, b in zip(vals, vals[1:])), lam
+    lams = (0.1, 0.2, 0.3, 0.5, 0.7, 0.9)
+    vals = fc.three_one_log_min_cut(lams, (8, 32, 128, 512))
+    assert (np.diff(vals, axis=1) < 0).all(), vals
 
 
 def test_igr_binary_saturates_grid():
