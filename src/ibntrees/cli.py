@@ -169,6 +169,13 @@ def _schedule(opts: dict) -> flowcut.DepthSchedule:
     )
 
 
+def _trajectory_rows(grid: tuple[float, ...], res: flowcut.BracketResult) -> list[list]:
+    """One row per grid value, in command-line order, and depth used: the
+    linear value (0.0 below exp(-700)) and the value's classification."""
+    return [[g, depth, math.exp(logv) if logv > -700 else 0.0, res.classifications[g]]
+            for g in grid for depth, logv in zip(res.depths_used, res.trajectories[g])]
+
+
 # -- subcommand handlers -------------------------------------------------------
 
 
@@ -187,10 +194,8 @@ def _run_estimate_ibn(config: ExperimentConfig) -> dict:
     schedule = _schedule(opts)
     grid = _parse_grid(opts["grid"])
     res = flowcut.ibn_estimate(source, schedule, grid)
-    rows = [[lam, depth, math.exp(logv) if logv > -700 else 0.0, res.classifications[lam]]
-            for lam in grid for depth, logv in zip(res.depths_used, res.trajectories[lam])]
     out = _resolve(opts["out"])
-    _write_csv(out, ["lambda", "depth", "mincut", "classification"], rows)
+    _write_csv(out, ["lambda", "depth", "mincut", "classification"], _trajectory_rows(grid, res))
     summary = {"ibn_lower": res.lower, "ibn_upper": res.upper,
                "family": opts.get("family"), "out": out}
     if opts.get("family"):
@@ -232,13 +237,8 @@ def _run_rwrc(config: ExperimentConfig) -> dict:
     field = walks.sample_conductances(tree, opts["lam"], opts["seed"])
     psi = walks.psi_field(tree, field, N)
     res = walks.rt_estimate(tree, psi, grid, schedule)
-    rows = []
-    for g in grid:
-        for depth, logv in zip(schedule.depths, res.trajectories[g]):
-            rows.append([g, depth, math.exp(logv) if logv > -700 else 0.0,
-                         res.classifications[g]])
     out = _resolve(opts["out"])
-    _write_csv(out, ["gamma", "depth", "rtvalue", "class"], rows)
+    _write_csv(out, ["gamma", "depth", "rtvalue", "class"], _trajectory_rows(grid, res))
     tag = f"rt@{opts['lam']:g}"
     return {f"{tag}_lower": res.lower, f"{tag}_upper": res.upper,
             "lam": opts["lam"], "out": out}

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .flowcut import DepthSchedule, DepthWeights, min_cut, min_cut_symmetric
-from .generators import DEFAULT_VERTEX_CAP, TreeFamily, route, truncation
+from .generators import TreeFamily, route, truncation
 from .trees import Tree
 
 
@@ -195,8 +195,7 @@ class FireBracket:
 
 
 def attempt_containment(source: TreeFamily | Tree, k: int, gamma: float, K: float,
-                        schedule: DepthSchedule,
-                        max_vertices: int = DEFAULT_VERTEX_CAP) -> ContainmentAttempt:
+                        schedule: DepthSchedule) -> ContainmentAttempt:
     """Run the cut-based strategy for one rate gamma.
 
     Over the depth schedule, look for a cutset of weight below the margin
@@ -216,10 +215,10 @@ def attempt_containment(source: TreeFamily | Tree, k: int, gamma: float, K: floa
             log_val, level = min_cut_symmetric(source.level_log2_sizes(N), gamma, N)
             if log_val >= math.log(eps) or level <= k:
                 continue
-            tree = source.build(level, max_vertices)
+            tree = source.build(level)
             cut = tree.level_set(level)
         else:
-            tree = truncation(source, N, max_vertices)
+            tree = truncation(source, N)
             res = min_cut(tree, weights, N, want_cut=True)
             if res.log_value >= math.log(eps):
                 continue
@@ -243,12 +242,11 @@ def attempt_containment(source: TreeFamily | Tree, k: int, gamma: float, K: floa
 
 
 def lambda_c_estimate(source: TreeFamily | Tree, k: int, gamma_grid: Sequence[float],
-                      K: float, schedule: DepthSchedule,
-                      max_vertices: int = DEFAULT_VERTEX_CAP) -> FireBracket:
+                      K: float, schedule: DepthSchedule) -> FireBracket:
     """Bracket the containment threshold over a gamma grid."""
     gamma_grid = tuple(sorted(gamma_grid))
     if any(not 0 < g < 1 for g in gamma_grid):
         raise ValueError("gamma grid must lie inside (0, 1)")
-    attempts = {g: attempt_containment(source, k, g, K, schedule, max_vertices)
+    attempts = {g: attempt_containment(source, k, g, K, schedule)
                 for g in gamma_grid}
     return FireBracket(grid=gamma_grid, attempts=attempts)

@@ -6,7 +6,8 @@ weights; linear values are derived views.  Three evaluation routes feed
 the same classifier:
 
 * explicit trees and materialized truncations: a bottom-up recursion
-  m(v) = min(w(v), sum over children), vectorized level by level;
+  m(v) = min(w(v), sum over children), one Tree.sweep_up, with the cut
+  and the flow read off it by Tree.sweep_down;
 * spherically symmetric families: the recursion collapses to
   min over n of #E_n * w(n), evaluated from level sizes alone;
 * the stretched 3-1 family: a piecewise-constant dynamic program over base
@@ -31,8 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .generators import (DEFAULT_VERTEX_CAP, LOG2, TreeFamily,
-                         base_level_at_depth, route, triangular, truncation)
+from .generators import LOG2, TreeFamily, base_level_at_depth, route, triangular, truncation
 from .trees import Tree
 
 NEG_INF = float("-inf")
@@ -91,22 +91,17 @@ class MinCut:
         return math.exp(self.log_value) if self.log_value > math.log(UNDERFLOW_FLOOR) else 0.0
 
 
-def _cut_tables(tree: Tree, logw: np.ndarray, N: int):
-    """Bottom-up tables m, msum of the cut recursion on the depth-N truncation."""
+def _cut_table(tree: Tree, logw: np.ndarray, N: int) -> np.ndarray:
+    """Bottom-up table msum of the cut recursion on the depth-N truncation:
+    the log cut of each vertex's children; m = minimum(logw, msum)."""
     if tree.n_vertices < 2:
         raise ValueError("empty tree")
     if N < 1 or tree.height() < N:
         raise ValueError(f"tree must reach depth N={N}")
-    n = tree.n_vertices
-    m = np.full(n, NEG_INF)
-    msum = np.full(n, NEG_INF)
+    msum = np.full(tree.n_vertices, NEG_INF)
     msum[tree.level(N)] = np.inf  # frontier: the edge itself is the only option
-    for k in range(N, 0, -1):
-        lv = tree.level(k)
-        m[lv] = np.minimum(logw[lv], msum[lv])
-        ids, starts, parents = tree.siblings(k)
-        msum[parents] = _segment_logsumexp(m[ids], starts)
-    return m, msum
+    return tree.sweep_up(msum, N, lambda vals, ids, starts:
+                         _segment_logsumexp(np.minimum(logw[ids], vals), starts))
 
 
 def min_cut(tree: Tree, weights, N: int, want_cut: bool = True) -> MinCut:
@@ -117,23 +112,20 @@ def min_cut(tree: Tree, weights, N: int, want_cut: bool = True) -> MinCut:
     Ties break toward the shallower cut.
     """
     logw = edge_log_weights(tree, weights)
-    m, msum = _cut_tables(tree, logw, N)
+    msum = _cut_table(tree, logw, N)
     log_value = float(msum[0])
     cut = None
     if want_cut:
         # from the root down: a live vertex cuts its own edge when that is no
         # dearer than its children's cuts, and otherwise passes the search on
-        par = tree.parent_array()
+        live = np.minimum(logw, msum) > NEG_INF
+        take = logw <= msum
         searched = np.zeros(tree.n_vertices, dtype=bool)
         searched[0] = True
-        picked = []
-        for k in range(1, N + 1):
-            lv = tree.level(k)
-            live = searched[par[lv]] & (m[lv] > NEG_INF)
-            take = live & (logw[lv] <= msum[lv])
-            picked.append(lv[take])
-            searched[lv] = live & ~take
-        cut = tuple(np.sort(np.concatenate(picked)).tolist())
+        tree.sweep_down(np.logical_and, searched, live & ~take, N)
+        d = tree.depth_array()
+        v = np.flatnonzero((d >= 1) & (d <= N))
+        cut = tuple(v[searched[tree.parent_array()[v]] & live[v] & take[v]].tolist())
     return MinCut(log_value, cut, clamped=log_value <= math.log(UNDERFLOW_FLOOR))
 
 
@@ -145,19 +137,16 @@ def max_flow(tree: Tree, weights, N: int) -> np.ndarray:
     its own capacity.
     """
     logw = edge_log_weights(tree, weights)
-    m, msum = _cut_tables(tree, logw, N)
-    par = tree.parent_array()
+    msum = _cut_table(tree, logw, N)
+    m = np.minimum(logw, msum)
     theta = np.zeros(tree.n_vertices)
     for c in tree.children(0):
         theta[c] = math.exp(m[c]) if m[c] > NEG_INF else 0.0
-    for k in range(2, N + 1):
-        lv = tree.level(k)
-        p = par[lv]
-        with np.errstate(invalid="ignore"):
-            share = np.exp(m[lv] - msum[p])
-        ok = (theta[p] > 0.0) & (m[lv] > NEG_INF)
-        theta[lv] = np.where(ok, theta[p] * np.where(np.isfinite(share), share, 0.0), 0.0)
-    return theta
+    share = np.zeros(tree.n_vertices)
+    with np.errstate(invalid="ignore"):  # a dead parent: -inf - -inf
+        share[1:] = np.exp(m[1:] - msum[tree.parent_array()[1:]])
+    share[~np.isfinite(share)] = 0.0
+    return tree.sweep_down(np.multiply, theta, share, N, start=2)
 
 
 def min_cut_symmetric(log2_levels: Sequence[float], lam: float, N: int) -> tuple[float, int]:
@@ -437,8 +426,7 @@ DEFAULT_GRID = tuple(round(0.05 * k, 2) for k in range(1, 20))
 
 
 def ibn_estimate(source: TreeFamily | Tree, schedule: DepthSchedule,
-                 grid: Sequence[float] = DEFAULT_GRID,
-                 max_vertices: int = DEFAULT_VERTEX_CAP) -> BracketResult:
+                 grid: Sequence[float] = DEFAULT_GRID) -> BracketResult:
     """Bracket the branching number by classifying min-cut trajectories.
 
     The route follows generators.route: symmetric families use level sizes,
@@ -464,7 +452,7 @@ def ibn_estimate(source: TreeFamily | Tree, schedule: DepthSchedule,
         return BracketResult(grid, schedule, trajectories)
     columns: dict[float, list[float]] = {lam: [] for lam in grid}
     for N in schedule.depths:
-        tree = truncation(source, N, max_vertices)
+        tree = truncation(source, N)
         for lam, column in columns.items():
             column.append(min_cut(tree, DepthWeights.ibn(lam), N, want_cut=False).log_value)
     return BracketResult(grid, schedule, {lam: tuple(c) for lam, c in columns.items()})

@@ -165,12 +165,12 @@ class TreeFamily:
     """
 
     name: str
-    builder: Callable[[int, int], Tree]
+    builder: Callable[[int], Tree]
     log2_levels: Callable[[int], np.ndarray]
     degree: Callable[[int], int] | None = None
 
-    def build(self, N: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Tree:
-        return self.builder(N, max_vertices)
+    def build(self, N: int) -> Tree:
+        return self.builder(N)
 
     def level_log2_sizes(self, N: int) -> np.ndarray:
         """log2 #E_n for n = 0..N."""
@@ -187,7 +187,7 @@ def _symmetric_log2_levels(degree: Callable[[int], int], N: int) -> np.ndarray:
 def symmetric_family(name: str, degree: Callable[[int], int]) -> TreeFamily:
     return TreeFamily(
         name=name,
-        builder=lambda N, cap: spherically_symmetric(degree, N, cap),
+        builder=lambda N: spherically_symmetric(degree, N),
         log2_levels=lambda N: _symmetric_log2_levels(degree, N),
         degree=degree,
     )
@@ -217,7 +217,7 @@ def marks_family(marks: Sequence[bool], name: str = "marks") -> TreeFamily:
 def three_one_family() -> TreeFamily:
     return TreeFamily(
         name="three-one",
-        builder=lambda N, cap: three_one_stretched(N, cap),
+        builder=three_one_stretched,
         log2_levels=three_one_level_log2_sizes,
         degree=None,
     )
@@ -259,8 +259,7 @@ def route(source: TreeFamily | Tree) -> str:
     return "tree"
 
 
-def truncation(source: TreeFamily | Tree, N: int,
-               max_vertices: int = DEFAULT_VERTEX_CAP) -> Tree:
+def truncation(source: TreeFamily | Tree, N: int) -> Tree:
     """The depth-N truncation of a family; an explicit Tree as it is.
 
     An explicit Tree is not checked against N here: every level sweep
@@ -268,4 +267,4 @@ def truncation(source: TreeFamily | Tree, N: int,
     """
     if isinstance(source, Tree):
         return source
-    return source.build(N, max_vertices)
+    return source.build(N)

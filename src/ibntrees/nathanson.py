@@ -180,11 +180,9 @@ def prime_flow(lt: LexTree, c: float) -> np.ndarray:
     theta = np.zeros(t.n_vertices)
     lv1 = t.level(1)
     theta[lv1[np.frombuffer(lt.letters, dtype=np.uint8)[lv1] == ord("b")]] = c
-    par, kids = t.parent_array(), t.n_children_array()
-    for k in range(2, t.height() + 1):
-        lv = t.level(k)
-        theta[lv] = theta[par[lv]] / kids[par[lv]]
-    return theta
+    # each vertex gets its parent's flow over the parent's child count
+    return t.sweep_down(np.divide, theta, t.n_children_array()[t.parent_array()],
+                        t.height(), start=2)
 
 
 def ball_sizes(n: int, max_elements: int = 2_000_000) -> tuple[np.ndarray, np.ndarray]:

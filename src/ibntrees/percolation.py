@@ -3,8 +3,10 @@
 p(e) = exp(-|e|**(-1+lam)) increases with depth, so deep truncations
 survive through branching but shallow thin stretches kill clusters; the
 survival recursion is evaluated with log1p/expm1 to keep tiny
-probabilities meaningful.  Spherically symmetric trees collapse the
-recursion to one value per level, which is how deep schedules are run.
+probabilities meaningful, in one Tree.sweep_up on a materialized tree
+(the comparison network's path products are a Tree.sweep_down).
+Spherically symmetric trees collapse the recursion to one value per level,
+which is how deep schedules are run.
 """
 
 from __future__ import annotations
@@ -58,16 +60,17 @@ def exact_survival(tree: Tree, law: PercolationLaw, N: int) -> float:
     if N < 1 or tree.height() < N:
         raise ValueError(f"tree must reach depth N={N}")
     d = tree.depth_array()
-    s = np.zeros(tree.n_vertices)
-    s[tree.level(N)] = 1.0
-    for k in range(N, 0, -1):
-        ids, starts, parents = tree.siblings(k)
-        ps = law.p(d[ids]) * s[ids]
+
+    def fold(s, ids, starts):
+        ps = law.p(d[ids]) * s
         with np.errstate(divide="ignore"):
             log_miss = np.log1p(-np.minimum(ps, 1.0))
         # + 0.0 gives an all-(-0.0) segment the sum 0.0, as accumulating from 0.0 does
-        s[parents] = -np.expm1(np.add.reduceat(log_miss, starts) + 0.0)
-    return float(s[0])
+        return -np.expm1(np.add.reduceat(log_miss, starts) + 0.0)
+
+    s = np.zeros(tree.n_vertices)
+    s[tree.level(N)] = 1.0
+    return float(tree.sweep_up(s, N, fold)[0])
 
 
 def survival_symmetric(degree: Callable[[int], int], law: PercolationLaw, N: int) -> float:
@@ -150,18 +153,14 @@ def theta_from_survival(schedule: DepthSchedule,
 def percolation_conductances(tree: Tree, law: PercolationLaw, N: int) -> walks.ConductanceField:
     """The comparison network c(e(x)) = P[root <-> x] / (1 - p(e(x)))."""
     d = tree.depth_array()
-    par = tree.parent_array()
     logp = np.zeros(tree.n_vertices)
     logp[1:] = law.log_p(d[1:].astype(float))
     log_reach = np.full(tree.n_vertices, np.nan)
+    log_reach[0] = 0.0  # log P[root <-> root]
+    tree.sweep_down(np.add, log_reach, logp, N)
     log_c = np.full(tree.n_vertices, np.nan)
-    for k in range(1, N + 1):
-        lv = tree.level(k)
-        prev = np.zeros(len(lv)) if k == 1 else log_reach[par[lv]]
-        log_reach[lv] = prev + logp[lv]
-        with np.errstate(divide="ignore"):
-            denom = np.log(-np.expm1(logp[lv]))
-        log_c[lv] = log_reach[lv] - denom
+    with np.errstate(divide="ignore"):  # p = 1: infinite conductance
+        log_c[1:] = log_reach[1:] - np.log(-np.expm1(logp[1:]))
     return walks.ConductanceField(tree, log_c, law.lam if law.lam is not None else 1.0, None)
 
 

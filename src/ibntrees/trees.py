@@ -11,7 +11,8 @@ A Tree is built in one call from its parent and depth arrays, which every
 builder emits in bulk, and never changes afterwards.  The views the level
 sweeps read -- height, per-level id arrays, sibling groups and CSR
 children -- are computed once, on first use, and can be shared across
-concurrent readers.
+concurrent readers.  Every exact level recursion runs through sweep_down
+(from the root) or sweep_up (towards it).
 """
 
 from __future__ import annotations
@@ -153,6 +154,28 @@ class Tree:
         np.cumsum(counts, out=start[1:])
         return _readonly(kids), _readonly(start), _readonly(counts)
 
+    # -- level sweeps ----------------------------------------------------
+
+    def sweep_down(self, ufunc, out: np.ndarray, values: np.ndarray, N: int,
+                   start: int = 1) -> np.ndarray:
+        """out[v] = ufunc(out[parent(v)], values[v]) at depths start..N,
+        top down and in place; every other entry stays.  Returns out."""
+        par = self._parent
+        for k in range(start, N + 1):
+            lv = self.level(k)
+            out[lv] = ufunc(out[par[lv]], values[lv])
+        return out
+
+    def sweep_up(self, out: np.ndarray, N: int, fold) -> np.ndarray:
+        """out[parents] = fold(out[ids], ids, starts) over siblings(k) for
+        k = N..1, in place: fold reduces each parent's children to one
+        value.  The caller seeds depth N; only vertices above it with
+        children are written.  Returns out."""
+        for k in range(N, 0, -1):
+            ids, starts, parents = self.siblings(k)
+            out[parents] = fold(out[ids], ids, starts)
+        return out
+
     # -- cutsets ----------------------------------------------------------
 
     def is_cutset(self, edges, frontier_depth: int) -> bool:
@@ -168,12 +191,8 @@ class Tree:
             return False
         member = np.zeros(self.n_vertices, dtype=np.int64)
         member[np.asarray(edges, dtype=np.int64)] = 1 if edges else 0
-        hits = np.zeros(self.n_vertices, dtype=np.int64)
-        par = self.parent_array()
-        # level by level from the root accumulates path counts
-        for k in range(1, frontier_depth + 1):
-            lv = self.level(k)
-            hits[lv] = hits[par[lv]] + member[lv]
+        hits = self.sweep_down(np.add, np.zeros(self.n_vertices, dtype=np.int64),
+                               member, frontier_depth)  # cut edges on each root path
         return bool((hits[frontier] == 1).all())
 
     # -- serialization ----------------------------------------------------

@@ -3,9 +3,10 @@
 Conductances are kept in log space throughout: the sampled law produces
 values like exp(-t**lam) with t in the hundreds of digits, and the psi
 fields need sums of their reciprocals, which are accumulated with
-logaddexp.  Monte Carlo trials are independent substreams keyed by
-(seed, trial index), so batches are reproducible regardless of execution
-order.
+logaddexp.  On a materialized tree, effective conductance is a
+Tree.sweep_up, the psi fields and the coupled open set Tree.sweep_down
+passes.  Monte Carlo trials are independent substreams keyed by (seed,
+trial index), so batches are reproducible regardless of execution order.
 """
 
 from __future__ import annotations
@@ -96,11 +97,9 @@ def effective_conductance(tree: Tree, field: ConductanceField, N: int) -> float:
         raise ValueError("conductance underflowed to zero; use a symmetric route")
     R = np.full(tree.n_vertices, np.inf)  # childless above the frontier: no current
     R[tree.level(N)] = 0.0
-    for k in range(N, 0, -1):
-        ids, starts, parents = tree.siblings(k)
-        with np.errstate(divide="ignore"):
-            cond = 1.0 / (1.0 / c[ids] + R[ids])  # conductance entering each child
-            R[parents] = 1.0 / np.add.reduceat(cond, starts)
+    with np.errstate(divide="ignore"):  # children that all die out: R = 1/0
+        tree.sweep_up(R, N, lambda R, ids, starts:  # conductance into each child, summed
+                      1.0 / np.add.reduceat(1.0 / (1.0 / c[ids] + R), starts))
     return float(1.0 / R[0]) if R[0] > 0 else float("inf")
 
 
@@ -236,20 +235,17 @@ class PsiField:
 def psi_field(tree: Tree, field: ConductanceField, N: int) -> PsiField:
     if N < 1 or tree.height() < N:
         raise ValueError(f"tree must reach depth N={N}")
-    par = tree.parent_array()
     log_S = np.full(tree.n_vertices, np.nan)
+    log_S[0] = NEG_INF  # the empty sum
+    tree.sweep_down(np.logaddexp, log_S, -field.log_c, N)
+    log_S[0] = np.nan
     log_psi = np.full(tree.n_vertices, np.nan)
+    log_psi[1:] = log_S[tree.parent_array()[1:]] - log_S[1:]
+    log_psi[tree.level(1)] = 0.0
     log_Psi = np.full(tree.n_vertices, np.nan)
-    lv1 = tree.level(1)
-    log_S[lv1] = -field.log_c[lv1]
-    log_psi[lv1] = 0.0
-    log_Psi[lv1] = 0.0
-    for k in range(2, N + 1):
-        lv = tree.level(k)
-        p = par[lv]
-        log_S[lv] = np.logaddexp(log_S[p], -field.log_c[lv])
-        log_psi[lv] = log_S[p] - log_S[lv]
-        log_Psi[lv] = log_Psi[p] + log_psi[lv]
+    log_Psi[0] = 0.0
+    tree.sweep_down(np.add, log_Psi, log_psi, N)
+    log_Psi[0] = np.nan
     return PsiField(tree, log_S, log_psi, log_Psi, N)
 
 
@@ -289,11 +285,8 @@ def coupled_percolation(tree: Tree, field: ConductanceField, lam: float, N: int)
     sel = d >= 2
     ok[sel] = -field.log_c[sel] <= np.power(d[sel].astype(float), lam)
     open_mask = np.zeros(tree.n_vertices, dtype=bool)
-    par = tree.parent_array()
     open_mask[tree.level(1)] = True
-    for k in range(2, N + 1):
-        lv = tree.level(k)
-        open_mask[lv] = open_mask[par[lv]] & ok[lv]
+    tree.sweep_down(np.logical_and, open_mask, ok, N, start=2)
     psi_c = np.ones(tree.n_vertices)
     psi_c[sel] = 1.0 - np.power(d[sel].astype(float), lam - 1.0)
     psi_c[0] = np.nan

@@ -9,6 +9,7 @@ from conftest import all_cutsets, cutset_weight, random_tree
 from ibntrees import generators as gen
 from ibntrees import flowcut as fc
 from ibntrees import percolation as pc
+from ibntrees import walks as wk
 from ibntrees.trees import Tree, check_flow
 
 
@@ -261,26 +262,89 @@ def test_ibn_rejects_bad_grid():
 
 def test_sweeps_on_levels_out_of_id_order():
     # level 2 is 3, 4, 5 with parents 2, 1, 2 and level 3 is 6..9 with
-    # parents 4, 3, 5, 3, so each sweep must regroup siblings
+    # parents 4, 3, 5, 3, so each sweep must regroup siblings; at N = 2 the
+    # sweeps stop above the height and every entry below N keeps its fill
     t = Tree([-1, 0, 0, 2, 1, 2, 4, 3, 5, 3], [0, 1, 1, 2, 2, 2, 3, 3, 3, 3])
     for k in (2, 3):
         assert (np.diff(t.parent_array()[t.level(k)]) < 0).any()
-    d = t.depth_array()
-    for lam in (0.3, 0.6, 0.9):
-        res = fc.min_cut(t, fc.DepthWeights.ibn(lam), 3)
-        best = min(cutset_weight(t, c, lam) for c in all_cutsets(t, 3))
-        assert math.isclose(res.value, best, rel_tol=1e-12)
-        assert t.is_cutset(res.cut, 3)
+    n, d = t.n_vertices, t.depth_array()
+    par = [t.parent(v) for v in range(n)]
+    kids = [t.children(v) for v in range(n)]
 
-        law = pc.PercolationLaw(lam)
-        p = np.concatenate(([1.0], law.p(d[1:])))  # slot 0 unused
-        total = 0.0
-        for bits in itertools.product([False, True], repeat=t.n_vertices - 1):
-            is_open = (True,) + bits  # slot 0 is the root, always reached
-            pr = math.prod(p[v] if is_open[v] else 1.0 - p[v] for v in range(1, t.n_vertices))
-            reached = [True] + [False] * (t.n_vertices - 1)
-            for v in range(1, t.n_vertices):
-                reached[v] = reached[t.parent(v)] and is_open[v]
-            if any(reached[v] for v in t.level_set(3)):
-                total += pr
-        assert math.isclose(pc.exact_survival(t, law, 3), total, rel_tol=1e-12)
+    def resistance(c):  # per vertex, children first (they have larger ids)
+        R = [0.0] * n
+        for v in reversed(range(n)):
+            if d[v] < N:
+                R[v] = 1.0 / sum(1.0 / (1.0 / c[x] + R[x]) for x in kids[v])
+        return R[0]
+
+    for N in (3, 2):
+        inside = [v for v in range(1, n) if d[v] <= N]
+        below = d > N
+        for r in range(len(inside) + 1):
+            for edges in itertools.combinations(inside, r):
+                on_paths = [sum(u in edges for u in (x, par[x], par[par[x]]) if u > 0)
+                            for x in t.level_set(N)]
+                assert t.is_cutset(edges, N) == all(h == 1 for h in on_paths)
+
+        for lam in (0.3, 0.6, 0.9):
+            w = fc.DepthWeights.ibn(lam)
+            res = fc.min_cut(t, w, N)
+            best = min(cutset_weight(t, c, lam) for c in all_cutsets(t, N))
+            assert math.isclose(res.value, best, rel_tol=1e-12)
+            assert t.is_cutset(res.cut, N)
+
+            # subtree min-cuts m, then each vertex's inflow split among its
+            # children in proportion to their m
+            c = [math.exp(-float(x) ** lam) for x in d]
+            m = [0.0] * n
+            for v in reversed(inside):
+                m[v] = c[v] if d[v] == N else min(c[v], sum(m[x] for x in kids[v]))
+            theta = [0.0] * n
+            for v in inside:
+                theta[v] = m[v] if d[v] == 1 else \
+                    theta[par[v]] * m[v] / sum(m[x] for x in kids[par[v]])
+            flow = fc.max_flow(t, w, N)
+            assert np.allclose(flow, theta, rtol=1e-12, atol=0) and not flow[below].any()
+            assert math.isclose(check_flow(t, flow).strength, res.value, rel_tol=1e-12)
+            C = wk.effective_conductance(t, wk.deterministic_conductances(t, lam), N)
+            assert math.isclose(C, 1.0 / resistance(c), rel_tol=1e-12)
+
+            law = pc.PercolationLaw(lam)
+            p = np.concatenate(([1.0], law.p(d[1:])))  # slot 0 unused
+            total = 0.0
+            for bits in itertools.product([False, True], repeat=n - 1):
+                is_open = (True,) + bits  # slot 0 is the root, always reached
+                pr = math.prod(p[v] if is_open[v] else 1.0 - p[v] for v in range(1, n))
+                reached = [True] + [False] * (n - 1)
+                for v in range(1, n):
+                    reached[v] = reached[par[v]] and is_open[v]
+                if any(reached[v] for v in t.level_set(N)):
+                    total += pr
+            assert math.isclose(pc.exact_survival(t, law, N), total, rel_tol=1e-12)
+
+            # comparison network c(x) = P[root <-> x] / (1 - p(x))
+            reach = [1.0] * n
+            for v in inside:
+                reach[v] = reach[par[v]] * p[v]
+            C = 1.0 / resistance([0.0] + [reach[v] / (1.0 - p[v]) for v in range(1, n)])
+            assert math.isclose(pc.conductance_bound(t, law, N), C / (1.0 + C), rel_tol=1e-12)
+            assert np.isnan(pc.percolation_conductances(t, law, N).log_c[below]).all()
+
+            # a field that closes the edges into 2, 5 and 8 (factor 1.5)
+            log_c = np.concatenate(([np.nan], -np.power(d[1:].astype(float), lam)
+                                    * np.array([0.5, 0.8, 1.5])[np.arange(1, n) % 3]))
+            field = wk.ConductanceField(t, log_c, lam)
+            S, psi, Psi = [0.0] * n, [1.0] * n, [1.0] * n
+            is_open = [False] * n
+            for v in inside:
+                S[v] = S[par[v]] + math.exp(-log_c[v])
+                psi[v] = S[par[v]] / S[v] if d[v] > 1 else 1.0
+                Psi[v] = Psi[par[v]] * psi[v]
+                is_open[v] = d[v] == 1 or (is_open[par[v]] and -log_c[v] <= float(d[v]) ** lam)
+            got = wk.psi_field(t, field, N)
+            for logs, ref in ((got.log_S, S), (got.log_psi, psi), (got.log_Psi, Psi)):
+                assert np.allclose(np.exp(logs[inside]), [ref[v] for v in inside],
+                                   rtol=1e-12, atol=0)
+                assert np.isnan(logs[0]) and np.isnan(logs[below]).all()
+            assert wk.coupled_percolation(t, field, lam, N)[0].tolist() == is_open

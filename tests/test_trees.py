@@ -127,6 +127,37 @@ def test_levels_and_sibling_groups_out_of_id_order():
     assert t.level(4).tolist() == []
 
 
+def test_sweep_kernels_match_per_vertex_loops():
+    t = Tree([-1, 0, 0, 2, 1, 2, 4, 3, 5, 3], [0, 1, 1, 2, 2, 2, 3, 3, 3, 3])
+    d = t.depth_array()
+    values = 10.0 * np.arange(10)
+    for N, start in ((3, 1), (3, 2), (2, 1), (2, 2)):
+        out = np.full(10, np.nan)
+        out[0], out[t.level(1)] = 5.0, -1.0
+        ref = out.tolist()
+        for v in range(1, 10):  # parents have smaller ids
+            if start <= d[v] <= N:
+                ref[v] = ref[t.parent(v)] + values[v]
+        assert t.sweep_down(np.add, out, values, N, start) is out
+        np.testing.assert_array_equal(out, ref)
+
+    for N in (3, 2):
+        out = values.copy()
+        ref = out.tolist()
+        for v in reversed(range(10)):
+            if d[v] < N and t.children(v):
+                ref[v] = sum(ref[c] for c in t.children(v)) + 0.5
+        depths = []
+
+        def fold(vals, ids, starts):
+            depths.append(int(d[ids[0]]))
+            assert np.array_equal(vals, out[ids])
+            return np.add.reduceat(vals, starts) + 0.5
+
+        assert t.sweep_up(out, N, fold) is out
+        assert out.tolist() == ref and depths == list(range(N, 0, -1))
+
+
 @pytest.mark.parametrize("text", ["", "\n \n", "1 - 0\n", "0 - 0\n1 0\n", "0 - 0\n1 0 1 1\n",
                                   "0 - 0\n1 x 1\n", "0 - 0\n1 - 1\n", "0 - 0\n1 0 1.5\n",
                                   "0 - 0\n1 0 99999999999999999999\n", "0 - 0\n1 0 1\n\u00e9\n"])
