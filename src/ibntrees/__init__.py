@@ -18,18 +18,18 @@ from .generators import (MemoryCapError, TreeFamily, binary_family,
                          path_family, sequence_degree, sequence_family,
                          sequence_level_sizes, spherically_symmetric,
                          three_one_family, three_one_stretched)
-from .flowcut import (BracketResult, DepthSchedule, DepthWeights, IgrEstimate,
-                      MinCut, ibn_estimate, igr_estimate, max_flow, min_cut,
-                      min_cut_symmetric, three_one_log_min_cut)
-from .walks import (ConductanceField, PsiField, WalkResult, coupled_percolation,
-                    deterministic_conductances, depth_walk_batch,
-                    effective_conductance, effective_conductance_symmetric,
-                    psi_field, rt_estimate, sample_conductances, simulate_walk)
+from .flowcut import (BracketResult, DepthSchedule, IgrEstimate, MinCut,
+                      ibn_estimate, ibn_log_weights, igr_estimate, max_flow,
+                      min_cut, min_cut_symmetric, three_one_log_min_cut)
+from .walks import (PsiField, coupled_percolation, deterministic_conductances,
+                    depth_walk_batch, effective_conductance,
+                    effective_conductance_symmetric, psi_field, root_walks,
+                    rt_estimate, sample_conductances, simulate_walk)
 from .percolation import (PercolationLaw, conductance_bound,
                           conductance_bound_symmetric, exact_survival,
-                          mc_survival, survival_symmetric, theta_estimate)
-from .firefighter import (BudgetSchedule, ContainmentAttempt, FireBracket,
-                          GameState, PlayResult, SurroundingSet, greedy_play,
-                          lambda_c_estimate, new_game, new_game_from, step,
-                          surrounding_set_from_cutset)
+                          mc_survival, survival_symmetric, survival_table,
+                          theta_estimate)
+from .firefighter import (BudgetSchedule, ContainmentAttempt, GameState,
+                          PlayResult, greedy_play, lambda_c_estimate, new_game,
+                          new_game_from, step, surrounding_set_from_cutset)
 from . import grigorchuk, nathanson

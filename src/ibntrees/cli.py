@@ -4,7 +4,8 @@ Every run writes its data file plus a JSON manifest (config echo, package
 version, seed, timestamp) next to it; identical (config, seed) pairs
 reproduce data files byte for byte.  CSV uses a header row, '.' decimals
 and repr-round-trip floats.  Exit codes: 0 success, 1 runtime failure,
-2 usage error.
+2 usage error.  Handlers pass a source to the library, whose estimator
+modules choose how it is evaluated.
 """
 
 from __future__ import annotations
@@ -207,20 +208,10 @@ def _run_estimate_ibn(config: ExperimentConfig) -> dict:
 
 def _run_walk(config: ExperimentConfig) -> dict:
     opts = config.options
-    source = _load_source(opts)
-    lam, trials = opts["lam"], opts["trials"]
-    cap, seed = opts.get("cap", 10 ** 6), opts["seed"]
-    rows = []
-    if generators.route(source) == "symmetric":
-        returned, steps, maxd = walks.depth_walk_batch(
-            source.degree, lam, opts["depth"], trials, cap, seed)
-        rows = [[t, int(returned[t]), int(steps[t]), int(maxd[t])] for t in range(trials)]
-    else:
-        tree = generators.truncation(source, opts["depth"])
-        cf = walks.deterministic_conductances(tree, lam)
-        for t in range(trials):
-            r = walks.simulate_walk(tree, cf, cap, seed, t)
-            rows.append([t, int(r.returned), r.steps, r.max_depth])
+    trials = opts["trials"]
+    returned, steps, maxd = walks.root_walks(_load_source(opts), opts["lam"], opts["depth"],
+                                             trials, opts.get("cap", 10 ** 6), opts["seed"])
+    rows = [[t, int(returned[t]), int(steps[t]), int(maxd[t])] for t in range(trials)]
     out = _resolve(opts["out"])
     _write_csv(out, ["trial", "returned", "steps", "maxdepth"], rows)
     freq = float(np.mean([r[1] for r in rows]))
@@ -245,40 +236,20 @@ def _run_rwrc(config: ExperimentConfig) -> dict:
 
 
 def _run_percolate(config: ExperimentConfig) -> dict:
-    """Survival, Monte Carlo and conductance bound per (lambda, depth).
-
-    Each truncation a route needs is built once and serves the whole grid;
-    with --grid the theta bracket is read off the exact survival column.
-    """
+    """Survival, Monte Carlo and conductance bound per (lambda, depth); with
+    --grid the theta bracket is read off the exact survival column."""
     opts = config.options
-    source = _load_source(opts)
     depths = _parse_depths(opts["depths"])
     grid = _parse_grid(opts["grid"]) if opts.get("grid") else (opts["lam"],)
-    mc_trials = opts.get("mc", 0)
-    seed = opts.get("seed", 0)
-    symmetric = generators.route(source) == "symmetric"
-    table = {}
-    for N in depths:
-        tree = None if symmetric and not mc_trials else generators.truncation(source, N)
-        for lam in grid:
-            law = percolation.PercolationLaw(lam)
-            if symmetric:
-                exact = percolation.survival_symmetric(source.degree, law, N)
-                bound = percolation.conductance_bound_symmetric(source, lam, N)
-            else:
-                exact = percolation.exact_survival(tree, law, N)
-                bound = percolation.conductance_bound(tree, law, N)
-            mc, err = (float("nan"), float("nan"))
-            if mc_trials:
-                mc, err = percolation.mc_survival(tree, law, N, mc_trials, seed)
-            table[lam, N] = [lam, N, exact, mc, err, bound]
+    table = percolation.survival_table(_load_source(opts), grid, depths,
+                                       opts.get("mc", 0), opts.get("seed", 0))
     out = _resolve(opts["out"])
     _write_csv(out, ["lambda", "depth", "exact", "mc", "stderr", "bound"],
-               [table[lam, N] for lam in grid for N in depths])
+               [[lam, N, *table[lam, N]] for lam in grid for N in depths])
     summary = {"out": out, "family": opts.get("family")}
     if opts.get("grid"):
         res = percolation.theta_from_survival(
-            flowcut.DepthSchedule(depths), {lam: [table[lam, N][2] for N in depths] for lam in grid})
+            flowcut.DepthSchedule(depths), {lam: [table[lam, N][0] for N in depths] for lam in grid})
         summary |= {"theta_lower": res.lower, "theta_upper": res.upper}
     return summary
 
@@ -288,17 +259,18 @@ def _run_firefight(config: ExperimentConfig) -> dict:
     source = _load_source(opts)
     grid = _parse_grid(opts["gamma_grid"])
     schedule = flowcut.DepthSchedule(_parse_depths(opts["schedule"]))
-    res = firefighter.lambda_c_estimate(source, opts["k"], grid, opts.get("K", 1.0), schedule)
+    res, attempts = firefighter.lambda_c_estimate(source, opts["k"], grid, opts.get("K", 1.0),
+                                                  schedule)
     rows = []
     for g in grid:
-        a = res.attempts[g]
+        a = attempts[g]
         rows.append([g, opts.get("horizon", schedule.depths[-1]), int(a.contained),
                      a.fire_size, a.protected_size])
     out = _resolve(opts["out"])
     _write_csv(out, ["gamma", "horizon", "contained", "fire_size", "protected_size"], rows)
     return {"lambdac_lower": res.lower, "lambdac_upper": res.upper,
             "family": opts.get("family"), "out": out,
-            "reasons": {str(g): res.attempts[g].reason for g in grid}}
+            "reasons": {str(g): attempts[g].reason for g in grid}}
 
 
 def _run_nathanson(config: ExperimentConfig) -> dict:
@@ -384,9 +356,11 @@ def _run_report(config: ExperimentConfig) -> dict:
     print(",".join(header))
     for row in table:
         print(",".join(str(x) for x in row))
+    summary = {"rows": len(table), "skipped": len(skipped)}
     if opts.get("out"):
-        _write_csv(_resolve(opts["out"]), header, table)
-    return {"rows": len(table), "skipped": len(skipped)}
+        summary["out"] = _resolve(opts["out"])
+        _write_csv(summary["out"], header, table)
+    return summary
 
 
 _HANDLERS = {
@@ -406,7 +380,7 @@ def run(config: ExperimentConfig) -> int:
     """Dispatch a config; write outputs and a manifest per data file."""
     try:
         summary = _HANDLERS[config.subcommand](config)
-    except (ValueError, KeyError, OSError, generators.MemoryCapError,
+    except (ValueError, KeyError, OSError, OverflowError, generators.MemoryCapError,
             nathanson.BallCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

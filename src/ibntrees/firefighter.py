@@ -5,6 +5,8 @@ to every unprotected neighbor of a burning vertex (parents included).
 The containment strategy mirrors the cut construction: pick a cutset of
 weight below the margin eps = exp(-k**lam) - exp(-(k+1)**lam), promote its
 child endpoints to a surrounding set, and protect it greedily by depth.
+A contained fire classifies its rate 'above' the threshold, an
+uncontained one 'below', in the same BracketResult as every estimator.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .flowcut import DepthSchedule, DepthWeights, min_cut, min_cut_symmetric
+from .flowcut import BracketResult, DepthSchedule, ibn_log_weights, min_cut, min_cut_symmetric
 from .generators import TreeFamily, route, truncation
 from .trees import Tree
 
@@ -101,13 +103,7 @@ def step(state: GameState, protect: Sequence[int]) -> GameState:
     return replace(state, round=n, burning=burning, protected=protected)
 
 
-@dataclass(frozen=True)
-class SurroundingSet:
-    vertices: tuple[int, ...]
-    k: int
-
-
-def surrounding_set_from_cutset(tree: Tree, cut_edges: Sequence[int], k: int) -> SurroundingSet:
+def surrounding_set_from_cutset(tree: Tree, cut_edges: Sequence[int], k: int) -> tuple[int, ...]:
     """Child endpoints of a cutset, valid as a surrounding set for B(k)."""
     verts = tuple(sorted(int(v) for v in cut_edges))
     if not verts:
@@ -115,7 +111,7 @@ def surrounding_set_from_cutset(tree: Tree, cut_edges: Sequence[int], k: int) ->
     depths = tree.depth_array()[np.asarray(verts)]
     if int(depths.min()) <= k:
         raise ValueError(f"cutset touches B({k})")
-    return SurroundingSet(verts, k)
+    return verts
 
 
 @dataclass(frozen=True)
@@ -129,14 +125,14 @@ class PlayResult:
 
 
 def greedy_play(tree: Tree, k: int, budgets: BudgetSchedule,
-                surrounding: SurroundingSet, horizon: int) -> PlayResult:
+                surrounding: Sequence[int], horizon: int) -> PlayResult:
     """Protect the surrounding set in depth order (ties by id) and report
     whether the fire froze within the horizon."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     state = new_game(tree, k, budgets)
     depths = tree.depth_array()
-    queue = sorted(surrounding.vertices, key=lambda v: (int(depths[v]), v))
+    queue = sorted(surrounding, key=lambda v: (int(depths[v]), v))
     pos = 0
     history = [(0, state.fire_size, 0)]
     for _ in range(horizon):
@@ -176,24 +172,6 @@ class ContainmentAttempt:
     protected_size: int = -1
 
 
-@dataclass
-class FireBracket:
-    grid: tuple[float, ...]
-    attempts: dict[float, ContainmentAttempt]
-    lower: float | None = None  # largest gamma that failed
-    upper: float | None = None  # smallest gamma that succeeded
-
-    def __post_init__(self):
-        failed = [g for g in self.grid if not self.attempts[g].contained]
-        ok = [g for g in self.grid if self.attempts[g].contained]
-        self.lower = max(failed) if failed else None
-        self.upper = min(ok) if ok else None
-
-    def interval(self) -> tuple[float, float]:
-        return (self.lower if self.lower is not None else self.grid[0],
-                self.upper if self.upper is not None else self.grid[-1])
-
-
 def attempt_containment(source: TreeFamily | Tree, k: int, gamma: float, K: float,
                         schedule: DepthSchedule) -> ContainmentAttempt:
     """Run the cut-based strategy for one rate gamma.
@@ -205,7 +183,6 @@ def attempt_containment(source: TreeFamily | Tree, k: int, gamma: float, K: floa
     """
     eps = containment_margin(k, gamma)
     budgets = BudgetSchedule.exponential(K, gamma)
-    weights = DepthWeights.ibn(gamma)
     symmetric = route(source) == "symmetric"
     last_play = None
     for N in schedule.depths:
@@ -219,14 +196,14 @@ def attempt_containment(source: TreeFamily | Tree, k: int, gamma: float, K: floa
             cut = tree.level_set(level)
         else:
             tree = truncation(source, N)
-            res = min_cut(tree, weights, N, want_cut=True)
+            res = min_cut(tree, ibn_log_weights(tree, gamma), N, want_cut=True)
             if res.log_value >= math.log(eps):
                 continue
             cut = res.cut
             if int(tree.depth_array()[np.asarray(cut)].min()) <= k:
                 continue
         surrounding = surrounding_set_from_cutset(tree, cut, k)
-        horizon = max(int(tree.depth_array()[np.asarray(surrounding.vertices)].max()), 1) + 1
+        horizon = max(int(tree.depth_array()[np.asarray(surrounding)].max()), 1) + 1
         play = greedy_play(tree, k, budgets, surrounding, horizon)
         last_play = play
         if play.contained:
@@ -242,11 +219,15 @@ def attempt_containment(source: TreeFamily | Tree, k: int, gamma: float, K: floa
 
 
 def lambda_c_estimate(source: TreeFamily | Tree, k: int, gamma_grid: Sequence[float],
-                      K: float, schedule: DepthSchedule) -> FireBracket:
-    """Bracket the containment threshold over a gamma grid."""
+                      K: float, schedule: DepthSchedule
+                      ) -> tuple[BracketResult, dict[float, ContainmentAttempt]]:
+    """Bracket the containment threshold over a gamma grid, with the attempt
+    made at each gamma: a contained fire classifies gamma 'above' the
+    threshold, an uncontained one 'below'."""
     gamma_grid = tuple(sorted(gamma_grid))
     if any(not 0 < g < 1 for g in gamma_grid):
         raise ValueError("gamma grid must lie inside (0, 1)")
     attempts = {g: attempt_containment(source, k, g, K, schedule)
                 for g in gamma_grid}
-    return FireBracket(grid=gamma_grid, attempts=attempts)
+    classes = {g: "above" if a.contained else "below" for g, a in attempts.items()}
+    return BracketResult(gamma_grid, classes), attempts

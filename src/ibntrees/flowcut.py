@@ -2,8 +2,9 @@
 
 The branching-number weight exp(-|e|**lam) underflows doubles long before
 the depths the estimators need, so every cut computation here works on log
-weights; linear values are derived views.  Three evaluation routes feed
-the same classifier:
+weights, per-edge arrays indexed by child vertex id (ibn_log_weights
+builds the IBN's); linear values are derived views.  Three evaluation
+routes feed the same classifier:
 
 * explicit trees and materialized truncations: a bottom-up recursion
   m(v) = min(w(v), sum over children), one Tree.sweep_up, with the cut
@@ -18,7 +19,9 @@ the same classifier:
   array evaluates every (rate, depth) pair of a bracket at once.
 
 generators.route decides which route a source takes, and
-generators.truncation supplies the trees the level sweeps run on.
+generators.truncation supplies the trees the level sweeps run on.  Every
+estimator reports a BracketResult: per-value classifications and the
+bracket they induce.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import neg
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,32 +44,23 @@ NEG_INF = float("-inf")
 UNDERFLOW_FLOOR = 1e-300
 
 
-@dataclass(frozen=True)
-class DepthWeights:
-    """Edge weight profile depending only on edge depth, held in log space."""
-
-    log_weight: Callable[[np.ndarray], np.ndarray]
-
-    @staticmethod
-    def ibn(lam: float) -> "DepthWeights":
-        """w(e) = exp(-|e|**lam), the branching-number family."""
-        if not 0 < lam:
-            raise ValueError("lam must be positive")
-        return DepthWeights(lambda d: -np.power(d.astype(float), lam))
+def ibn_log_weights(tree: Tree, lam: float) -> np.ndarray:
+    """log w(e) = -|e|**lam, the branching-number weight, indexed by child
+    vertex id (slot 0 is nan).  The same array is the walk's deterministic
+    log conductances.  An overflowing power gives -inf: the weight is 0."""
+    d = tree.depth_array().astype(float)
+    logw = np.empty(tree.n_vertices)
+    logw[0] = np.nan
+    with np.errstate(over="ignore"):
+        logw[1:] = -np.power(d[1:], lam)
+    return logw
 
 
-def edge_log_weights(tree: Tree, weights) -> np.ndarray:
-    """Per-edge log weights as an array indexed by child vertex id."""
-    if isinstance(weights, DepthWeights):
-        d = tree.depth_array()
-        out = np.empty(tree.n_vertices)
-        out[0] = np.nan
-        out[1:] = weights.log_weight(d[1:])
-        return out
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (tree.n_vertices,):
+def _check_log_weights(tree: Tree, logw: np.ndarray) -> np.ndarray:
+    logw = np.asarray(logw, dtype=float)
+    if logw.shape != (tree.n_vertices,):
         raise ValueError("per-edge log weights must have one slot per vertex")
-    return w
+    return logw
 
 
 def _segment_logsumexp(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -104,14 +98,15 @@ def _cut_table(tree: Tree, logw: np.ndarray, N: int) -> np.ndarray:
                          _segment_logsumexp(np.minimum(logw[ids], vals), starts))
 
 
-def min_cut(tree: Tree, weights, N: int, want_cut: bool = True) -> MinCut:
-    """Minimum cutset weight of the depth-N truncation.
+def min_cut(tree: Tree, logw: np.ndarray, N: int, want_cut: bool = True) -> MinCut:
+    """Minimum cutset weight of the depth-N truncation under the per-edge
+    log weights logw.
 
     Recursion: m(v) = min(w(e_v), sum over children m(c)); frontier vertices
     cut their own edge, branches that die out before depth N cost nothing.
     Ties break toward the shallower cut.
     """
-    logw = edge_log_weights(tree, weights)
+    logw = _check_log_weights(tree, logw)
     msum = _cut_table(tree, logw, N)
     log_value = float(msum[0])
     cut = None
@@ -129,14 +124,14 @@ def min_cut(tree: Tree, weights, N: int, want_cut: bool = True) -> MinCut:
     return MinCut(log_value, cut, clamped=log_value <= math.log(UNDERFLOW_FLOOR))
 
 
-def max_flow(tree: Tree, weights, N: int) -> np.ndarray:
+def max_flow(tree: Tree, logw: np.ndarray, N: int) -> np.ndarray:
     """Admissible flow (linear, per edge) whose Strength equals the min-cut.
 
     Built top-down: each vertex splits its inflow among children in
     proportion to their subtree min-cuts, which throttles every edge below
     its own capacity.
     """
-    logw = edge_log_weights(tree, weights)
+    logw = _check_log_weights(tree, logw)
     msum = _cut_table(tree, logw, N)
     m = np.minimum(logw, msum)
     theta = np.zeros(tree.n_vertices)
@@ -380,26 +375,22 @@ def classify_trajectory(log_values: Sequence[float], schedule: DepthSchedule) ->
 
 @dataclass
 class BracketResult:
-    """Grid classification with the induced bracket for a critical value.
+    """Per-value classifications of a grid and the bracket they induce for
+    a critical value.
 
-    Each grid value's trajectory is classified against the schedule;
-    depths_used (the truncation depths the trajectories were taken at)
-    defaults to the schedule's depths.
+    A value is 'below' (the critical value lies above it), 'above' (it lies
+    below it) or 'undecided'.  Estimators that classify trajectories keep
+    them, in log space per depth of depths_used, for their CSV rows.
     """
 
     grid: tuple[float, ...]
-    schedule: DepthSchedule
-    trajectories: dict[float, tuple[float, ...]]  # log values per depth
+    classifications: dict[float, str]
+    trajectories: dict[float, tuple[float, ...]] = field(default_factory=dict)
     depths_used: tuple[int, ...] = ()
-    classifications: dict[float, str] = field(init=False)
     lower: float | None = field(init=False)  # largest grid value classified below
     upper: float | None = field(init=False)  # smallest grid value classified above
 
     def __post_init__(self):
-        if not self.depths_used:
-            self.depths_used = self.schedule.depths
-        self.classifications = {g: classify_trajectory(self.trajectories[g], self.schedule)
-                                for g in self.grid}
         below = [g for g in self.grid if self.classifications[g] == "below"]
         above = [g for g in self.grid if self.classifications[g] == "above"]
         self.lower = max(below) if below else None
@@ -420,6 +411,15 @@ class BracketResult:
     def width(self) -> float:
         lo, hi = self.interval()
         return hi - lo
+
+
+def trajectory_bracket(grid: tuple[float, ...], schedule: DepthSchedule,
+                       trajectories: dict[float, tuple[float, ...]],
+                       depths_used: tuple[int, ...] = ()) -> BracketResult:
+    """Classify each grid value's log-value trajectory against the
+    schedule; depths_used defaults to the schedule's depths."""
+    return BracketResult(grid, {g: classify_trajectory(trajectories[g], schedule) for g in grid},
+                         trajectories, depths_used or schedule.depths)
 
 
 DEFAULT_GRID = tuple(round(0.05 * k, 2) for k in range(1, 20))
@@ -443,16 +443,15 @@ def ibn_estimate(source: TreeFamily | Tree, schedule: DepthSchedule,
                    for N in schedule.depths)
         table = three_one_log_min_cut(grid, ms)
         trajectories = {lam: tuple(row) for lam, row in zip(grid, table.tolist())}
-        return BracketResult(grid, schedule, trajectories,
-                             depths_used=tuple(triangular(m) for m in ms))
+        return trajectory_bracket(grid, schedule, trajectories, tuple(triangular(m) for m in ms))
     if kind == "symmetric":
         lv = source.level_log2_sizes(schedule.depths[-1])
         trajectories = {lam: tuple(min_cut_symmetric(lv, lam, N)[0] for N in schedule.depths)
                         for lam in grid}
-        return BracketResult(grid, schedule, trajectories)
+        return trajectory_bracket(grid, schedule, trajectories)
     columns: dict[float, list[float]] = {lam: [] for lam in grid}
     for N in schedule.depths:
         tree = truncation(source, N)
         for lam, column in columns.items():
-            column.append(min_cut(tree, DepthWeights.ibn(lam), N, want_cut=False).log_value)
-    return BracketResult(grid, schedule, {lam: tuple(c) for lam, c in columns.items()})
+            column.append(min_cut(tree, ibn_log_weights(tree, lam), N, want_cut=False).log_value)
+    return trajectory_bracket(grid, schedule, {lam: tuple(c) for lam, c in columns.items()})

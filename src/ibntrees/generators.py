@@ -84,12 +84,11 @@ def spherically_symmetric(degree: Callable[[int], int], N: int,
     return Tree(np.concatenate(([-1], parent)), depth)
 
 
-def from_branch_marks(marks: Sequence[bool], N: int,
-                      max_vertices: int = DEFAULT_VERTEX_CAP) -> Tree:
+def from_branch_marks(marks: Sequence[bool], N: int) -> Tree:
     """Spherically symmetric tree: depth-n vertices have 2 children iff marks[n]."""
     if len(marks) < N:
         raise ValueError("marks must be defined up to depth N")
-    return spherically_symmetric(lambda n: 2 if marks[n] else 1, N, max_vertices)
+    return spherically_symmetric(lambda n: 2 if marks[n] else 1, N)
 
 
 # -- the stretched 3-1 tree ---------------------------------------------

@@ -6,7 +6,8 @@ survival recursion is evaluated with log1p/expm1 to keep tiny
 probabilities meaningful, in one Tree.sweep_up on a materialized tree
 (the comparison network's path products are a Tree.sweep_down).
 Spherically symmetric trees collapse the recursion to one value per level,
-which is how deep schedules are run.
+which is how deep schedules are run.  survival_table evaluates a source
+over a (rate, depth) grid by the route generators.route picks for it.
 """
 
 from __future__ import annotations
@@ -18,11 +19,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import rng, walks
-from .flowcut import BracketResult, DepthSchedule
+from .flowcut import BracketResult, DepthSchedule, trajectory_bracket
 from .generators import TreeFamily, route, truncation
 from .trees import Tree
 
 LOG_FLOOR = -744.0  # log of the smallest positive double, used as a clamp
+
+MC_CHUNK = 256  # Monte Carlo trials per substream
 
 
 @dataclass(frozen=True)
@@ -88,7 +91,7 @@ def survival_symmetric(degree: Callable[[int], int], law: PercolationLaw, N: int
 
 
 def mc_survival(tree: Tree, law: PercolationLaw, N: int, trials: int,
-                seed: int, chunk: int = 256) -> tuple[float, float]:
+                seed: int) -> tuple[float, float]:
     """Unbiased Monte Carlo estimate of {root <-> depth N} with its
     standard error; trials are chunked into independent substreams."""
     if trials < 1:
@@ -104,7 +107,7 @@ def mc_survival(tree: Tree, law: PercolationLaw, N: int, trials: int,
     done = 0
     index = 0
     while done < trials:
-        m = min(chunk, trials - done)
+        m = min(MC_CHUNK, trials - done)
         gen = rng.stream_rng(seed, rng.PERC_STREAM, index)
         reach = np.ones((m, tree.n_vertices), dtype=bool)
         for k in range(1, N + 1):
@@ -119,26 +122,50 @@ def mc_survival(tree: Tree, law: PercolationLaw, N: int, trials: int,
     return est, stderr
 
 
+def survival_table(source: TreeFamily | Tree, grid: Sequence[float], depths: Sequence[int],
+                   mc_trials: int = 0, seed: int = 0) -> dict[tuple[float, int], tuple]:
+    """(exact survival, Monte Carlo estimate, its standard error, conductance
+    bound) for every (lam, N) of grid x depths; nan for the Monte Carlo pair
+    when mc_trials is 0.
+
+    The route follows generators.route: a symmetric family runs
+    survival_symmetric and conductance_bound_symmetric on prefixes of one
+    degree list and one level-size table for the deepest N; any other source
+    is swept on each truncation, built once per depth (Monte Carlo always
+    needs the truncation).
+    """
+    symmetric = route(source) == "symmetric"
+    if symmetric:
+        top = max(depths)
+        degrees = [source.degree(n) for n in range(top)]
+        log2_levels = source.level_log2_sizes(top)
+    table = {}
+    for N in depths:
+        tree = None if symmetric and not mc_trials else truncation(source, N)
+        for lam in grid:
+            law = PercolationLaw(lam)
+            if symmetric:
+                exact = survival_symmetric(degrees.__getitem__, law, N)
+                bound = conductance_bound_symmetric(log2_levels[:N + 1], lam, N)
+            else:
+                exact = exact_survival(tree, law, N)
+                bound = conductance_bound(tree, law, N)
+            mc = mc_survival(tree, law, N, mc_trials, seed) if mc_trials else (math.nan,) * 2
+            table[lam, N] = (exact, *mc, bound)
+    return table
+
+
 def theta_estimate(source: TreeFamily | Tree, schedule: DepthSchedule,
                    grid: Sequence[float]) -> BracketResult:
-    """Bracket the percolation threshold by classifying survival
-    trajectories over the schedule (supercritical side = 'below').
-
-    Symmetric families use survival_symmetric; every other source is swept
-    on each truncation, built once per scheduled depth.
-    """
+    """Bracket the percolation threshold by classifying the exact survival
+    trajectories of survival_table over the schedule (supercritical side =
+    'below')."""
     grid = tuple(sorted(grid))
     if any(not 0 < g < 1 for g in grid):
         raise ValueError("grid must lie inside (0, 1)")
-    survival: dict[float, list[float]] = {lam: [] for lam in grid}
-    symmetric = route(source) == "symmetric"
-    for N in schedule.depths:
-        tree = None if symmetric else truncation(source, N)
-        for lam, column in survival.items():
-            law = PercolationLaw(lam)
-            column.append(survival_symmetric(source.degree, law, N) if symmetric
-                          else exact_survival(tree, law, N))
-    return theta_from_survival(schedule, survival)
+    table = survival_table(source, grid, schedule.depths)
+    return theta_from_survival(schedule, {lam: [table[lam, N][0] for N in schedule.depths]
+                                          for lam in grid})
 
 
 def theta_from_survival(schedule: DepthSchedule,
@@ -147,11 +174,12 @@ def theta_from_survival(schedule: DepthSchedule,
     depth for each grid value; zeros are clamped to LOG_FLOOR."""
     trajectories = {lam: tuple(math.log(s) if s > 0.0 else LOG_FLOOR for s in column)
                     for lam, column in survival.items()}
-    return BracketResult(tuple(sorted(survival)), schedule, trajectories)
+    return trajectory_bracket(tuple(sorted(survival)), schedule, trajectories)
 
 
-def percolation_conductances(tree: Tree, law: PercolationLaw, N: int) -> walks.ConductanceField:
-    """The comparison network c(e(x)) = P[root <-> x] / (1 - p(e(x)))."""
+def percolation_conductances(tree: Tree, law: PercolationLaw, N: int) -> np.ndarray:
+    """Log conductances of the comparison network
+    c(e(x)) = P[root <-> x] / (1 - p(e(x)))."""
     d = tree.depth_array()
     logp = np.zeros(tree.n_vertices)
     logp[1:] = law.log_p(d[1:].astype(float))
@@ -161,21 +189,19 @@ def percolation_conductances(tree: Tree, law: PercolationLaw, N: int) -> walks.C
     log_c = np.full(tree.n_vertices, np.nan)
     with np.errstate(divide="ignore"):  # p = 1: infinite conductance
         log_c[1:] = log_reach[1:] - np.log(-np.expm1(logp[1:]))
-    return walks.ConductanceField(tree, log_c, law.lam if law.lam is not None else 1.0, None)
+    return log_c
 
 
 def conductance_bound(tree: Tree, law: PercolationLaw, N: int) -> float:
     """Lower bound C/(1+C) <= P[root <-> depth N] from the comparison
     network's effective conductance."""
-    field = percolation_conductances(tree, law, N)
-    C = walks.effective_conductance(tree, field, N)
+    C = walks.effective_conductance(tree, percolation_conductances(tree, law, N), N)
     return C / (1.0 + C) if math.isfinite(C) else 1.0
 
 
-def conductance_bound_symmetric(family: TreeFamily, lam: float, N: int) -> float:
-    """conductance_bound via the level-shorting identity (log-space safe)."""
-    if family.degree is None:
-        raise ValueError("family is not spherically symmetric")
+def conductance_bound_symmetric(log2_levels: Sequence[float], lam: float, N: int) -> float:
+    """conductance_bound of a spherically symmetric truncation from its
+    level sizes, via the level-shorting identity (log-space safe)."""
     law = PercolationLaw(lam)
 
     def log_c_at(n: np.ndarray) -> np.ndarray:
@@ -183,6 +209,6 @@ def conductance_bound_symmetric(family: TreeFamily, lam: float, N: int) -> float
         with np.errstate(divide="ignore"):
             return np.cumsum(logp) - np.log(-np.expm1(logp))
 
-    log_R = -walks.log_effective_conductance_symmetric(family.level_log2_sizes(N), log_c_at, N)
+    log_R = -walks.log_effective_conductance_symmetric(log2_levels, log_c_at, N)
     # C/(1+C) = 1/(1+R)
     return float(math.exp(-np.logaddexp(0.0, log_R)))

@@ -1,12 +1,13 @@
 """Random walks driven by edge conductances, deterministic or sampled.
 
-Conductances are kept in log space throughout: the sampled law produces
-values like exp(-t**lam) with t in the hundreds of digits, and the psi
-fields need sums of their reciprocals, which are accumulated with
-logaddexp.  On a materialized tree, effective conductance is a
+Conductances are log arrays indexed by child vertex id, in log space
+throughout: the sampled law produces values like exp(-t**lam) with t in
+the hundreds of digits, and the psi fields need sums of their
+reciprocals, which are accumulated with logaddexp.  On a materialized tree, effective conductance is a
 Tree.sweep_up, the psi fields and the coupled open set Tree.sweep_down
 passes.  Monte Carlo trials are independent substreams keyed by (seed,
 trial index), so batches are reproducible regardless of execution order.
+root_walks picks the walker for a source by generators.route.
 """
 
 from __future__ import annotations
@@ -18,30 +19,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import rng
-from .flowcut import BracketResult, DepthSchedule, min_cut
-from .generators import LOG2, TreeFamily
+from .flowcut import BracketResult, DepthSchedule, min_cut, trajectory_bracket
+from .flowcut import ibn_log_weights as deterministic_conductances
+from .generators import LOG2, TreeFamily, route, truncation
 from .trees import Tree
 
 NEG_INF = float("-inf")
-
-
-@dataclass(frozen=True)
-class ConductanceField:
-    """Per-edge conductances on a tree, stored as log values."""
-
-    tree: Tree
-    log_c: np.ndarray  # indexed by child vertex id; slot 0 unused
-    lam: float
-    seed: int | None = None  # None for deterministic fields
-
-
-def deterministic_conductances(tree: Tree, lam: float) -> ConductanceField:
-    """c(e) = exp(-|e|**lam)."""
-    d = tree.depth_array().astype(float)
-    log_c = np.empty(tree.n_vertices)
-    log_c[0] = np.nan
-    log_c[1:] = -np.power(d[1:], lam)
-    return ConductanceField(tree, log_c, lam, None)
 
 
 def sample_conductance_logs(n: int, lam: float, seed: int) -> np.ndarray:
@@ -54,18 +37,19 @@ def sample_conductance_logs(n: int, lam: float, seed: int) -> np.ndarray:
         raise ValueError("lam must be in (0, 1)")
     u = rng.uniforms(seed, rng.EDGE_STREAM, n)
     log_t = -np.log(u) / (1.0 - lam)
-    log_c = -np.exp(lam * log_t)
+    with np.errstate(over="ignore"):  # checked below
+        log_c = -np.exp(lam * log_t)
     if not np.isfinite(log_c).all():
         raise ValueError("sampled conductance exponent overflowed")
     return log_c
 
 
-def sample_conductances(tree: Tree, lam: float, seed: int) -> ConductanceField:
-    """I.i.d. heavy-tailed conductances keyed by (seed, edge id)."""
+def sample_conductances(tree: Tree, lam: float, seed: int) -> np.ndarray:
+    """I.i.d. heavy-tailed log conductances keyed by (seed, edge id)."""
     log_c = np.empty(tree.n_vertices)
     log_c[0] = np.nan
     log_c[1:] = sample_conductance_logs(tree.n_vertices - 1, lam, seed)
-    return ConductanceField(tree, log_c, lam, seed)
+    return log_c
 
 
 def conductance_cdf(x: np.ndarray, lam: float) -> np.ndarray:
@@ -81,7 +65,7 @@ def conductance_cdf(x: np.ndarray, lam: float) -> np.ndarray:
 
 # -- effective conductance ---------------------------------------------------
 
-def effective_conductance(tree: Tree, field: ConductanceField, N: int) -> float:
+def effective_conductance(tree: Tree, log_c: np.ndarray, N: int) -> float:
     """Exact series/parallel reduction of the depth-N truncation.
 
     R(v) = 0 on the frontier, else R(v) = 1 / sum over children of
@@ -91,7 +75,7 @@ def effective_conductance(tree: Tree, field: ConductanceField, N: int) -> float:
     if N < 1 or tree.height() < N:
         raise ValueError(f"tree must reach depth N={N}")
     d = tree.depth_array()
-    c = np.exp(field.log_c)
+    c = np.exp(log_c)
     active = (d >= 1) & (d <= N)
     if (c[active] <= 0.0).any():
         raise ValueError("conductance underflowed to zero; use a symmetric route")
@@ -129,28 +113,23 @@ def effective_conductance_symmetric(family: TreeFamily, lam: float, N: int) -> f
 
 # -- walkers -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WalkResult:
-    returned: bool
-    steps: int
-    max_depth: int
-
-
-def simulate_walk(tree: Tree, field: ConductanceField, step_cap: int,
-                  seed: int, trial: int = 0) -> WalkResult:
-    """One conductance-weighted walk from the root.
+def simulate_walk(tree: Tree, log_c: np.ndarray, N: int, step_cap: int,
+                  seed: int, trial: int = 0) -> tuple[bool, int, int]:
+    """One conductance-weighted walk from the root on the depth-N truncation.
 
     At each vertex the next neighbor is drawn with probability proportional
     to the incident edge conductances; the walk stops at the first return
-    to the root or at step_cap.  Frontier vertices (leaves) reflect.
+    to the root or at step_cap.  Depth-N vertices reflect.  Returns
+    (returned, steps, max_depth).
     """
     if step_cap < 1:
         raise ValueError("step_cap must be >= 1")
+    if N < 1 or tree.height() < N:
+        raise ValueError(f"tree must reach depth N={N}")
     gen = rng.stream_rng(seed, rng.WALK_STREAM, trial)
-    log_c = field.log_c
     pos, steps, maxd = 0, 0, 0
     while steps < step_cap:
-        kids = tree.children(pos)
+        kids = tree.children(pos) if tree.depth(pos) < N else []
         if pos == 0:
             weights = [log_c[c] for c in kids]
             nbrs = list(kids)
@@ -164,8 +143,8 @@ def simulate_walk(tree: Tree, field: ConductanceField, step_cap: int,
         steps += 1
         maxd = max(maxd, tree.depth(pos))
         if pos == 0:
-            return WalkResult(True, steps, maxd)
-    return WalkResult(False, steps, maxd)
+            return True, steps, maxd
+    return False, steps, maxd
 
 
 def depth_walk_batch(degree: Callable[[int], int], lam: float, N: int,
@@ -184,7 +163,11 @@ def depth_walk_batch(degree: Callable[[int], int], lam: float, N: int,
     n = np.arange(1, N + 1, dtype=float)
     d = np.array([degree(k) for k in range(1, N + 1)], dtype=float)
     d[-1] = 0.0  # frontier reflects
-    gap = np.power(n + 1, lam) - np.power(n, lam)
+    # both powers overflow (inf - inf = nan) only where n**lam > 1e308,
+    # which for lam <= 6 needs n > 1e51; above 6, p_up at depth 1 is
+    # exactly 1.0, so no walk gets past depth 1 to read a nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = np.power(n + 1, lam) - np.power(n, lam)
     p_up = np.concatenate([[0.0], 1.0 / (1.0 + d * np.exp(-gap))])  # index by depth
 
     gen = rng.stream_rng(seed, rng.WALK_STREAM)
@@ -214,6 +197,23 @@ def depth_walk_batch(degree: Callable[[int], int], lam: float, N: int,
     return returned, final_steps, maxd
 
 
+def root_walks(source: TreeFamily | Tree, lam: float, N: int, trials: int,
+               step_cap: int, seed: int):
+    """Walks from the root of the depth-N truncation under the conductances
+    exp(-|e|**lam): (returned, steps, max_depth) arrays, one entry per trial.
+
+    The route follows generators.route: a symmetric family walks its depth
+    chain (depth_walk_batch), any other source one simulate_walk per trial.
+    """
+    if route(source) == "symmetric":
+        return depth_walk_batch(source.degree, lam, N, trials, step_cap, seed)
+    tree = truncation(source, N)
+    log_c = deterministic_conductances(tree, lam)
+    rows = [simulate_walk(tree, log_c, N, step_cap, seed, t) for t in range(trials)]
+    returned, steps, maxd = zip(*rows)
+    return np.array(returned), np.array(steps), np.array(maxd)
+
+
 # -- psi fields and the recurrence/transience functional ---------------------
 
 @dataclass(frozen=True)
@@ -232,12 +232,12 @@ class PsiField:
     N: int
 
 
-def psi_field(tree: Tree, field: ConductanceField, N: int) -> PsiField:
+def psi_field(tree: Tree, log_c: np.ndarray, N: int) -> PsiField:
     if N < 1 or tree.height() < N:
         raise ValueError(f"tree must reach depth N={N}")
     log_S = np.full(tree.n_vertices, np.nan)
     log_S[0] = NEG_INF  # the empty sum
-    tree.sweep_down(np.logaddexp, log_S, -field.log_c, N)
+    tree.sweep_down(np.logaddexp, log_S, -log_c, N)
     log_S[0] = np.nan
     log_psi = np.full(tree.n_vertices, np.nan)
     log_psi[1:] = log_S[tree.parent_array()[1:]] - log_S[1:]
@@ -264,12 +264,12 @@ def rt_estimate(tree: Tree, psi: PsiField, gamma_grid: Sequence[float],
         w[0] = np.nan
         vals = [min_cut(tree, w, N, want_cut=False).log_value for N in schedule.depths]
         trajectories[g] = tuple(vals)
-    return BracketResult(gamma_grid, schedule, trajectories)
+    return trajectory_bracket(gamma_grid, schedule, trajectories)
 
 
 # -- percolation coupled to the conductance field ----------------------------
 
-def coupled_percolation(tree: Tree, field: ConductanceField, lam: float, N: int):
+def coupled_percolation(tree: Tree, log_c: np.ndarray, lam: float, N: int):
     """Open-edge set driven by the conductance field.
 
     An edge e with |e| > 1 is open iff every strict-depth ancestor g
@@ -283,7 +283,7 @@ def coupled_percolation(tree: Tree, field: ConductanceField, lam: float, N: int)
         raise ValueError(f"tree must reach depth N={N}")
     ok = np.zeros(tree.n_vertices, dtype=bool)
     sel = d >= 2
-    ok[sel] = -field.log_c[sel] <= np.power(d[sel].astype(float), lam)
+    ok[sel] = -log_c[sel] <= np.power(d[sel].astype(float), lam)
     open_mask = np.zeros(tree.n_vertices, dtype=bool)
     open_mask[tree.level(1)] = True
     tree.sweep_down(np.logical_and, open_mask, ok, N, start=2)

@@ -61,10 +61,10 @@ def test_criterion_2_min_cut_oracle():
     for seed in range(100):
         t = random_tree(seed, 5)
         lam = 0.25 + 0.55 * (seed / 100)
-        res = fc.min_cut(t, fc.DepthWeights.ibn(lam), 5)
+        res = fc.min_cut(t, fc.ibn_log_weights(t, lam), 5)
         best = min(cutset_weight(t, c, lam) for c in all_cutsets(t, 5))
         worst_cut = max(worst_cut, abs(res.value - best) / max(1.0, best))
-        theta = fc.max_flow(t, fc.DepthWeights.ibn(lam), 5)
+        theta = fc.max_flow(t, fc.ibn_log_weights(t, lam), 5)
         strength = float(theta[t.children(0)].sum())
         worst_dual = max(worst_dual, abs(strength - res.value) / max(1.0, res.value))
     ok = worst_cut <= 1e-12 and worst_dual <= 1e-12
@@ -154,7 +154,7 @@ def test_criterion_5_percolation():
                 pc.exact_survival(t, pc.PercolationLaw(lam), 5) + 1e-12:
             bound_ok = False
     for N in depths:
-        if pc.conductance_bound_symmetric(fam, 0.3, N) > \
+        if pc.conductance_bound_symmetric(fam.level_log2_sizes(N), 0.3, N) > \
                 pc.survival_symmetric(fam.degree, pc.PercolationLaw(0.3), N) + 1e-12:
             bound_ok = False
 
@@ -207,7 +207,7 @@ def test_criterion_7_firefighter():
     sched = fc.DepthSchedule((8, 16, 32, 64, 128, 200))
     hot = ff.attempt_containment(fam, 2, 0.8, 1.0, sched)
     cold = ff.attempt_containment(fam, 2, 0.2, 1.0, sched)
-    res = ff.lambda_c_estimate(fam, 2, (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8), 1.0, sched)
+    res, _ = ff.lambda_c_estimate(fam, 2, (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8), 1.0, sched)
     lo, hi = res.interval()
     bracket_ok = max(lo, 0.3) <= min(hi, 0.7)
 

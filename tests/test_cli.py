@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import math
 import os
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -214,6 +217,25 @@ def test_percolate_theta_matches_theta_estimate(source, tmp_path):
         assert math.log(float(r[2])) == res.trajectories[float(r[0])][depths.index(int(r[1]))]
 
 
+def test_walk_tree_file_truncated_at_depth(tmp_path, capsys):
+    g10 = str(tmp_path / "g10.txt")
+    assert cli.main(["generate", "--family", "three-one", "--depth", "10", "--out", g10]) == 0
+    walk = ["walk", "--lambda", "0.5", "--depth", "3", "--trials", "5", "--cap", "200"]
+    from_file, from_family = tmp_path / "file.csv", tmp_path / "family.csv"
+    assert cli.main(walk + ["--tree", g10, "--out", str(from_file)]) == 0
+    assert cli.main(walk + ["--family", "three-one", "--out", str(from_family)]) == 0
+    rows = [row.split(",") for row in from_file.read_text().splitlines()[1:]]
+    assert max(int(r[3]) for r in rows) == 3
+    assert from_file.read_bytes() == from_family.read_bytes()
+
+    g1 = str(tmp_path / "g1.txt")
+    assert cli.main(["generate", "--family", "seq", "--depth", "1", "--out", g1]) == 0
+    capsys.readouterr()
+    assert cli.main(walk + ["--tree", g1, "--out", str(tmp_path / "shallow.csv")]) == 1
+    assert capsys.readouterr().err == "error: tree must reach depth N=3\n"
+    assert not (tmp_path / "shallow.csv").exists()
+
+
 @pytest.mark.parametrize("text", [
     pytest.param("0 - 0\n1 1 1\n", id="parent-not-below-id"),
     pytest.param("0 - 0\n1 0\n", id="two-tokens"),
@@ -230,3 +252,96 @@ def test_malformed_tree_file_exits_1(text, tmp_path):
     assert r.stderr.startswith("error:"), r.stderr
     assert "Traceback" not in r.stderr
     assert not (tmp_path / "x.csv").exists()
+
+
+# -- the CLI contract: any argv exits 0 with outputs, 2 from argparse, or 1 ----
+
+# (values an option's parser accepts, values it should reject): sizes stay
+# tiny, rates and thresholds range over every finite float
+SIZE = (st.sampled_from(["1", "2", "3"]), st.sampled_from(["0", "-2", "2.5", "nan", "inf", "x"]))
+DEPTHS = (st.sampled_from(["1", "1,2", "2,3", "1,2,3", "3"]),
+          st.sampled_from(["3,2", "0,1", "-1", "nan", "1,inf", ""]))
+GRID = (st.sampled_from(["0.5", "0.2,0.8", "0.1:0.9:0.4", "0.3:0.3:0.1"]),
+        st.sampled_from(["0", "1", "-0.5", "nan", "inf", "0.5:0.1:0.1", "1e308", "a"]))
+NUMBER = (st.one_of(st.floats(0, 1), st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([0, -1, 150, 1e-300, 1e308])),
+          st.sampled_from(["nan", "inf", "-inf", "x"]))
+RATE = (st.floats(0, 1, exclude_min=True, exclude_max=True),
+        st.sampled_from(["0", "1", "-1", "150", "1e308", "nan", "inf"]))
+INTEGER = (st.one_of(st.integers(), st.just(10 ** 400)), st.sampled_from(["nan", "1.5", "x"]))
+SOURCE = (st.sampled_from([["--family", f] for f in ("seq", "three-one", "binary", "path")]
+                          + [["--family", "marks", "--marks-file", "marks.txt"],
+                             ["--tree", "t.txt"]]),
+          st.just(["--tree", "missing.txt"]))
+
+
+@st.composite
+def cli_argv(draw) -> list[str]:
+    """One argv of any subcommand.  In half the draws every option takes a
+    value its parser accepts; in the other half any option may not."""
+    strict = draw(st.booleans())
+
+    def value(kind):
+        valid, invalid = kind
+        return draw(valid if strict else st.one_of(valid, invalid))
+
+    def opt(name, kind):
+        return [name, str(value(kind))]
+
+    sub = draw(st.sampled_from(["generate", "estimate-ibn", "walk", "rwrc", "percolate",
+                                "firefight", "nathanson", "grig", "report"]))
+    if sub == "report":
+        return ["report", draw(st.sampled_from([".", "missing"])),
+                *draw(st.sampled_from([[], ["--out", "o.csv"]]))]
+    seed = opt("--seed", INTEGER)
+    if sub == "nathanson":
+        return ["nathanson", *opt("--depth", SIZE), "--emit-tree", "o.txt",
+                "--emit-stats", "o.csv", *seed]
+    if sub == "grig":
+        return ["grig", *opt("--search", SIZE), *opt("--beam", SIZE), "--emit-marks", "o.txt",
+                *seed]
+    options = {
+        "generate": lambda: opt("--depth", SIZE),
+        "estimate-ibn": lambda: [*opt("--grid", GRID), *opt("--schedule", DEPTHS),
+                                 *opt("--eps-stop", NUMBER), *opt("--c-stay", NUMBER)],
+        "walk": lambda: [*opt("--lambda", NUMBER), *opt("--depth", SIZE),
+                         *opt("--trials", SIZE), *opt("--cap", SIZE)],
+        "rwrc": lambda: [*opt("--lambda", RATE), *opt("--gamma-grid", GRID),
+                         *opt("--schedule", DEPTHS)],
+        "percolate": lambda: [*opt(*draw(st.sampled_from([("--lambda", RATE),
+                                                           ("--grid", GRID)]))),
+                              *opt("--depths", DEPTHS), *opt("--mc", SIZE)],
+        "firefight": lambda: [*opt("--k", INTEGER), *opt("--K", NUMBER),
+                              *opt("--gamma-grid", GRID), *opt("--schedule", DEPTHS),
+                              *opt("--horizon", INTEGER)],
+    }[sub]()
+    return [sub, *value(SOURCE), *options, *seed, "--out", "o.csv"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=cli_argv())
+def test_cli_contract(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "t.txt").write_text(generators.sequence_family().build(3).to_text())
+        (Path(tmp) / "marks.txt").write_text("1\n0\n1\n")
+        outputs = [Path(tmp, argv[i + 1]) for i, a in enumerate(argv)
+                   if a in ("--out", "--emit-tree", "--emit-stats", "--emit-marks")]
+        err = io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+            assert rc == 2 and "error:" in err.getvalue(), err.getvalue()
+        finally:
+            os.chdir(cwd)
+        if rc == 1:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        else:
+            assert rc in (0, 2)
+        for path in outputs:
+            assert path.exists() == (rc == 0), path
+            assert Path(f"{path}.manifest.json").exists() == (rc == 0), path

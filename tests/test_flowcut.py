@@ -16,7 +16,7 @@ from ibntrees.trees import Tree, check_flow
 def test_min_cut_path_closed_form():
     t = gen.spherically_symmetric(lambda n: 1, 9)
     for lam in (0.3, 0.6, 0.9):
-        res = fc.min_cut(t, fc.DepthWeights.ibn(lam), 9)
+        res = fc.min_cut(t, fc.ibn_log_weights(t, lam), 9)
         assert math.isclose(res.value, math.exp(-9.0 ** lam), rel_tol=1e-12)
         assert res.cut == (9,)
 
@@ -25,7 +25,7 @@ def test_min_cut_matches_exhaustive_enumeration():
     for seed in range(30):
         t = random_tree(seed, 5)
         lam = 0.3 + 0.5 * (seed / 30)
-        res = fc.min_cut(t, fc.DepthWeights.ibn(lam), 5)
+        res = fc.min_cut(t, fc.ibn_log_weights(t, lam), 5)
         best = min(cutset_weight(t, c, lam) for c in all_cutsets(t, 5))
         assert math.isclose(res.value, best, rel_tol=1e-12)
         assert t.is_cutset(res.cut, 5)
@@ -35,7 +35,7 @@ def test_min_cut_symmetric_reduction():
     lv = np.log2(np.asarray([float(x) for x in gen.sequence_level_sizes(14)]))
     t = gen.spherically_symmetric(gen.sequence_degree, 14)
     for lam in (0.2, 0.5, 0.8):
-        g = fc.min_cut(t, fc.DepthWeights.ibn(lam), 14).log_value
+        g = fc.min_cut(t, fc.ibn_log_weights(t, lam), 14).log_value
         s, level = fc.min_cut_symmetric(lv, lam, 14)
         assert abs(g - s) < 1e-9
         assert 1 <= level <= 14
@@ -43,9 +43,9 @@ def test_min_cut_symmetric_reduction():
 
 def test_min_cut_monotone_in_depth_and_lambda():
     t = random_tree(77, 6)
-    vals_n = [fc.min_cut(t, fc.DepthWeights.ibn(0.5), N).log_value for N in range(2, 7)]
+    vals_n = [fc.min_cut(t, fc.ibn_log_weights(t, 0.5), N).log_value for N in range(2, 7)]
     assert all(b <= a + 1e-12 for a, b in zip(vals_n, vals_n[1:]))
-    vals_l = [fc.min_cut(t, fc.DepthWeights.ibn(lam), 6).log_value
+    vals_l = [fc.min_cut(t, fc.ibn_log_weights(t, lam), 6).log_value
               for lam in (0.2, 0.4, 0.6, 0.8)]
     assert all(b <= a + 1e-12 for a, b in zip(vals_l, vals_l[1:]))
 
@@ -61,7 +61,7 @@ def test_max_flow_duality_and_admissibility():
     for seed in (1, 4, 9):
         t = random_tree(seed, 5)
         lam = 0.45
-        w = fc.DepthWeights.ibn(lam)
+        w = fc.ibn_log_weights(t, lam)
         res = fc.min_cut(t, w, 5)
         theta = fc.max_flow(t, w, 5)
         strength = float(theta[t.children(0)].sum())
@@ -75,14 +75,14 @@ def test_max_flow_duality_and_admissibility():
 
 def test_max_flow_path_constant():
     t = gen.spherically_symmetric(lambda n: 1, 7)
-    theta = fc.max_flow(t, fc.DepthWeights.ibn(0.5), 7)
+    theta = fc.max_flow(t, fc.ibn_log_weights(t, 0.5), 7)
     assert np.allclose(theta[1:], math.exp(-7.0 ** 0.5), rtol=1e-12)
 
 
 def test_min_cut_binary_duality_deeper():
     t = gen.spherically_symmetric(lambda n: 2, 6)
-    res = fc.min_cut(t, fc.DepthWeights.ibn(0.5), 6)
-    theta = fc.max_flow(t, fc.DepthWeights.ibn(0.5), 6)
+    res = fc.min_cut(t, fc.ibn_log_weights(t, 0.5), 6)
+    theta = fc.max_flow(t, fc.ibn_log_weights(t, 0.5), 6)
     assert abs(theta[t.children(0)].sum() - res.value) <= 1e-12
 
 
@@ -172,7 +172,7 @@ def test_three_one_dp_matches_materialized():
         N = gen.triangular(m)
         t = gen.three_one_stretched(N)
         for lam in (0.2, 0.4, 0.6, 0.8):
-            g = fc.min_cut(t, fc.DepthWeights.ibn(lam), N, want_cut=False).log_value
+            g = fc.min_cut(t, fc.ibn_log_weights(t, lam), N, want_cut=False).log_value
             dp = fc.three_one_log_min_cut((lam,), (m,))[0, 0]
             assert abs(g - dp) < 1e-9, (m, lam)
 
@@ -288,7 +288,7 @@ def test_sweeps_on_levels_out_of_id_order():
                 assert t.is_cutset(edges, N) == all(h == 1 for h in on_paths)
 
         for lam in (0.3, 0.6, 0.9):
-            w = fc.DepthWeights.ibn(lam)
+            w = fc.ibn_log_weights(t, lam)
             res = fc.min_cut(t, w, N)
             best = min(cutset_weight(t, c, lam) for c in all_cutsets(t, N))
             assert math.isclose(res.value, best, rel_tol=1e-12)
@@ -329,12 +329,11 @@ def test_sweeps_on_levels_out_of_id_order():
                 reach[v] = reach[par[v]] * p[v]
             C = 1.0 / resistance([0.0] + [reach[v] / (1.0 - p[v]) for v in range(1, n)])
             assert math.isclose(pc.conductance_bound(t, law, N), C / (1.0 + C), rel_tol=1e-12)
-            assert np.isnan(pc.percolation_conductances(t, law, N).log_c[below]).all()
+            assert np.isnan(pc.percolation_conductances(t, law, N)[below]).all()
 
             # a field that closes the edges into 2, 5 and 8 (factor 1.5)
             log_c = np.concatenate(([np.nan], -np.power(d[1:].astype(float), lam)
                                     * np.array([0.5, 0.8, 1.5])[np.arange(1, n) % 3]))
-            field = wk.ConductanceField(t, log_c, lam)
             S, psi, Psi = [0.0] * n, [1.0] * n, [1.0] * n
             is_open = [False] * n
             for v in inside:
@@ -342,9 +341,9 @@ def test_sweeps_on_levels_out_of_id_order():
                 psi[v] = S[par[v]] / S[v] if d[v] > 1 else 1.0
                 Psi[v] = Psi[par[v]] * psi[v]
                 is_open[v] = d[v] == 1 or (is_open[par[v]] and -log_c[v] <= float(d[v]) ** lam)
-            got = wk.psi_field(t, field, N)
+            got = wk.psi_field(t, log_c, N)
             for logs, ref in ((got.log_S, S), (got.log_psi, psi), (got.log_Psi, Psi)):
                 assert np.allclose(np.exp(logs[inside]), [ref[v] for v in inside],
                                    rtol=1e-12, atol=0)
                 assert np.isnan(logs[0]) and np.isnan(logs[below]).all()
-            assert wk.coupled_percolation(t, field, lam, N)[0].tolist() == is_open
+            assert wk.coupled_percolation(t, log_c, lam, N)[0].tolist() == is_open

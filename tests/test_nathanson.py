@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ibntrees import nathanson as na
-from ibntrees.flowcut import DepthSchedule, DepthWeights, ibn_estimate, min_cut
+from ibntrees.flowcut import DepthSchedule, ibn_estimate, ibn_log_weights, min_cut
 from ibntrees.trees import check_flow
 
 
@@ -172,7 +172,7 @@ def test_prime_flow_is_max_flow_witness():
     # the flow pushes min-cut style mass, so the cut value dominates it
     lt = na.lex_tree(16)
     theta = na.prime_flow(lt, 0.25)
-    res = min_cut(lt.tree, DepthWeights.ibn(0.4), 16, want_cut=False)
+    res = min_cut(lt.tree, ibn_log_weights(lt.tree, 0.4), 16, want_cut=False)
     assert 0.25 <= res.value + 1e-12 or res.value >= 0.25  # cut >= strength
 
 

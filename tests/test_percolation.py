@@ -138,14 +138,14 @@ def test_conductance_bound_symmetric_matches_generic():
     t = fam.build(20)
     for lam in (0.3, 0.6):
         a = pc.conductance_bound(t, pc.PercolationLaw(lam), 20)
-        b = pc.conductance_bound_symmetric(fam, lam, 20)
+        b = pc.conductance_bound_symmetric(fam.level_log2_sizes(20), lam, 20)
         assert math.isclose(a, b, rel_tol=1e-9)
 
 
 def test_conductance_bound_sequence_floor():
     fam = gen.sequence_family()
     for N in (16, 64, 256, 512):
-        assert pc.conductance_bound_symmetric(fam, 0.3, N) >= 1e-6
+        assert pc.conductance_bound_symmetric(fam.level_log2_sizes(N), 0.3, N) >= 1e-6
 
 
 def test_law_validation():

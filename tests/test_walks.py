@@ -20,7 +20,7 @@ def test_effective_conductance_path_closed_form():
 
 def test_effective_conductance_unit_binary():
     t = gen.spherically_symmetric(lambda n: 2, 3)
-    cf = walks.ConductanceField(t, np.zeros(t.n_vertices), 0.0, None)
+    cf = np.zeros(t.n_vertices)
     assert math.isclose(walks.effective_conductance(t, cf, 3), 8.0 / 7.0, rel_tol=1e-12)
 
 
@@ -58,9 +58,9 @@ def test_effective_conductance_monotone_under_edge_decrease():
     t = random_tree(5, 4)
     cf = walks.deterministic_conductances(t, 0.4)
     base = walks.effective_conductance(t, cf, 4)
-    weakened = cf.log_c.copy()
+    weakened = cf.copy()
     weakened[1] -= 0.7
-    lower = walks.effective_conductance(t, walks.ConductanceField(t, weakened, 0.4, None), 4)
+    lower = walks.effective_conductance(t, weakened, 4)
     assert lower <= base + 1e-15
 
 
@@ -96,8 +96,8 @@ def test_single_edge_walk_returns_at_step_two():
     t = Tree([-1, 0], [0, 1])
     cf = walks.deterministic_conductances(t, 0.5)
     for trial in range(20):
-        r = walks.simulate_walk(t, cf, 100, seed=1, trial=trial)
-        assert r == walks.WalkResult(True, 2, 1)
+        r = walks.simulate_walk(t, cf, 1, 100, seed=1, trial=trial)
+        assert r == (True, 2, 1)
 
 
 def test_binary_walk_escapes():
@@ -125,7 +125,7 @@ def test_depth_walk_matches_tree_walk():
     fam = gen.sequence_family()
     t = fam.build(8)
     cf = walks.deterministic_conductances(t, 0.5)
-    f_tree = np.mean([walks.simulate_walk(t, cf, 200, seed=11, trial=k).returned
+    f_tree = np.mean([walks.simulate_walk(t, cf, 8, 200, seed=11, trial=k)[0]
                       for k in range(2000)])
     ret, _, _ = walks.depth_walk_batch(fam.degree, 0.5, 8, 2000, 200, seed=12)
     se = math.sqrt(0.25 / 2000)
@@ -142,7 +142,7 @@ def test_sequence_walk_escapes_below_branching_number():
 
 def test_psi_field_constant_path():
     t = gen.spherically_symmetric(lambda n: 1, 10)
-    cf = walks.ConductanceField(t, np.zeros(t.n_vertices), 0.0, None)
+    cf = np.zeros(t.n_vertices)
     pf = walks.psi_field(t, cf, 10)
     for v in range(1, 11):
         assert math.isclose(math.exp(pf.log_Psi[v]), 1.0 / t.depth(v), rel_tol=1e-12)
@@ -178,7 +178,7 @@ def test_psi_gamblers_ruin_mc():
     cf = walks.sample_conductances(t, 0.4, seed=21)
     pf = walks.psi_field(t, cf, 4)
     p_up = np.zeros(5)
-    c = np.exp(cf.log_c)
+    c = np.exp(cf)
     for n in range(1, 4):
         p_up[n] = c[n] / (c[n] + c[n + 1])
     gen_rng = rng.stream_rng(99, rng.WALK_STREAM)
