@@ -14,8 +14,8 @@ __version__ = "0.1.0"
 
 from .trees import Tree, FlowCheck, check_flow
 from .generators import (MemoryCapError, TreeFamily, binary_family,
-                         family_by_name, from_branch_marks, marks_family,
-                         path_family, sequence_degree, sequence_family,
+                         family_by_name, marks_family, path_family,
+                         sequence_degrees, sequence_family,
                          sequence_level_sizes, spherically_symmetric,
                          three_one_family, three_one_stretched)
 from .flowcut import (BracketResult, DepthSchedule, IgrEstimate, MinCut,

@@ -477,6 +477,10 @@ def main(argv=None) -> int:
         parser.error("--family marks needs --marks-file")
     if "eps_stop" in args and not 0 < args["eps_stop"] < args["c_stay"]:
         parser.error("need 0 < --eps-stop < --c-stay")
+    if "k" in args:
+        deepest = _parse_depths(args["schedule"])[-1]
+        if args["k"] >= deepest - 1:  # a cut needs a depth N > k + 1, else no game is played
+            parser.error(f"--k must be below the deepest --schedule depth minus 1 ({deepest - 1})")
     sub = args.pop("subcommand")
     options = {k: v for k, v in args.items() if v is not None}
     return run(ExperimentConfig(sub, options))

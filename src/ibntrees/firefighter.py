@@ -12,6 +12,7 @@ uncontained one 'below', in the same BracketResult as every estimator.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -20,6 +21,9 @@ import numpy as np
 from .flowcut import BracketResult, DepthSchedule, ibn_log_weights, min_cut, min_cut_symmetric
 from .generators import TreeFamily, route, truncation
 from .trees import Tree
+
+LOG_MAXSIZE = math.log(sys.maxsize)
+MAX_EXP = math.log(sys.float_info.max)  # math.exp overflows above this
 
 
 @dataclass(frozen=True)
@@ -36,10 +40,20 @@ class BudgetSchedule:
 
     @staticmethod
     def exponential(K: float, gamma: float) -> "BudgetSchedule":
-        """g_n = floor(K * exp(n**gamma))."""
+        """g_n = floor(K * exp(n**gamma)), capped at sys.maxsize: a budget
+        is only ever compared with a vertex count."""
         if K <= 0 or not 0 < gamma < 1:
             raise ValueError("need K > 0 and gamma in (0, 1)")
-        return BudgetSchedule(lambda n: int(K * math.exp(n ** gamma)))
+
+        def rule(n: int) -> int:
+            x = n ** gamma
+            if math.log(K) + x >= LOG_MAXSIZE:
+                return sys.maxsize
+            if x > MAX_EXP:  # exp(x) overflows; only reached for K < exp(-665)
+                return int(math.exp(math.log(K) + x))
+            return min(int(K * math.exp(x)), sys.maxsize)
+
+        return BudgetSchedule(rule)
 
 
 @dataclass(frozen=True)

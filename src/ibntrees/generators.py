@@ -1,14 +1,16 @@
 """Constructions of the example trees as depth-N truncations.
 
 All generators return finite truncations; asymptotic quantities are always
-taken along a schedule of increasing depths.  Spherically symmetric trees
-are described by a degree sequence (every depth-n vertex has degree(n)
-children).  Lexicographic minimal spanning trees of semigroups are
+taken along a schedule of increasing depths.  A spherically symmetric tree
+is its degree array: degrees[n] children below every depth-n vertex, for
+n = 0..N-1, and log2 of its level sizes is the cumulative sum of
+log2(degrees).  Lexicographic minimal spanning trees of semigroups are
 sub-periodic -- each subtree embeds into the tree near the root -- which
 is why they appear among the examples, but sub-periodicity itself is never
 computed here.
 
-Families bundle a generator with the cheap level-size arithmetic that the
+A family is a name plus its degree array (None for the stretched 3-1 tree);
+it builds truncations and gives the cheap level-size arithmetic that the
 estimators use when a truncation is too large to materialize.  route() and
 truncation() are the one place that decides how a source -- an explicit
 Tree or a family -- is evaluated.
@@ -33,62 +35,53 @@ class MemoryCapError(RuntimeError):
     """Raised when a requested truncation would exceed the vertex cap."""
 
 
-def sequence_degree(n: int) -> int:
-    """The 1,2,1,1,2,1,1,1,2,... rule: 2 exactly at n = k + k(k+1)/2, k >= 1.
+def sequence_degrees(N: int) -> np.ndarray:
+    """Child counts at depths 0..N-1 of the sequence tree: 1,1,2,1,1,2,1,1,1,2,...
 
-    Runs of 1s between consecutive 2s grow by one each time.  Depth 0 (the
-    root) has a single child.
+    2 exactly at n = k + k(k+1)/2, k >= 1, so the runs of 1s between
+    consecutive 2s grow by one each time.
     """
-    if n == 0:
-        return 1
-    # n = k(k+3)/2 for integer k >= 1  <=>  k = (sqrt(8n+9) - 3)/2 is integral
-    k = (math.isqrt(8 * n + 9) - 3) // 2
-    for kk in (k, k + 1):
-        if kk >= 1 and kk * (kk + 3) == 2 * n:
-            return 2
-    return 1
+    out = np.ones(N, dtype=np.int64)
+    k = np.arange(1, math.isqrt(2 * N) + 2)
+    at = k * (k + 3) // 2
+    out[at[at < N]] = 2
+    return out
 
 
 def sequence_level_sizes(N: int) -> list[int]:
     """Exact #E_n for n = 0..N of the sequence tree (arbitrary precision)."""
     sizes = [1]
-    for n in range(N):
-        sizes.append(sizes[-1] * sequence_degree(n))
+    for d in sequence_degrees(N).tolist():
+        sizes.append(sizes[-1] * d)
     return sizes
 
 
-def spherically_symmetric(degree: Callable[[int], int], N: int,
+def spherically_symmetric(degrees: np.ndarray, N: int,
                           max_vertices: int = DEFAULT_VERTEX_CAP) -> Tree:
-    """Tree where every depth-n vertex has degree(n) children, to depth N."""
+    """Tree where every depth-n vertex has degrees[n] children, to depth N."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    degrees, total, width = [], 1, 1
-    for n in range(N):
-        d = int(degree(n))
-        if d < 1:
-            raise ValueError(f"degree {d} < 1 at depth {n}")
-        width *= d
-        total += width
-        if total > max_vertices:
-            raise MemoryCapError(
-                f"truncation needs ~{total} vertices at depth {n + 1} (cap {max_vertices})")
-        degrees.append(d)
+    if len(degrees) < N:
+        raise ValueError(f"need degrees for depths 0..{N - 1}, got {len(degrees)}")
+    degrees = np.asarray(degrees[:N], dtype=np.int64)
+    if (degrees < 1).any():
+        n = int(np.argmax(degrees < 1))
+        raise ValueError(f"degree {degrees[n]} < 1 at depth {n}")
+    # float widths are exact integers up to the first total above the cap
+    total = 1.0 + np.cumsum(np.cumprod(degrees.astype(float)))
+    if total[-1] > max_vertices:
+        n = int(np.argmax(total > max_vertices))
+        raise MemoryCapError(
+            f"truncation needs ~{int(total[n])} vertices at depth {n + 1} (cap {max_vertices})")
     # ids run level by level; the i-th vertex of level k hangs below the
-    # (i // degree(k-1))-th vertex of level k-1
-    widths = np.cumprod([1] + degrees)
+    # (i // degrees[k-1])-th vertex of level k-1
+    widths = np.cumprod(np.concatenate(([1], degrees)))
     first = np.concatenate(([0], np.cumsum(widths)))
     depth = np.repeat(np.arange(N + 1), widths)
     k = depth[1:]
-    offset = np.arange(1, total) - first[k]
-    parent = first[k - 1] + offset // np.asarray(degrees, dtype=np.int64)[k - 1]
+    offset = np.arange(1, int(total[-1])) - first[k]
+    parent = first[k - 1] + offset // degrees[k - 1]
     return Tree(np.concatenate(([-1], parent)), depth)
-
-
-def from_branch_marks(marks: Sequence[bool], N: int) -> Tree:
-    """Spherically symmetric tree: depth-n vertices have 2 children iff marks[n]."""
-    if len(marks) < N:
-        raise ValueError("marks must be defined up to depth N")
-    return spherically_symmetric(lambda n: 2 if marks[n] else 1, N)
 
 
 # -- the stretched 3-1 tree ---------------------------------------------
@@ -145,81 +138,64 @@ def three_one_stretched(N: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Tree:
 
 
 def three_one_level_log2_sizes(N: int) -> np.ndarray:
-    """log2 #E_d for d = 0..N of the stretched 3-1 tree: 2**j on the paths
-    into base level j."""
-    out = np.zeros(N + 1)
-    for d in range(1, N + 1):
-        out[d] = base_level_at_depth(d)
-    return out
+    """log2 #E_d for d = 0..N of the stretched 3-1 tree: 2**j on the j
+    depths of the paths into base level j."""
+    j = np.arange(1, base_level_at_depth(N) + 1)
+    return np.concatenate(([0.0], np.repeat(j, j)[:N].astype(float)))
 
 
 # -- tree families ---------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class TreeFamily:
     """A named tree construction plus its cheap level-size arithmetic.
 
-    degree is set for spherically symmetric families and enables the exact
-    level-recursion engines; families without it must be materialized.
+    degrees(N) gives the child counts at depths 0..N-1 of a spherically
+    symmetric family, which is all of it; degrees is None only for the
+    stretched 3-1 tree.
     """
 
     name: str
-    builder: Callable[[int], Tree]
-    log2_levels: Callable[[int], np.ndarray]
-    degree: Callable[[int], int] | None = None
+    degrees: Callable[[int], np.ndarray] | None = None
 
     def build(self, N: int) -> Tree:
-        return self.builder(N)
+        if self.degrees is None:
+            return three_one_stretched(N)
+        return spherically_symmetric(self.degrees(N), N)
 
     def level_log2_sizes(self, N: int) -> np.ndarray:
         """log2 #E_n for n = 0..N."""
-        return self.log2_levels(N)
-
-
-def _symmetric_log2_levels(degree: Callable[[int], int], N: int) -> np.ndarray:
-    out = np.zeros(N + 1)
-    for n in range(1, N + 1):
-        out[n] = out[n - 1] + math.log2(degree(n - 1))
-    return out
-
-
-def symmetric_family(name: str, degree: Callable[[int], int]) -> TreeFamily:
-    return TreeFamily(
-        name=name,
-        builder=lambda N: spherically_symmetric(degree, N),
-        log2_levels=lambda N: _symmetric_log2_levels(degree, N),
-        degree=degree,
-    )
+        if self.degrees is None:
+            return three_one_level_log2_sizes(N)
+        return np.concatenate(([0.0], np.cumsum(np.log2(self.degrees(N)))))
 
 
 def sequence_family() -> TreeFamily:
-    return symmetric_family("seq", sequence_degree)
+    return TreeFamily("seq", sequence_degrees)
 
 
 def binary_family() -> TreeFamily:
-    return symmetric_family("binary", lambda n: 2)
+    return TreeFamily("binary", lambda N: np.full(N, 2, dtype=np.int64))
 
 
 def path_family() -> TreeFamily:
-    return symmetric_family("path", lambda n: 1)
+    return TreeFamily("path", lambda N: np.ones(N, dtype=np.int64))
 
 
 def marks_family(marks: Sequence[bool], name: str = "marks") -> TreeFamily:
-    marks = list(marks)
+    """Depth-n vertices have 2 children iff marks[n]; 1 past the marks."""
+    marks = np.asarray(marks, dtype=bool)
 
-    def degree(n: int) -> int:
-        return 2 if n < len(marks) and marks[n] else 1
+    def degrees(N: int) -> np.ndarray:
+        out = np.ones(N, dtype=np.int64)
+        out[:len(marks)] += marks[:N]
+        return out
 
-    return symmetric_family(name, degree)
+    return TreeFamily(name, degrees)
 
 
 def three_one_family() -> TreeFamily:
-    return TreeFamily(
-        name="three-one",
-        builder=three_one_stretched,
-        log2_levels=three_one_level_log2_sizes,
-        degree=None,
-    )
+    return TreeFamily("three-one")
 
 
 def family_by_name(name: str, marks: Sequence[bool] | None = None) -> TreeFamily:
@@ -243,19 +219,14 @@ def family_by_name(name: str, marks: Sequence[bool] | None = None) -> TreeFamily
 def route(source: TreeFamily | Tree) -> str:
     """How the estimators evaluate a source.
 
-    "symmetric": a family with a degree rule, evaluated from level sizes;
-    "three-one": the stretched 3-1 family, whose min-cut has a structured
-    DP (its other quantities still sweep materialized truncations);
-    "tree": an explicit Tree, or any other family, swept level by level on
-    truncation(source, N).
+    "symmetric": a family with a degree array, evaluated from its degrees
+    and level sizes; "three-one": the stretched 3-1 family, whose min-cut
+    has a structured DP (its other quantities still sweep materialized
+    truncations); "tree": an explicit Tree, swept level by level.
     """
     if isinstance(source, Tree):
         return "tree"
-    if source.degree is not None:
-        return "symmetric"
-    if source.name == "three-one":
-        return "three-one"
-    return "tree"
+    return "symmetric" if source.degrees is not None else "three-one"
 
 
 def truncation(source: TreeFamily | Tree, N: int) -> Tree:

@@ -347,22 +347,13 @@ class BranchMarks:
         return m + np.arange(1, len(m) + 1)
 
     def tree_marks(self, N: int) -> np.ndarray:
-        """Depth-indexed branching flags for from_branch_marks: depth d
+        """Depth-indexed branching flags for marks_family: depth d
         splits in two iff distance d+1 carries a lamp choice."""
         stars = self.star_positions()
         out = np.zeros(N, dtype=bool)
         inside = stars[stars <= N]
         out[inside - 1] = True
         return out
-
-    def level_log2_sizes(self, N: int) -> np.ndarray:
-        """log2 #E_n of the embedded tree: the number of lamp choices
-        within distance n."""
-        stars = self.star_positions()
-        counts = np.zeros(N + 1)
-        idx = stars[stars <= N]
-        counts[idx] = 1.0
-        return np.cumsum(counts)
 
     def max_tree_depth(self) -> int:
         """Deepest level the finite word supports: L + sizes[L]."""

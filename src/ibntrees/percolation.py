@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -76,15 +76,13 @@ def exact_survival(tree: Tree, law: PercolationLaw, N: int) -> float:
     return float(tree.sweep_up(s, N, fold)[0])
 
 
-def survival_symmetric(degree: Callable[[int], int], law: PercolationLaw, N: int) -> float:
-    """exact_survival on a spherically symmetric tree from its degree rule."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
+def survival_symmetric(degrees: np.ndarray, law: PercolationLaw, N: int) -> float:
+    """exact_survival on a spherically symmetric tree from its degree array."""
+    if N < 1 or len(degrees) < N:
+        raise ValueError(f"need N >= 1 and degrees for depths 0..N-1 (N={N})")
     p_at = law.p(np.arange(1, N + 1)).tolist()  # p_at[n - 1] opens edges at depth n
     s = 1.0
-    for n in range(N, 0, -1):
-        p = p_at[n - 1]
-        d = degree(n - 1)
+    for p, d in zip(reversed(p_at), reversed(np.asarray(degrees[:N]).tolist())):
         ps = min(p * s, 1.0)
         s = -math.expm1(d * math.log1p(-ps)) if ps < 1.0 else 1.0
     return s
@@ -122,50 +120,60 @@ def mc_survival(tree: Tree, law: PercolationLaw, N: int, trials: int,
     return est, stderr
 
 
+def _exact_survivals(source: TreeFamily | Tree, grid: Sequence[float], depths: Sequence[int]):
+    """Per depth N, (N, truncation, {lam: exact survival}) by the route
+    generators.route picks: a symmetric family runs survival_symmetric on
+    prefixes of one degree array for the deepest N and yields no truncation
+    (None); any other source is swept on each truncation, built once per
+    depth."""
+    symmetric = route(source) == "symmetric"
+    if symmetric:
+        degrees = source.degrees(max(depths))
+    for N in depths:
+        tree = None if symmetric else truncation(source, N)
+        yield N, tree, {lam: survival_symmetric(degrees, PercolationLaw(lam), N) if symmetric
+                        else exact_survival(tree, PercolationLaw(lam), N) for lam in grid}
+
+
 def survival_table(source: TreeFamily | Tree, grid: Sequence[float], depths: Sequence[int],
                    mc_trials: int = 0, seed: int = 0) -> dict[tuple[float, int], tuple]:
     """(exact survival, Monte Carlo estimate, its standard error, conductance
     bound) for every (lam, N) of grid x depths; nan for the Monte Carlo pair
     when mc_trials is 0.
 
-    The route follows generators.route: a symmetric family runs
-    survival_symmetric and conductance_bound_symmetric on prefixes of one
-    degree list and one level-size table for the deepest N; any other source
-    is swept on each truncation, built once per depth (Monte Carlo always
-    needs the truncation).
+    A symmetric family takes its bounds from one level-size table for the
+    deepest N (conductance_bound_symmetric) and builds a truncation only for
+    Monte Carlo; any other source is swept on the truncation its exact
+    survival used.
     """
     symmetric = route(source) == "symmetric"
     if symmetric:
-        top = max(depths)
-        degrees = [source.degree(n) for n in range(top)]
-        log2_levels = source.level_log2_sizes(top)
+        log2_levels = source.level_log2_sizes(max(depths))
     table = {}
-    for N in depths:
-        tree = None if symmetric and not mc_trials else truncation(source, N)
+    for N, tree, exact in _exact_survivals(source, grid, depths):
+        if tree is None and mc_trials:
+            tree = truncation(source, N)
         for lam in grid:
             law = PercolationLaw(lam)
-            if symmetric:
-                exact = survival_symmetric(degrees.__getitem__, law, N)
-                bound = conductance_bound_symmetric(log2_levels[:N + 1], lam, N)
-            else:
-                exact = exact_survival(tree, law, N)
-                bound = conductance_bound(tree, law, N)
+            bound = (conductance_bound_symmetric(log2_levels, lam, N) if symmetric
+                     else conductance_bound(tree, law, N))
             mc = mc_survival(tree, law, N, mc_trials, seed) if mc_trials else (math.nan,) * 2
-            table[lam, N] = (exact, *mc, bound)
+            table[lam, N] = (exact[lam], *mc, bound)
     return table
 
 
 def theta_estimate(source: TreeFamily | Tree, schedule: DepthSchedule,
                    grid: Sequence[float]) -> BracketResult:
     """Bracket the percolation threshold by classifying the exact survival
-    trajectories of survival_table over the schedule (supercritical side =
-    'below')."""
+    trajectories over the schedule (supercritical side = 'below')."""
     grid = tuple(sorted(grid))
     if any(not 0 < g < 1 for g in grid):
         raise ValueError("grid must lie inside (0, 1)")
-    table = survival_table(source, grid, schedule.depths)
-    return theta_from_survival(schedule, {lam: [table[lam, N][0] for N in schedule.depths]
-                                          for lam in grid})
+    survival = {lam: [] for lam in grid}
+    for _, _, exact in _exact_survivals(source, grid, schedule.depths):
+        for lam in grid:
+            survival[lam].append(exact[lam])
+    return theta_from_survival(schedule, survival)
 
 
 def theta_from_survival(schedule: DepthSchedule,
@@ -202,13 +210,9 @@ def conductance_bound(tree: Tree, law: PercolationLaw, N: int) -> float:
 def conductance_bound_symmetric(log2_levels: Sequence[float], lam: float, N: int) -> float:
     """conductance_bound of a spherically symmetric truncation from its
     level sizes, via the level-shorting identity (log-space safe)."""
-    law = PercolationLaw(lam)
-
-    def log_c_at(n: np.ndarray) -> np.ndarray:
-        logp = law.log_p(n)
-        with np.errstate(divide="ignore"):
-            return np.cumsum(logp) - np.log(-np.expm1(logp))
-
-    log_R = -walks.log_effective_conductance_symmetric(log2_levels, log_c_at, N)
+    logp = PercolationLaw(lam).log_p(np.arange(1, N + 1))
+    with np.errstate(divide="ignore"):
+        log_c = np.cumsum(logp) - np.log(-np.expm1(logp))
+    log_R = -walks.log_effective_conductance_symmetric(log2_levels, log_c)
     # C/(1+C) = 1/(1+R)
     return float(math.exp(-np.logaddexp(0.0, log_R)))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -87,28 +87,29 @@ def effective_conductance(tree: Tree, log_c: np.ndarray, N: int) -> float:
     return float(1.0 / R[0]) if R[0] > 0 else float("inf")
 
 
-def log_effective_conductance_symmetric(log2_levels: Sequence[float],
-                                        log_c_at: Callable[[np.ndarray], np.ndarray],
-                                        N: int) -> float:
-    """log of the effective conductance of a spherically symmetric truncation.
+def log_effective_conductance_symmetric(log2_levels: Sequence[float], log_c: np.ndarray) -> float:
+    """log of the effective conductance of a spherically symmetric truncation
+    to depth N = len(log_c), where log_c[n - 1] is the log conductance of
+    every depth-n edge.
 
     Same-depth vertices share a potential, so levels short together and
     R = sum over n of (1/c(n)) / #E_n.
     """
+    log_c = np.asarray(log_c, dtype=float)
     lv = np.asarray(log2_levels, dtype=float)
-    n = np.arange(1, N + 1, dtype=float)
-    terms = -log_c_at(n) - lv[1:N + 1] * LOG2  # log of each level resistance
+    if len(lv) < len(log_c) + 1:
+        raise ValueError("need level sizes up to depth N")
+    terms = -log_c - lv[1:len(log_c) + 1] * LOG2  # log of each level resistance
     hi = terms.max()
     log_R = hi + math.log(np.exp(terms - hi).sum())
     return -log_R
 
 
-def effective_conductance_symmetric(family: TreeFamily, lam: float, N: int) -> float:
-    if family.degree is None:
-        raise ValueError("family is not spherically symmetric")
-    logec = log_effective_conductance_symmetric(
-        family.level_log2_sizes(N), lambda n: -np.power(n, lam), N)
-    return math.exp(logec)
+def effective_conductance_symmetric(log2_levels: Sequence[float], lam: float, N: int) -> float:
+    """effective_conductance of a spherically symmetric truncation under the
+    conductances exp(-|e|**lam), from its level sizes."""
+    n = np.arange(1, N + 1, dtype=float)
+    return math.exp(log_effective_conductance_symmetric(log2_levels, -np.power(n, lam)))
 
 
 # -- walkers -----------------------------------------------------------------
@@ -147,10 +148,11 @@ def simulate_walk(tree: Tree, log_c: np.ndarray, N: int, step_cap: int,
     return False, steps, maxd
 
 
-def depth_walk_batch(degree: Callable[[int], int], lam: float, N: int,
+def depth_walk_batch(degrees: np.ndarray, lam: float, N: int,
                      trials: int, step_cap: int, seed: int,
                      stop_depth: int | None = None):
-    """Vectorized root-return experiment on a spherically symmetric tree.
+    """Vectorized root-return experiment on the depth-N truncation of a
+    spherically symmetric tree, given its degree array.
 
     The depth of the walk is itself a Markov chain (children are
     exchangeable), with P(up at depth n) = c(n) / (c(n) + d(n) c(n+1)), so
@@ -160,9 +162,11 @@ def depth_walk_batch(degree: Callable[[int], int], lam: float, N: int,
     """
     if step_cap < 1 or trials < 1:
         raise ValueError("need step_cap >= 1 and trials >= 1")
+    if len(degrees) < N:
+        raise ValueError(f"need degrees for depths 0..{N - 1}")
     n = np.arange(1, N + 1, dtype=float)
-    d = np.array([degree(k) for k in range(1, N + 1)], dtype=float)
-    d[-1] = 0.0  # frontier reflects
+    # d(n) at index n - 1; the frontier reflects
+    d = np.append(np.asarray(degrees[1:N], dtype=float), 0.0)
     # both powers overflow (inf - inf = nan) only where n**lam > 1e308,
     # which for lam <= 6 needs n > 1e51; above 6, p_up at depth 1 is
     # exactly 1.0, so no walk gets past depth 1 to read a nan
@@ -206,7 +210,7 @@ def root_walks(source: TreeFamily | Tree, lam: float, N: int, trials: int,
     chain (depth_walk_batch), any other source one simulate_walk per trial.
     """
     if route(source) == "symmetric":
-        return depth_walk_batch(source.degree, lam, N, trials, step_cap, seed)
+        return depth_walk_batch(source.degrees(N), lam, N, trials, step_cap, seed)
     tree = truncation(source, N)
     log_c = deterministic_conductances(tree, lam)
     rows = [simulate_walk(tree, log_c, N, step_cap, seed, t) for t in range(trials)]

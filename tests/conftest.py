@@ -39,6 +39,15 @@ def run_cli(args, cwd, env=None) -> subprocess.CompletedProcess:
     return proc
 
 
+def sequence_degree_oracle(n: int) -> int:
+    """The sequence tree's scalar degree rule: 2 exactly at n = k(k+3)/2,
+    k >= 1, found by an integer square root; 1 elsewhere, the root included."""
+    if n == 0:
+        return 1
+    k = (math.isqrt(8 * n + 9) - 3) // 2
+    return 2 if any(kk >= 1 and kk * (kk + 3) == 2 * n for kk in (k, k + 1)) else 1
+
+
 def random_tree(seed: int, max_depth: int, extra: int = 12, ensure_depth: bool = True) -> Tree:
     """Small random tree; optionally guaranteed to reach max_depth."""
     gen = np.random.default_rng(seed)

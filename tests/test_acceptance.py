@@ -12,7 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import all_cutsets, brute_force_fire, cutset_weight, random_tree, run_cli
+from conftest import (all_cutsets, brute_force_fire, cutset_weight, random_tree, run_cli,
+                      sequence_degree_oracle)
 from ibntrees import firefighter as ff
 from ibntrees import flowcut as fc
 from ibntrees import generators as gen
@@ -37,8 +38,8 @@ def test_criterion_1_sequence_growth():
     prod, count = 1, 0
     exact = True
     for n in range(1, 2001):
-        prod *= gen.sequence_degree(n - 1)
-        count += 1 if gen.sequence_degree(n - 1) == 2 else 0
+        prod *= sequence_degree_oracle(n - 1)
+        count += 1 if sequence_degree_oracle(n - 1) == 2 else 0
         if sizes[n] != prod or sizes[n] != 2 ** count:
             exact = False
     ball = 0
@@ -97,11 +98,11 @@ def test_criterion_4_walk_transition():
     t0 = time.time()
     fam = gen.sequence_family()
     depths = (16, 32, 64, 128, 256, 512)
-    ec7 = [walks.effective_conductance_symmetric(fam, 0.7, N) for N in depths]
-    ec3 = [walks.effective_conductance_symmetric(fam, 0.3, N) for N in depths]
+    ec7 = [walks.effective_conductance_symmetric(fam.level_log2_sizes(N), 0.7, N) for N in depths]
+    ec3 = [walks.effective_conductance_symmetric(fam.level_log2_sizes(N), 0.3, N) for N in depths]
     ec_ok = (all(b <= a for a, b in zip(ec7, ec7[1:])) and ec7[-1] < 1e-3
              and all(v > 1e-3 for v in ec3))
-    ret7, _, _ = walks.depth_walk_batch(fam.degree, 0.7, 512, 10_000, 10 ** 6, seed=0)
+    ret7, _, _ = walks.depth_walk_batch(fam.degrees(512), 0.7, 512, 10_000, 10 ** 6, seed=0)
     rec_ok = ret7.mean() >= 0.99
     dt = time.time() - t0
     assert report("criterion 4 (walk transition, recurrent side)", ec_ok and rec_ok,
@@ -116,7 +117,7 @@ def test_criterion_4_walk_transition():
     "near 0.93; the stated 0.9 bound is not attainable on this tree"))
 def test_criterion_4_transient_return_bound():
     fam = gen.sequence_family()
-    ret3, _, _ = walks.depth_walk_batch(fam.degree, 0.3, 512, 10_000, 10 ** 6, seed=0)
+    ret3, _, _ = walks.depth_walk_batch(fam.degrees(512), 0.3, 512, 10_000, 10 ** 6, seed=0)
     ok = ret3.mean() <= 0.9
     report("criterion 4 (walk transition, transient side)", ok,
            f"return freq lam=0.3 {ret3.mean():.4f} vs bound 0.9")
@@ -129,8 +130,8 @@ def test_criterion_5_percolation():
     t0 = time.time()
     fam = gen.sequence_family()
     depths = (16, 32, 64, 128, 256, 512, 1024)
-    s3 = [pc.survival_symmetric(fam.degree, pc.PercolationLaw(0.3), N) for N in depths]
-    s7 = [pc.survival_symmetric(fam.degree, pc.PercolationLaw(0.7), N) for N in depths]
+    s3 = [pc.survival_symmetric(fam.degrees(N), pc.PercolationLaw(0.3), N) for N in depths]
+    s7 = [pc.survival_symmetric(fam.degrees(N), pc.PercolationLaw(0.7), N) for N in depths]
     surv_ok = all(v >= 1e-6 for v in s3) and all(b < a for a, b in zip(s7, s7[1:]))
 
     grid = tuple(round(0.05 * k, 2) for k in range(1, 20))
@@ -155,7 +156,7 @@ def test_criterion_5_percolation():
             bound_ok = False
     for N in depths:
         if pc.conductance_bound_symmetric(fam.level_log2_sizes(N), 0.3, N) > \
-                pc.survival_symmetric(fam.degree, pc.PercolationLaw(0.3), N) + 1e-12:
+                pc.survival_symmetric(fam.degrees(N), pc.PercolationLaw(0.3), N) + 1e-12:
             bound_ok = False
 
     ok = surv_ok and overlap_ok and mc_ok and bound_ok
@@ -319,7 +320,7 @@ def test_criterion_9_grigorchuk():
     word = gg.loop_erase(gg.search_word(128, beam=64, seed=0))
     bm = gg.branch_marks(word)
     depth = min(bm.max_tree_depth(), 26)
-    tree = gen.from_branch_marks(bm.tree_marks(bm.max_tree_depth()), depth)
+    tree = gen.marks_family(bm.tree_marks(bm.max_tree_depth())).build(depth)
     lv = tree.level_sizes()
     sym_ok = all(len({len(tree.children(v)) for v in tree.level_set(n)}) == 1
                  for n in range(depth))

@@ -155,6 +155,9 @@ def test_report_empty_dir(tmp_path):
     pytest.param(["grig", "--search", "20", "--beam", "0"], id="grig-beam-0"),
     pytest.param(["walk", "--family", "seq", "--lambda", "nan"], id="walk-lambda-nan"),
     pytest.param(["walk", "--family", "seq", "--lambda", "inf"], id="walk-lambda-inf"),
+    pytest.param(["firefight", "--family", "seq", "--k", "7", "--schedule", "8"],
+                 id="firefight-k-at-deepest-depth"),
+    pytest.param(["firefight", "--family", "seq", "--k", str(10 ** 400)], id="firefight-k-huge"),
 ])
 def test_usage_errors_exit_2(argv, tmp_path, capsys):
     out = str(tmp_path / "x.out")
@@ -166,6 +169,28 @@ def test_usage_errors_exit_2(argv, tmp_path, capsys):
     assert "error:" in err
     assert "unrecognized arguments" not in err, err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("k", ["7", str(10 ** 400)])
+def test_firefight_k_without_a_deeper_depth_names_k(k, tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["firefight", "--family", "seq", "--k", k, "--schedule", "4,8",
+                  "--out", str(tmp_path / "x.csv")])
+    assert "error: --k must be below the deepest --schedule depth minus 1 (7)" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    # the budget exp(n**0.9) leaves the float range at round 1473
+    ["--family", "path", "--k", "2", "--gamma-grid", "0.9", "--schedule", "1600"],
+    # K * exp(1) is inf
+    ["--family", "seq", "--K", "1e308", "--gamma-grid", "0.8", "--schedule", "8,16,32"],
+], ids=["path-1600-rounds", "K-1e308"])
+def test_firefight_huge_budgets_exit_0(argv, tmp_path):
+    out = tmp_path / "f.csv"
+    assert cli.main(["firefight", *argv, "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()
+    assert len(rows) == 2 and rows[1].split(",")[2] == "1"  # contained
 
 
 @pytest.mark.parametrize("depth", ["0", "-3"])

@@ -14,7 +14,7 @@ from ibntrees.trees import Tree, check_flow
 
 
 def test_min_cut_path_closed_form():
-    t = gen.spherically_symmetric(lambda n: 1, 9)
+    t = gen.path_family().build(9)
     for lam in (0.3, 0.6, 0.9):
         res = fc.min_cut(t, fc.ibn_log_weights(t, lam), 9)
         assert math.isclose(res.value, math.exp(-9.0 ** lam), rel_tol=1e-12)
@@ -33,7 +33,7 @@ def test_min_cut_matches_exhaustive_enumeration():
 
 def test_min_cut_symmetric_reduction():
     lv = np.log2(np.asarray([float(x) for x in gen.sequence_level_sizes(14)]))
-    t = gen.spherically_symmetric(gen.sequence_degree, 14)
+    t = gen.sequence_family().build(14)
     for lam in (0.2, 0.5, 0.8):
         g = fc.min_cut(t, fc.ibn_log_weights(t, lam), 14).log_value
         s, level = fc.min_cut_symmetric(lv, lam, 14)
@@ -51,7 +51,7 @@ def test_min_cut_monotone_in_depth_and_lambda():
 
 
 def test_min_cut_tie_breaks_shallow():
-    t = gen.spherically_symmetric(lambda n: 1, 2)
+    t = gen.path_family().build(2)
     logw = np.array([np.nan, math.log(0.5), math.log(0.5)])
     res = fc.min_cut(t, logw, 2)
     assert res.cut == (1,)
@@ -74,13 +74,13 @@ def test_max_flow_duality_and_admissibility():
 
 
 def test_max_flow_path_constant():
-    t = gen.spherically_symmetric(lambda n: 1, 7)
+    t = gen.path_family().build(7)
     theta = fc.max_flow(t, fc.ibn_log_weights(t, 0.5), 7)
     assert np.allclose(theta[1:], math.exp(-7.0 ** 0.5), rtol=1e-12)
 
 
 def test_min_cut_binary_duality_deeper():
-    t = gen.spherically_symmetric(lambda n: 2, 6)
+    t = gen.binary_family().build(6)
     res = fc.min_cut(t, fc.ibn_log_weights(t, 0.5), 6)
     theta = fc.max_flow(t, fc.ibn_log_weights(t, 0.5), 6)
     assert abs(theta[t.children(0)].sum() - res.value) <= 1e-12
@@ -250,7 +250,7 @@ def test_ibn_three_one_all_above():
 
 
 def test_ibn_explicit_tree_route():
-    t = gen.spherically_symmetric(gen.sequence_degree, 20)
+    t = gen.sequence_family().build(20)
     res = fc.ibn_estimate(t, fc.DepthSchedule((5, 10, 20)), grid=(0.3, 0.6))
     assert res.classifications[0.3] == "below"
 

@@ -6,29 +6,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import sequence_degree_oracle
 from ibntrees import generators as gen
 
 
 def test_sequence_degree_values():
     # 2 exactly at n = k + k(k+1)/2
-    assert gen.sequence_degree(2) == 2
-    assert gen.sequence_degree(3) == 1
-    assert gen.sequence_degree(9) == 2
-    first = [gen.sequence_degree(n) for n in range(1, 15)]
-    assert first == [1, 2, 1, 1, 2, 1, 1, 1, 2, 1, 1, 1, 1, 2]
+    d = gen.sequence_degrees(15)
+    assert d.dtype == np.int64
+    assert (d[2], d[3], d[9]) == (2, 1, 2)
+    assert d[1:].tolist() == [1, 2, 1, 1, 2, 1, 1, 1, 2, 1, 1, 1, 1, 2]
+    assert len(gen.sequence_degrees(0)) == 0
 
 
 def test_sequence_degree_matches_enumeration():
     positions = {k + (1 + k) * k // 2 for k in range(1, 100)}
+    d = gen.sequence_degrees(3000)
     for n in range(1, 3000):
-        assert gen.sequence_degree(n) == (2 if n in positions else 1)
+        assert d[n] == (2 if n in positions else 1)
+
+
+def test_sequence_degrees_match_scalar_rule():
+    for N in (1, 2, 3, 5, 6, 9, 10, 5000):
+        assert gen.sequence_degrees(N).tolist() == [sequence_degree_oracle(n) for n in range(N)]
 
 
 def test_sequence_level_sizes_product_oracle():
     sizes = gen.sequence_level_sizes(40)
     prod = 1
     for n in range(1, 41):
-        prod *= gen.sequence_degree(n - 1)
+        prod *= sequence_degree_oracle(n - 1)
         assert sizes[n] == prod
     assert sizes[6] == 4
 
@@ -42,35 +49,52 @@ def test_sequence_log2_at_1000_is_two_count():
 
 
 def test_spherically_symmetric_counts():
-    t = gen.spherically_symmetric(lambda n: 2, 5)
+    t = gen.spherically_symmetric(np.full(5, 2), 5)
     assert len(t.level_set(5)) == 32
-    t = gen.spherically_symmetric(gen.sequence_degree, 6)
+    t = gen.spherically_symmetric(gen.sequence_degrees(9), 6)  # reads depths 0..5 only
     assert len(t.level_set(6)) == 4
+    assert t.height() == 6
 
 
 def test_spherically_symmetric_errors():
-    with pytest.raises(ValueError):
-        gen.spherically_symmetric(lambda n: 0, 3)
+    with pytest.raises(ValueError, match="degree 0 < 1 at depth 1"):
+        gen.spherically_symmetric(np.array([2, 0, 1]), 3)
     with pytest.raises(gen.MemoryCapError):
-        gen.spherically_symmetric(lambda n: 3, 30, max_vertices=10 ** 4)
+        gen.spherically_symmetric(np.full(30, 3), 30, max_vertices=10 ** 4)
+    with pytest.raises(gen.MemoryCapError):  # 2**70 vertices: the width overflows int64
+        gen.spherically_symmetric(np.full(70, 2), 70)
+    with pytest.raises(ValueError):
+        gen.spherically_symmetric(np.array([], dtype=np.int64), 1)
+    with pytest.raises(ValueError):
+        gen.spherically_symmetric(np.array([2, 2]), 3)
+    with pytest.raises(ValueError):
+        gen.spherically_symmetric(np.array([2]), 0)
+
+
+def test_spherically_symmetric_cap_is_exact():
+    # 1 + 2 + ... + 2**10 = 2047 vertices
+    assert gen.spherically_symmetric(np.full(10, 2), 10, max_vertices=2047).n_vertices == 2047
+    with pytest.raises(gen.MemoryCapError, match="2047 vertices at depth 10"):
+        gen.spherically_symmetric(np.full(10, 2), 10, max_vertices=2046)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.integers(1, 3), min_size=2, max_size=7))
 def test_spherical_symmetry_property(degrees):
-    t = gen.spherically_symmetric(lambda n: degrees[n], len(degrees))
+    t = gen.spherically_symmetric(np.array(degrees), len(degrees))
     for n in range(len(degrees)):
         counts = {len(t.children(v)) for v in t.level_set(n)}
         assert counts == {degrees[n]}
 
 
-def test_from_branch_marks_degenerate():
-    path = gen.from_branch_marks([False] * 6, 6)
+def test_marks_family_degenerate():
+    path = gen.marks_family([False] * 6).build(6)
     assert path.n_vertices == 7
-    full = gen.from_branch_marks([True] * 4, 4)
+    full = gen.marks_family([True] * 4).build(4)
     assert len(full.level_set(4)) == 16
-    with pytest.raises(ValueError):
-        gen.from_branch_marks([True], 5)
+    # past the marks every vertex has one child
+    assert gen.marks_family([True]).degrees(5).tolist() == [2, 1, 1, 1, 1]
+    assert gen.marks_family([True, False, True]).degrees(2).tolist() == [2, 1]
 
 
 def test_three_one_depth_one_and_base_levels():
@@ -82,6 +106,29 @@ def test_three_one_depth_one_and_base_levels():
     lv = t.level_sizes()
     for j in range(1, 7):
         assert lv[gen.triangular(j)] == 2 ** j
+
+
+def test_three_one_level_sizes_match_base_level_loop():
+    # the per-depth rule: depth d lies on the paths into base level
+    # base_level_at_depth(d), which hold 2**j vertices per depth
+    for N in list(range(1, 301)) + [131328]:
+        loop = np.zeros(N + 1)
+        for d in range(1, N + 1):
+            loop[d] = gen.base_level_at_depth(d)
+        fast = gen.three_one_level_log2_sizes(N)
+        assert fast.dtype == loop.dtype and np.array_equal(fast, loop), N
+
+
+@pytest.mark.parametrize("family, N", [
+    (gen.sequence_family(), 40), (gen.binary_family(), 12), (gen.path_family(), 30),
+    (gen.three_one_family(), gen.triangular(7) + 3),
+    (gen.marks_family([True, False, True]), 10),            # marks shorter than N
+    (gen.marks_family([i % 3 == 0 for i in range(40)]), 20),  # marks longer than N
+], ids=["seq", "binary", "path", "three-one", "marks-short", "marks-long"])
+def test_level_log2_sizes_match_built_tree(family, N):
+    lv = family.level_log2_sizes(N)
+    assert len(lv) == N + 1
+    assert np.array_equal(np.log2(family.build(N).level_sizes()), lv)
 
 
 def test_three_one_level_profile_matches_materialized():
@@ -100,7 +147,8 @@ def test_three_one_memory_cap():
 
 def test_family_lookup():
     assert gen.family_by_name("seq").name == "seq"
-    assert gen.family_by_name("marks", [True, False]).degree(0) == 2
+    assert gen.family_by_name("marks", [True, False]).degrees(3).tolist() == [2, 1, 1]
+    assert gen.family_by_name("three-one").degrees is None
     with pytest.raises(ValueError):
         gen.family_by_name("nope")
     with pytest.raises(ValueError):
@@ -131,13 +179,13 @@ def test_three_one_text_pinned(N):
 
 
 def test_sequence_tree_text_pinned():
-    t = gen.spherically_symmetric(gen.sequence_degree, 96)
+    t = gen.sequence_family().build(96)
     assert t.n_vertices == 73729
     assert _sha(t) == "83c873fe215c4a13a54854eaee40072c796586e228eac31591472a104f6abbb1"
 
 
 def test_branch_marks_tree_text_pinned():
     marks = [(i * 7 + 3) % 5 < 2 for i in range(20)]
-    t = gen.from_branch_marks(marks, 18)
+    t = gen.marks_family(marks).build(18)
     assert t.n_vertices == 552
     assert _sha(t) == "7055fac77931a992e721ba84a949b80765d713da3fddc5f6ecb7484cc735bb8f"

@@ -164,7 +164,7 @@ def test_branch_marks_all_marks_word():
     bm = gg.BranchMarks(sizes=sizes, marks=marks)
     for n in range(2, 40):
         assert bm.Lambda(n) == n // 2
-    lv = bm.level_log2_sizes(20)
+    lv = gen.marks_family(bm.tree_marks(20)).level_log2_sizes(20)
     for n in range(2, 21):
         assert int(lv[n]) == bm.Lambda(n)
 
@@ -173,7 +173,7 @@ def test_branch_marks_tree_identity():
     w = gg.loop_erase(gg.search_word(48, beam=48, seed=5))
     bm = gg.branch_marks(w)
     depth = min(bm.max_tree_depth(), 22)
-    t = gen.from_branch_marks(bm.tree_marks(bm.max_tree_depth()), depth)
+    t = gen.marks_family(bm.tree_marks(bm.max_tree_depth())).build(depth)
     lv = t.level_sizes()
     for n in range(2, depth + 1):
         lam_n = bm.Lambda(n)

@@ -12,7 +12,7 @@ from ibntrees.trees import Tree
 
 
 def test_survival_path_closed_form():
-    t = gen.spherically_symmetric(lambda n: 1, 6)
+    t = gen.path_family().build(6)
     lam = 0.4
     s = pc.exact_survival(t, pc.PercolationLaw(lam), 6)
     expect = math.exp(-sum(n ** (lam - 1.0) for n in range(1, 7)))
@@ -48,7 +48,7 @@ def test_survival_symmetric_matches_generic():
     t = fam.build(16)
     for lam in (0.3, 0.7):
         a = pc.exact_survival(t, pc.PercolationLaw(lam), 16)
-        b = pc.survival_symmetric(fam.degree, pc.PercolationLaw(lam), 16)
+        b = pc.survival_symmetric(fam.degrees(16), pc.PercolationLaw(lam), 16)
         assert math.isclose(a, b, rel_tol=1e-12)
 
 
@@ -82,10 +82,10 @@ def test_mc_matches_exact():
 
 def test_theta_sequence_trajectories():
     fam = gen.sequence_family()
-    vals3 = [pc.survival_symmetric(fam.degree, pc.PercolationLaw(0.3), N)
+    vals3 = [pc.survival_symmetric(fam.degrees(N), pc.PercolationLaw(0.3), N)
              for N in (16, 64, 256, 1024)]
     assert all(v >= 1e-6 for v in vals3)
-    vals7 = [pc.survival_symmetric(fam.degree, pc.PercolationLaw(0.7), N)
+    vals7 = [pc.survival_symmetric(fam.degrees(N), pc.PercolationLaw(0.7), N)
              for N in (16, 64, 256, 1024)]
     assert all(b < a for a, b in zip(vals7, vals7[1:]))
     assert vals7[-1] < 1e-20

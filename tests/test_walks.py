@@ -11,7 +11,7 @@ from ibntrees.trees import Tree
 
 
 def test_effective_conductance_path_closed_form():
-    t = gen.spherically_symmetric(lambda n: 1, 10)
+    t = gen.path_family().build(10)
     cf = walks.deterministic_conductances(t, 0.5)
     ec = walks.effective_conductance(t, cf, 10)
     expect = 1.0 / sum(math.exp(n ** 0.5) for n in range(1, 11))
@@ -19,7 +19,7 @@ def test_effective_conductance_path_closed_form():
 
 
 def test_effective_conductance_unit_binary():
-    t = gen.spherically_symmetric(lambda n: 2, 3)
+    t = gen.binary_family().build(3)
     cf = np.zeros(t.n_vertices)
     assert math.isclose(walks.effective_conductance(t, cf, 3), 8.0 / 7.0, rel_tol=1e-12)
 
@@ -27,7 +27,7 @@ def test_effective_conductance_unit_binary():
 def test_effective_conductance_unit_binary_against_escape_mc():
     # escape probability from the root equals EC / (total root conductance)
     fam = gen.binary_family()
-    ret, steps, maxd = walks.depth_walk_batch(fam.degree, 0.0, 3, 200_000, 10 ** 4,
+    ret, steps, maxd = walks.depth_walk_batch(fam.degrees(3), 0.0, 3, 200_000, 10 ** 4,
                                               seed=17, stop_depth=3)
     escape = float((maxd >= 3).mean())
     expect = (8.0 / 7.0) / 2.0
@@ -40,16 +40,16 @@ def test_effective_conductance_symmetric_matches_generic():
     t = fam.build(14)
     for lam in (0.3, 0.7):
         g = walks.effective_conductance(t, walks.deterministic_conductances(t, lam), 14)
-        s = walks.effective_conductance_symmetric(fam, lam, 14)
+        s = walks.effective_conductance_symmetric(fam.level_log2_sizes(14), lam, 14)
         assert math.isclose(g, s, rel_tol=1e-12)
 
 
 def test_effective_conductance_sequence_regimes():
     fam = gen.sequence_family()
-    vals7 = [walks.effective_conductance_symmetric(fam, 0.7, N) for N in (16, 64, 256, 512)]
+    vals7 = [walks.effective_conductance_symmetric(fam.level_log2_sizes(N), 0.7, N) for N in (16, 64, 256, 512)]
     assert all(b <= a for a, b in zip(vals7, vals7[1:]))
     assert vals7[-1] < 1e-3
-    vals3 = [walks.effective_conductance_symmetric(fam, 0.3, N) for N in (16, 64, 256, 512)]
+    vals3 = [walks.effective_conductance_symmetric(fam.level_log2_sizes(N), 0.3, N) for N in (16, 64, 256, 512)]
     assert all(b <= a for a, b in zip(vals3, vals3[1:]))
     assert vals3[-1] > 1e-3
 
@@ -102,7 +102,7 @@ def test_single_edge_walk_returns_at_step_two():
 
 def test_binary_walk_escapes():
     fam = gen.binary_family()
-    ret, steps, maxd = walks.depth_walk_batch(fam.degree, 0.0, 20, 10_000, 10 ** 4,
+    ret, steps, maxd = walks.depth_walk_batch(fam.degrees(20), 0.0, 20, 10_000, 10 ** 4,
                                               seed=2, stop_depth=20)
     assert (maxd >= 20).mean() > 0
 
@@ -111,11 +111,11 @@ def test_path_walk_recurrent():
     # decreasing conductances on a ray: return frequency approaches 1 as the
     # cap grows, consistent with the vanishing effective conductance
     fam = gen.path_family()
-    ec = walks.effective_conductance_symmetric(fam, 0.5, 64)
+    ec = walks.effective_conductance_symmetric(fam.level_log2_sizes(64), 0.5, 64)
     assert ec < 1e-3
     freqs = []
     for cap in (100, 10_000):
-        ret, _, _ = walks.depth_walk_batch(fam.degree, 0.5, 64, 4000, cap, seed=3)
+        ret, _, _ = walks.depth_walk_batch(fam.degrees(64), 0.5, 64, 4000, cap, seed=3)
         freqs.append(ret.mean())
     assert freqs[-1] >= freqs[0]
     assert freqs[-1] > 0.99
@@ -127,7 +127,7 @@ def test_depth_walk_matches_tree_walk():
     cf = walks.deterministic_conductances(t, 0.5)
     f_tree = np.mean([walks.simulate_walk(t, cf, 8, 200, seed=11, trial=k)[0]
                       for k in range(2000)])
-    ret, _, _ = walks.depth_walk_batch(fam.degree, 0.5, 8, 2000, 200, seed=12)
+    ret, _, _ = walks.depth_walk_batch(fam.degrees(8), 0.5, 8, 2000, 200, seed=12)
     se = math.sqrt(0.25 / 2000)
     assert abs(f_tree - ret.mean()) < 6 * se
 
@@ -135,13 +135,13 @@ def test_depth_walk_matches_tree_walk():
 def test_sequence_walk_escapes_below_branching_number():
     # lam below the bracket: a positive fraction of 10^4 walks reaches depth 64
     fam = gen.sequence_family()
-    ret, _, maxd = walks.depth_walk_batch(fam.degree, 0.3, 64, 10_000, 10 ** 5,
+    ret, _, maxd = walks.depth_walk_batch(fam.degrees(64), 0.3, 64, 10_000, 10 ** 5,
                                           seed=4, stop_depth=64)
     assert (maxd >= 64).mean() > 0
 
 
 def test_psi_field_constant_path():
-    t = gen.spherically_symmetric(lambda n: 1, 10)
+    t = gen.path_family().build(10)
     cf = np.zeros(t.n_vertices)
     pf = walks.psi_field(t, cf, 10)
     for v in range(1, 11):
@@ -174,7 +174,7 @@ def test_psi_monotone_along_rays():
 def test_psi_gamblers_ruin_mc():
     # psi(e) for the deepest edge of a 4-path equals the chance that the
     # walk on the path, started at depth 3, hits depth 4 before the root
-    t = gen.spherically_symmetric(lambda n: 1, 4)
+    t = gen.path_family().build(4)
     cf = walks.sample_conductances(t, 0.4, seed=21)
     pf = walks.psi_field(t, cf, 4)
     p_up = np.zeros(5)
@@ -201,7 +201,7 @@ def test_psi_gamblers_ruin_mc():
 
 
 def test_rt_all_ones_field_stays():
-    t = gen.spherically_symmetric(lambda n: 2, 8)
+    t = gen.binary_family().build(8)
     pf = walks.PsiField(t, np.zeros(t.n_vertices), np.zeros(t.n_vertices),
                         np.zeros(t.n_vertices), 8)
     res = walks.rt_estimate(t, pf, (0.5, 1.0, 2.0), DepthSchedule((4, 8)))
@@ -246,7 +246,7 @@ def test_coupled_percolation_ancestor_closure():
 def test_coupled_percolation_matches_product_law():
     # empirical opening frequency of a fixed deep edge over resamplings
     # equals the product of the per-depth laws
-    t = gen.spherically_symmetric(lambda n: 1, 6)
+    t = gen.path_family().build(6)
     lam = 0.45
     hits = 0
     trials = 40_000
