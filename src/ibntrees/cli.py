@@ -92,49 +92,29 @@ def _grid_type(upper: float):
     return check
 
 
-def _open_unit(text: str) -> float:
-    """argparse type for a rate in (0, 1)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid rate {text!r}: not a number") from None
-    if not 0 < value < 1:
-        raise argparse.ArgumentTypeError(f"invalid rate {text!r}: must lie in (0, 1)")
-    return value
+def _checked(convert, rule: str, ok):
+    """argparse type: convert(text), which must satisfy ok; rule names it."""
 
-
-def _int_at_least(low: int):
-    """argparse type for an integer >= low."""
-
-    def check(text: str) -> int:
+    def check(text: str):
         try:
-            value = int(text)
+            value = convert(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"invalid value {text!r}: must be >= {low}")
-        return value
-
-    return check
-
-
-_positive_int = _int_at_least(1)
-
-
-def _finite(positive: bool = False):
-    """argparse type for a finite number, > 0 when positive is set."""
-
-    def check(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
-        if not math.isfinite(value) or (positive and value <= 0):
-            rule = "a finite number > 0" if positive else "finite"
+            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} {text!r}") from None
+        if not ok(value):
             raise argparse.ArgumentTypeError(f"invalid value {text!r}: must be {rule}")
         return value
 
     return check
+
+
+def _int_at_least(low: int):
+    return _checked(int, f">= {low}", lambda v: v >= low)
+
+
+_positive_int = _int_at_least(1)
+_open_unit = _checked(float, "in (0, 1)", lambda v: 0 < v < 1)  # a rate
+_finite = _checked(float, "finite", math.isfinite)
+_finite_positive = _checked(float, "a finite number > 0", lambda v: math.isfinite(v) and v > 0)
 
 
 def _depths_type(text: str) -> str:
@@ -158,8 +138,14 @@ def _load_source(opts: dict):
 
 
 def _read_marks(path: str) -> list[bool]:
+    """One mark per line, 0 or 1; blank lines and lines starting with # skipped."""
     with open(path) as fh:
-        return [line.strip() == "1" for line in fh if line.strip() and not line.startswith("#")]
+        lines = [(k, line.strip()) for k, line in enumerate(fh, 1)
+                 if line.strip() and not line.startswith("#")]
+    for k, mark in lines:
+        if mark not in ("0", "1"):
+            raise ValueError(f"{path}, line {k}: mark must be 0 or 1, got {mark!r}")
+    return [mark == "1" for _, mark in lines]
 
 
 def _schedule(opts: dict) -> flowcut.DepthSchedule:
@@ -214,8 +200,7 @@ def _run_walk(config: ExperimentConfig) -> dict:
     rows = [[t, int(returned[t]), int(steps[t]), int(maxd[t])] for t in range(trials)]
     out = _resolve(opts["out"])
     _write_csv(out, ["trial", "returned", "steps", "maxdepth"], rows)
-    freq = float(np.mean([r[1] for r in rows]))
-    return {"return_frequency": freq, "trials": trials, "out": out}
+    return {"return_frequency": float(returned.mean()), "trials": trials, "out": out}
 
 
 def _run_rwrc(config: ExperimentConfig) -> dict:
@@ -424,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = command("walk", "conductance-weighted walks from the root", source="family-or-tree")
-    p.add_argument("--lambda", dest="lam", type=_finite(), required=True)
+    p.add_argument("--lambda", dest="lam", type=_finite, required=True)
     p.add_argument("--depth", type=_positive_int, default=128)
     p.add_argument("--trials", type=_positive_int, default=1000)
     p.add_argument("--cap", type=_positive_int, default=10 ** 6)
@@ -447,7 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("firefight", "containment-threshold attempts", source="family-or-tree")
     p.add_argument("--k", type=_int_at_least(0), default=2)
-    p.add_argument("--K", dest="K", type=_finite(positive=True), default=1.0)
+    p.add_argument("--K", dest="K", type=_finite_positive, default=1.0)
     p.add_argument("--gamma-grid", dest="gamma_grid", type=unit_grid, default="0.2:0.9:0.1")
     p.add_argument("--schedule", type=_depths_type, default="8,16,32,64,128,200")
     p.add_argument("--horizon", type=int, default=200)

@@ -1,9 +1,11 @@
 """Counter-based random streams (Philox) for reproducible experiments.
 
-Every stochastic routine takes an explicit 64-bit seed.  Substreams are
-keyed by (seed, stream-id, index), so a quantity attached to an edge or a
-Monte Carlo trial depends only on those keys and never on traversal or
-scheduling order.
+Every stochastic routine takes an explicit 64-bit seed.  Streams are keyed
+by (seed, stream id, index), so draws never depend on traversal or
+scheduling order.  Edge conductances read one EDGE_STREAM stream in edge-id
+order; a walk batch reads one WALK_STREAM stream, one uniform per live
+walker per step; mc_survival reads one PERC_STREAM substream per 256-trial
+chunk; the word search reads one SEARCH_STREAM stream.
 """
 
 from __future__ import annotations
@@ -34,10 +36,10 @@ def stream_rng(seed: int, stream: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def uniforms(seed: int, stream: int, n: int, index: int = 0) -> np.ndarray:
-    """n uniforms on (0, 1] from the given substream.
+def uniforms(seed: int, stream: int, n: int) -> np.ndarray:
+    """n uniforms on (0, 1] from the given stream.
 
     The half-open flip (1 - U) keeps 1.0 inside the support, which the
     conductance sampler relies on (its t = u**(-1/(1-lam)) needs u > 0).
     """
-    return 1.0 - stream_rng(seed, stream, index).random(n)
+    return 1.0 - stream_rng(seed, stream).random(n)

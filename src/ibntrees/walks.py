@@ -3,11 +3,15 @@
 Conductances are log arrays indexed by child vertex id, in log space
 throughout: the sampled law produces values like exp(-t**lam) with t in
 the hundreds of digits, and the psi fields need sums of their
-reciprocals, which are accumulated with logaddexp.  On a materialized tree, effective conductance is a
-Tree.sweep_up, the psi fields and the coupled open set Tree.sweep_down
-passes.  Monte Carlo trials are independent substreams keyed by (seed,
-trial index), so batches are reproducible regardless of execution order.
-root_walks picks the walker for a source by generators.route.
+reciprocals, which are accumulated with logaddexp.  On a materialized
+tree, effective conductance is a Tree.sweep_up, the psi fields and the
+coupled open set Tree.sweep_down passes.
+
+Both walkers run on one loop, _walk_batch: all trials of a batch at once,
+one uniform per live walker per step from the single (seed, WALK_STREAM)
+stream.  depth_walk_batch walks the depth chain of a spherically symmetric
+tree, simulate_walk a materialized truncation; root_walks picks one for a
+source by generators.route.
 """
 
 from __future__ import annotations
@@ -114,54 +118,79 @@ def effective_conductance_symmetric(log2_levels: Sequence[float], lam: float, N:
 
 # -- walkers -----------------------------------------------------------------
 
-def simulate_walk(tree: Tree, log_c: np.ndarray, N: int, step_cap: int,
-                  seed: int, trial: int = 0) -> tuple[bool, int, int]:
-    """One conductance-weighted walk from the root on the depth-N truncation.
+def _walk_batch(move, start: int, trials: int, step_cap: int, seed: int,
+                stop_depth: int | None):
+    """The one walk loop: every trial at once, each live walker moving by
+    move(pos, u) -> (pos, depth) on one uniform per step.  Walkers start at
+    position and depth `start` after `start` steps and stop at the root, on
+    first reaching stop_depth if set, or at step_cap steps."""
+    if step_cap < 1 or trials < 1:
+        raise ValueError("need step_cap >= 1 and trials >= 1")
+    if stop_depth is not None and stop_depth <= start:
+        step_cap = start  # the forced first step already stops every walk
+    gen = rng.stream_rng(seed, rng.WALK_STREAM)
+    pos = np.full(trials, start, dtype=np.int64)
+    maxd = pos.copy()
+    returned = np.zeros(trials, dtype=bool)
+    final_steps = np.full(trials, step_cap, dtype=np.int64)
+    idx = np.arange(trials)
+    step = start
+    while step < step_cap and len(idx) > 0:
+        pos, depth = move(pos, gen.random(len(idx)))
+        step += 1
+        maxd[idx] = np.maximum(maxd[idx], depth)
+        done = depth == 0
+        if stop_depth is not None:
+            done |= depth >= stop_depth
+        if done.any():
+            returned[idx[done]] = depth[done] == 0
+            final_steps[idx[done]] = step
+            idx, pos = idx[~done], pos[~done]
+    return returned, final_steps, maxd
 
-    At each vertex the next neighbor is drawn with probability proportional
-    to the incident edge conductances; the walk stops at the first return
-    to the root or at step_cap.  Depth-N vertices reflect.  Returns
-    (returned, steps, max_depth).
+
+def simulate_walk(tree: Tree, log_c: np.ndarray, N: int, trials: int, step_cap: int,
+                  seed: int, stop_depth: int | None = None):
+    """Conductance-weighted walks from the root on the depth-N truncation,
+    all trials in one batch; (returned, steps, max_depth) arrays.
+
+    A step moves to a neighbor with probability proportional to the edge's
+    conductance; depth-N vertices reflect.  Row v of a CSR table holds v's
+    neighbors (parent, then children) with cumulative weights scaled by the
+    row's largest, so a step is one searchsorted for all live walkers.
     """
-    if step_cap < 1:
-        raise ValueError("step_cap must be >= 1")
     if N < 1 or tree.height() < N:
         raise ValueError(f"tree must reach depth N={N}")
-    gen = rng.stream_rng(seed, rng.WALK_STREAM, trial)
-    pos, steps, maxd = 0, 0, 0
-    while steps < step_cap:
-        kids = tree.children(pos) if tree.depth(pos) < N else []
-        if pos == 0:
-            weights = [log_c[c] for c in kids]
-            nbrs = list(kids)
-        else:
-            weights = [log_c[pos]] + [log_c[c] for c in kids]
-            nbrs = [tree.parent(pos)] + list(kids)
-        w = np.asarray(weights)
-        w = np.exp(w - w.max())
-        probs = w / w.sum()
-        pos = nbrs[int(gen.choice(len(nbrs), p=probs))]
-        steps += 1
-        maxd = max(maxd, tree.depth(pos))
-        if pos == 0:
-            return True, steps, maxd
-    return False, steps, maxd
+    d, par = tree.depth_array(), tree.parent_array()
+    kids = np.arange(1, tree.n_vertices)
+    order = np.argsort(np.concatenate([kids, par[1:]]), kind="stable")
+    nbr = np.concatenate([par[1:], kids])[order]
+    edge = np.concatenate([kids, kids])[order]  # each entry's edge, named by its child
+    w = np.where(d[edge] <= N, log_c[edge], NEG_INF)  # no edge below depth N
+    counts = tree.n_children_array() + (np.arange(tree.n_vertices) > 0)  # + the parent
+    starts = np.cumsum(counts) - counts
+    top = np.maximum.reduceat(w, starts)
+    top[np.isneginf(top)] = 0.0  # rows below depth N: no walk enters them
+    cum = np.cumsum(np.exp(w - np.repeat(top, counts)))
+    base = np.concatenate([[0.0], cum])[starts]
+    last = np.searchsorted(cum, cum[starts + counts - 1])  # last positive weight
+    span = cum[last] - base
+
+    def move(pos, u):
+        k = np.minimum(np.searchsorted(cum, base[pos] + u * span[pos], side="right"), last[pos])
+        return nbr[k], d[nbr[k]]
+
+    return _walk_batch(move, 0, trials, step_cap, seed, stop_depth)
 
 
 def depth_walk_batch(degrees: np.ndarray, lam: float, N: int,
                      trials: int, step_cap: int, seed: int,
                      stop_depth: int | None = None):
-    """Vectorized root-return experiment on the depth-N truncation of a
-    spherically symmetric tree, given its degree array.
-
-    The depth of the walk is itself a Markov chain (children are
-    exchangeable), with P(up at depth n) = c(n) / (c(n) + d(n) c(n+1)), so
-    the batch walks the chain directly.  Returns (returned, steps,
-    max_depth) arrays; if stop_depth is set, a walk also halts when it
-    first reaches that depth.
-    """
-    if step_cap < 1 or trials < 1:
-        raise ValueError("need step_cap >= 1 and trials >= 1")
+    """simulate_walk on the depth-N truncation of a spherically symmetric
+    tree, given its degree array.  The walk's depth is itself a Markov chain
+    (children are exchangeable), with P(up at depth n) = c(n) / (c(n) +
+    d(n) c(n+1)), so the batch walks the chain from depth 1, after the
+    forced first step."""
     if len(degrees) < N:
         raise ValueError(f"need degrees for depths 0..{N - 1}")
     n = np.arange(1, N + 1, dtype=float)
@@ -174,31 +203,11 @@ def depth_walk_batch(degrees: np.ndarray, lam: float, N: int,
         gap = np.power(n + 1, lam) - np.power(n, lam)
     p_up = np.concatenate([[0.0], 1.0 / (1.0 + d * np.exp(-gap))])  # index by depth
 
-    gen = rng.stream_rng(seed, rng.WALK_STREAM)
-    pos = np.ones(trials, dtype=np.int64)  # after the forced first step
-    maxd = np.ones(trials, dtype=np.int64)
-    returned = np.zeros(trials, dtype=bool)
-    final_steps = np.full(trials, step_cap, dtype=np.int64)
-    idx = np.arange(trials)
+    def move(pos, u):
+        pos = np.where(u < p_up[pos], pos - 1, pos + 1)
+        return pos, pos
 
-    step = 1
-    while step < step_cap and len(idx) > 0:
-        u = gen.random(len(idx))
-        up = u < p_up[pos]
-        pos = np.where(up, pos - 1, pos + 1)
-        step += 1
-        maxd[idx] = np.maximum(maxd[idx], pos)
-        done = pos == 0
-        if stop_depth is not None:
-            done = done | (pos >= stop_depth)
-        if done.any():
-            hit = idx[done]
-            returned[hit] = pos[done] == 0
-            final_steps[hit] = step
-            keep = ~done
-            idx, pos = idx[keep], pos[keep]
-    final_steps[idx] = step_cap
-    return returned, final_steps, maxd
+    return _walk_batch(move, 1, trials, step_cap, seed, stop_depth)
 
 
 def root_walks(source: TreeFamily | Tree, lam: float, N: int, trials: int,
@@ -207,15 +216,12 @@ def root_walks(source: TreeFamily | Tree, lam: float, N: int, trials: int,
     exp(-|e|**lam): (returned, steps, max_depth) arrays, one entry per trial.
 
     The route follows generators.route: a symmetric family walks its depth
-    chain (depth_walk_batch), any other source one simulate_walk per trial.
+    chain (depth_walk_batch), any other source its truncation (simulate_walk).
     """
     if route(source) == "symmetric":
         return depth_walk_batch(source.degrees(N), lam, N, trials, step_cap, seed)
     tree = truncation(source, N)
-    log_c = deterministic_conductances(tree, lam)
-    rows = [simulate_walk(tree, log_c, N, step_cap, seed, t) for t in range(trials)]
-    returned, steps, maxd = zip(*rows)
-    return np.array(returned), np.array(steps), np.array(maxd)
+    return simulate_walk(tree, deterministic_conductances(tree, lam), N, trials, step_cap, seed)
 
 
 # -- psi fields and the recurrence/transience functional ---------------------

@@ -87,6 +87,20 @@ def test_grig_marks_feed_generate(tmp_path):
     assert r.returncode == 0
 
 
+def test_marks_file_rejects_a_mark_not_0_or_1(tmp_path, capsys):
+    marks = tmp_path / "m.txt"
+    marks.write_text("# header\n\ntrue\ntrue\n2\n1\n")
+    out = tmp_path / "mt.txt"
+    argv = ["generate", "--family", "marks", "--marks-file", str(marks), "--depth", "4",
+            "--out", str(out)]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "line 3" in err
+    assert not out.exists()
+
+
 def test_outdir_env_var(tmp_path):
     sub = tmp_path / "results"
     sub.mkdir()

@@ -95,9 +95,8 @@ def test_sampler_reproducible_by_edge_id():
 def test_single_edge_walk_returns_at_step_two():
     t = Tree([-1, 0], [0, 1])
     cf = walks.deterministic_conductances(t, 0.5)
-    for trial in range(20):
-        r = walks.simulate_walk(t, cf, 1, 100, seed=1, trial=trial)
-        assert r == (True, 2, 1)
+    ret, steps, maxd = walks.simulate_walk(t, cf, 1, 20, 100, seed=1)
+    assert ret.all() and (steps == 2).all() and (maxd == 1).all()
 
 
 def test_binary_walk_escapes():
@@ -125,11 +124,75 @@ def test_depth_walk_matches_tree_walk():
     fam = gen.sequence_family()
     t = fam.build(8)
     cf = walks.deterministic_conductances(t, 0.5)
-    f_tree = np.mean([walks.simulate_walk(t, cf, 8, 200, seed=11, trial=k)[0]
-                      for k in range(2000)])
+    f_tree = walks.simulate_walk(t, cf, 8, 2000, 200, seed=11)[0].mean()
     ret, _, _ = walks.depth_walk_batch(fam.degrees(8), 0.5, 8, 2000, 200, seed=12)
     se = math.sqrt(0.25 / 2000)
     assert abs(f_tree - ret.mean()) < 6 * se
+
+
+def _return_by_step(p_up, T):
+    """P(the depth chain, at depth 1 after its first step, is back at the
+    root by step T): the (1, 0) entry of P**(T - 1) with the root absorbing.
+    p_up[n] is the chance of stepping up at depth n; p_up[N] = 1 reflects."""
+    N = len(p_up) - 1
+    P = np.zeros((N + 1, N + 1))
+    P[0, 0] = 1.0
+    for n in range(1, N + 1):
+        P[n, n - 1] = p_up[n]
+        if n < N:
+            P[n, n + 1] = 1.0 - p_up[n]
+    return np.linalg.matrix_power(P, T - 1)[1, 0]
+
+
+@pytest.mark.parametrize("cap", [2, 3, 4, 5, 6, 7, 12])
+def test_walk_return_by_cap_matches_birth_death_chain(cap):
+    # return by step T is possible only at even T, so odd and even caps
+    # together pin both off-by-one directions of steps and step_cap
+    fam, lam, N, trials = gen.binary_family(), 0.5, 5, 20_000
+    c = [math.exp(-n ** lam) for n in range(N + 2)]
+    p_up = [0.0] + [c[n] / (c[n] + 2 * c[n + 1]) for n in range(1, N)] + [1.0]
+    exact = _return_by_step(p_up, cap)
+    se = math.sqrt(exact * (1 - exact) / trials)
+    t = fam.build(N + 2)  # the tree walk reflects at depth N, not at the leaves
+    batches = (walks.depth_walk_batch(fam.degrees(N), lam, N, trials, cap, seed=31),
+               walks.simulate_walk(t, walks.deterministic_conductances(t, lam), N,
+                                   trials, cap, seed=32))
+    for ret, steps, maxd in batches:
+        assert abs(ret.mean() - exact) < 4 * se
+        assert (steps[~ret] == cap).all()
+        assert (steps[ret] <= cap).all() and (steps[ret] % 2 == 0).all()
+        assert (2 * maxd[ret] <= steps[ret]).all()
+        assert (maxd >= 1).all() and (maxd <= min(N, cap)).all()
+
+
+def test_stop_depth_one_halts_both_walkers_after_the_first_step():
+    fam = gen.binary_family()
+    t = fam.build(3)
+    for ret, steps, maxd in (
+            walks.depth_walk_batch(fam.degrees(3), 0.5, 3, 50, 100, seed=1, stop_depth=1),
+            walks.simulate_walk(t, walks.deterministic_conductances(t, 0.5), 3, 50, 100,
+                                seed=1, stop_depth=1)):
+        assert not ret.any() and (steps == 1).all() and (maxd == 1).all()
+
+
+@pytest.mark.parametrize("case", ["three-one", "random"])
+def test_tree_walk_escape_matches_effective_conductance(case):
+    # P(reach depth N before returning) = C_eff(N) / pi(root)
+    if case == "three-one":
+        N = 45
+        t = gen.three_one_family().build(N)
+        log_c = walks.deterministic_conductances(t, 0.3)
+    else:
+        N = 4  # below the height: deeper vertices lie outside the walk
+        t = random_tree(7, 6, extra=30)
+        log_c = np.random.default_rng(7).normal(size=t.n_vertices)
+    exact = walks.effective_conductance(t, log_c, N) / np.exp(log_c[t.level(1)]).sum()
+    trials = 20_000
+    ret, steps, maxd = walks.simulate_walk(t, log_c, N, trials, 10 ** 7, seed=41, stop_depth=N)
+    assert (ret | (maxd >= N)).all()
+    assert (maxd <= N).all()
+    se = math.sqrt(exact * (1 - exact) / trials)
+    assert abs((maxd >= N).mean() - exact) < 4 * se
 
 
 def test_sequence_walk_escapes_below_branching_number():
