@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Run the full experiment battery into a results directory and print the
 summary table (one row per family: growth index, branching-number bracket,
-percolation bracket, containment bracket, walk classifier brackets)."""
+percolation bracket, containment bracket, walk classifier brackets).  The
+`marks` row is the wreath-product tree of a searched Grigorchuk word."""
 
 import argparse
 import os
@@ -56,8 +57,19 @@ def main():
          "--emit-stats", "nathanson_stats.csv"] + seed, args.outdir)
     cli(["grig", "--search", "128", "--beam", "64",
          "--emit-marks", "grig_marks.txt"] + seed, args.outdir)
-    cli(["generate", "--family", "marks", "--marks-file", "grig_marks.txt",
-         "--depth", "24", "--out", "wreath_tree.txt"] + seed, args.outdir)
+
+    # the wreath row: the tree the marks describe, scheduled to the depth
+    # their header records
+    with open(os.path.join(args.outdir, "grig_marks.txt")) as fh:
+        depth = int(fh.readline().rsplit("depth=", 1)[1])
+    marks = ["--family", "marks", "--marks-file", "grig_marks.txt"]
+    marks_sched = ",".join(str(d) for d in (16, 32, 64, 128) if d < depth) + f",{depth}"
+    cli(["estimate-ibn"] + marks + ["--grid", "0.05:0.95:0.05", "--schedule", marks_sched,
+         "--out", "marks_ibn.csv"] + seed, args.outdir)
+    cli(["percolate"] + marks + ["--grid", "0.05:0.95:0.05", "--depths", marks_sched,
+         "--out", "marks_theta.csv"] + seed, args.outdir)
+    cli(["firefight"] + marks + ["--k", "2", "--gamma-grid", "0.05:0.95:0.05",
+         "--schedule", marks_sched, "--out", "marks_fire.csv"] + seed, args.outdir)
 
     print("\nsummary:")
     cli(["report", "."], args.outdir)

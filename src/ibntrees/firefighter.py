@@ -163,9 +163,11 @@ def greedy_play(tree: Tree, k: int, budgets: BudgetSchedule,
         before = state.fire_size
         state = step(state, chosen)
         history.append((state.round, state.fire_size, state.protected_size))
-        if state.fire_size == before:
-            return PlayResult(True, state.round, state.fire_size,
-                              state.protected_size, "fire frozen", tuple(history))
+        if state.fire_size == before:  # contained only if the whole set held
+            held = pos == len(queue)
+            return PlayResult(held, state.round, state.fire_size, state.protected_size,
+                              "fire frozen" if held else "fire reached the surrounding set",
+                              tuple(history))
     return PlayResult(False, state.round, state.fire_size, state.protected_size,
                       f"not contained by horizon {horizon}", tuple(history))
 
@@ -198,12 +200,13 @@ def attempt_containment(source: TreeFamily | Tree, k: int, gamma: float, K: floa
     eps = containment_margin(k, gamma)
     budgets = BudgetSchedule.exponential(K, gamma)
     symmetric = route(source) == "symmetric"
+    log2_levels = source.level_log2_sizes(schedule.depths[-1]) if symmetric else None
     last_play = None
     for N in schedule.depths:
         if N <= k + 1:
             continue
         if symmetric:
-            log_val, level = min_cut_symmetric(source.level_log2_sizes(N), gamma, N)
+            log_val, level = min_cut_symmetric(log2_levels, gamma, N)
             if log_val >= math.log(eps) or level <= k:
                 continue
             tree = source.build(level)

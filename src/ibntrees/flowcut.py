@@ -78,7 +78,7 @@ def _segment_logsumexp(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
 class MinCut:
     log_value: float
     cut: tuple[int, ...] | None
-    clamped: bool  # linear value underflowed to 0
+    clamped: bool  # linear value below UNDERFLOW_FLOOR, read as 0
 
     @property
     def value(self) -> float:
@@ -439,8 +439,7 @@ def ibn_estimate(source: TreeFamily | Tree, schedule: DepthSchedule,
         raise ValueError("grid must lie inside (0, 1)")
     kind = route(source)
     if kind == "three-one":
-        ms = tuple(max(1, base_level_at_depth(N) - (0 if triangular(base_level_at_depth(N)) <= N else 1))
-                   for N in schedule.depths)
+        ms = tuple(max(1, base_level_at_depth(N + 1) - 1) for N in schedule.depths)  # D(m) <= N
         table = three_one_log_min_cut(grid, ms)
         trajectories = {lam: tuple(row) for lam, row in zip(grid, table.tolist())}
         return trajectory_bracket(grid, schedule, trajectories, tuple(triangular(m) for m in ms))

@@ -3,8 +3,9 @@
 p(e) = exp(-|e|**(-1+lam)) increases with depth, so deep truncations
 survive through branching but shallow thin stretches kill clusters; the
 survival recursion is evaluated with log1p/expm1 to keep tiny
-probabilities meaningful, in one Tree.sweep_up on a materialized tree
-(the comparison network's path products are a Tree.sweep_down).
+probabilities meaningful, in one Tree.sweep_up on a materialized tree.
+The conductance bound's comparison network is per-depth (one log
+conductance per depth, from one cumsum) and is reduced in log space.
 Spherically symmetric trees collapse the recursion to one value per level,
 which is how deep schedules are run.  survival_table evaluates a source
 over a (rate, depth) grid by the route generators.route picks for it.
@@ -68,8 +69,7 @@ def exact_survival(tree: Tree, law: PercolationLaw, N: int) -> float:
         ps = law.p(d[ids]) * s
         with np.errstate(divide="ignore"):
             log_miss = np.log1p(-np.minimum(ps, 1.0))
-        # + 0.0 gives an all-(-0.0) segment the sum 0.0, as accumulating from 0.0 does
-        return -np.expm1(np.add.reduceat(log_miss, starts) + 0.0)
+        return 0.0 - np.expm1(np.add.reduceat(log_miss, starts))  # 0.0, never -0.0
 
     s = np.zeros(tree.n_vertices)
     s[tree.level(N)] = 1.0
@@ -185,34 +185,34 @@ def theta_from_survival(schedule: DepthSchedule,
     return trajectory_bracket(tuple(sorted(survival)), schedule, trajectories)
 
 
+def _comparison_log_conductances(law: PercolationLaw, N: int) -> np.ndarray:
+    """log c(n) = log P[root <-> depth n] - log(1 - p(n)) for n = 1..N, the
+    comparison network's conductance of every depth-n edge (+inf at p = 1)."""
+    logp = law.log_p(np.arange(1, N + 1))
+    with np.errstate(divide="ignore"):
+        return np.cumsum(logp) - np.log(-np.expm1(logp))
+
+
+def _bound(log_C: float) -> float:  # C/(1+C) = 1/(1+R)
+    return float(math.exp(-np.logaddexp(0.0, -log_C)))
+
+
 def percolation_conductances(tree: Tree, law: PercolationLaw, N: int) -> np.ndarray:
     """Log conductances of the comparison network
-    c(e(x)) = P[root <-> x] / (1 - p(e(x)))."""
-    d = tree.depth_array()
-    logp = np.zeros(tree.n_vertices)
-    logp[1:] = law.log_p(d[1:].astype(float))
-    log_reach = np.full(tree.n_vertices, np.nan)
-    log_reach[0] = 0.0  # log P[root <-> root]
-    tree.sweep_down(np.add, log_reach, logp, N)
-    log_c = np.full(tree.n_vertices, np.nan)
-    with np.errstate(divide="ignore"):  # p = 1: infinite conductance
-        log_c[1:] = log_reach[1:] - np.log(-np.expm1(logp[1:]))
-    return log_c
+    c(e(x)) = P[root <-> x] / (1 - p(e(x))), nan at the root and below depth N."""
+    per_depth = np.full(max(tree.height(), N) + 1, np.nan)
+    per_depth[1:N + 1] = _comparison_log_conductances(law, N)
+    return per_depth[tree.depth_array()]
 
 
 def conductance_bound(tree: Tree, law: PercolationLaw, N: int) -> float:
     """Lower bound C/(1+C) <= P[root <-> depth N] from the comparison
     network's effective conductance."""
-    C = walks.effective_conductance(tree, percolation_conductances(tree, law, N), N)
-    return C / (1.0 + C) if math.isfinite(C) else 1.0
+    return _bound(walks.log_effective_conductance(tree, percolation_conductances(tree, law, N), N))
 
 
 def conductance_bound_symmetric(log2_levels: Sequence[float], lam: float, N: int) -> float:
     """conductance_bound of a spherically symmetric truncation from its
-    level sizes, via the level-shorting identity (log-space safe)."""
-    logp = PercolationLaw(lam).log_p(np.arange(1, N + 1))
-    with np.errstate(divide="ignore"):
-        log_c = np.cumsum(logp) - np.log(-np.expm1(logp))
-    log_R = -walks.log_effective_conductance_symmetric(log2_levels, log_c)
-    # C/(1+C) = 1/(1+R)
-    return float(math.exp(-np.logaddexp(0.0, log_R)))
+    level sizes, via the level-shorting identity."""
+    return _bound(walks.log_effective_conductance_symmetric(
+        log2_levels, _comparison_log_conductances(PercolationLaw(lam), N)))

@@ -1,11 +1,10 @@
 """Random walks driven by edge conductances, deterministic or sampled.
 
-Conductances are log arrays indexed by child vertex id, in log space
-throughout: the sampled law produces values like exp(-t**lam) with t in
-the hundreds of digits, and the psi fields need sums of their
-reciprocals, which are accumulated with logaddexp.  On a materialized
-tree, effective conductance is a Tree.sweep_up, the psi fields and the
-coupled open set Tree.sweep_down passes.
+Conductances are log arrays indexed by child vertex id, and every sum of
+them stays in log space: sampled values like exp(-t**lam), t in the
+hundreds of digits, underflow any linear sum.  Effective conductance is
+one Tree.sweep_up on a materialized tree and a level sum on a symmetric
+one; the psi fields and the coupled open set are Tree.sweep_down passes.
 
 Both walkers run on one loop, _walk_batch: all trials of a batch at once,
 one uniform per live walker per step from the single (seed, WALK_STREAM)
@@ -69,26 +68,24 @@ def conductance_cdf(x: np.ndarray, lam: float) -> np.ndarray:
 
 # -- effective conductance ---------------------------------------------------
 
-def effective_conductance(tree: Tree, log_c: np.ndarray, N: int) -> float:
-    """Exact series/parallel reduction of the depth-N truncation.
-
-    R(v) = 0 on the frontier, else R(v) = 1 / sum over children of
-    1/(1/c(e_child) + R(child)); branches that die out early conduct
-    nothing.  Returns 1/R(root).
-    """
+def log_effective_conductance(tree: Tree, log_c: np.ndarray, N: int) -> float:
+    """log of the effective conductance from the root to depth N, reduced in
+    series and parallel in log space: C(v) is +inf on the frontier, -inf where
+    a branch dies out above it, else the sum over children of
+    1/(1/c(e_child) + 1/C(child))."""
     if N < 1 or tree.height() < N:
         raise ValueError(f"tree must reach depth N={N}")
-    d = tree.depth_array()
-    c = np.exp(log_c)
-    active = (d >= 1) & (d <= N)
-    if (c[active] <= 0.0).any():
-        raise ValueError("conductance underflowed to zero; use a symmetric route")
-    R = np.full(tree.n_vertices, np.inf)  # childless above the frontier: no current
-    R[tree.level(N)] = 0.0
-    with np.errstate(divide="ignore"):  # children that all die out: R = 1/0
-        tree.sweep_up(R, N, lambda R, ids, starts:  # conductance into each child, summed
-                      1.0 / np.add.reduceat(1.0 / (1.0 / c[ids] + R), starts))
-    return float(1.0 / R[0]) if R[0] > 0 else float("inf")
+    log_C = np.full(tree.n_vertices, NEG_INF)
+    log_C[tree.level(N)] = np.inf
+    tree.sweep_up(log_C, N, lambda log_C, ids, starts:  # each child's branch, in parallel
+                  np.logaddexp.reduceat(-np.logaddexp(-log_c[ids], -log_C), starts))
+    return float(log_C[0])
+
+
+def effective_conductance(tree: Tree, log_c: np.ndarray, N: int) -> float:
+    """exp of log_effective_conductance (inf above the largest double)."""
+    with np.errstate(over="ignore"):
+        return float(np.exp(log_effective_conductance(tree, log_c, N)))
 
 
 def log_effective_conductance_symmetric(log2_levels: Sequence[float], log_c: np.ndarray) -> float:

@@ -207,6 +207,31 @@ def test_firefight_huge_budgets_exit_0(argv, tmp_path):
     assert len(rows) == 2 and rows[1].split(",")[2] == "1"  # contained
 
 
+def test_firefight_zero_budgets_contain_nothing(tmp_path):
+    # K = 1e-9 makes every budget 0 through depth 32: the fire burns each truncation
+    out = tmp_path / "f.csv"
+    assert cli.main(["firefight", "--family", "seq", "--k", "2", "--gamma-grid", "0.8",
+                     "--K", "1e-9", "--schedule", "8,16,32", "--out", str(out)]) == 0
+    row = out.read_text().splitlines()[1].split(",")
+    assert row[2:] == ["0", str(generators.sequence_family().build(32).n_vertices), "0"]
+    reasons = json.loads((tmp_path / "f.csv.manifest.json").read_text())["summary"]["reasons"]
+    assert reasons == {"0.8": "greedy protection too slow: fire reached the surrounding set"}
+
+
+def test_percolate_deep_path_tree_file_matches_the_family(tmp_path):
+    # the comparison network's conductances fall below exp(-745) long before depth 1100
+    assert cli.main(["generate", "--family", "path", "--depth", "1100",
+                     "--out", str(tmp_path / "p.txt")]) == 0
+    rows = {}
+    for name, source in (("tree", ["--tree", str(tmp_path / "p.txt")]),
+                         ("family", ["--family", "path"])):
+        out = tmp_path / f"{name}.csv"
+        assert cli.main(["percolate", *source, "--lambda", "0.95", "--depths", "1100",
+                         "--out", str(out)]) == 0
+        rows[name] = out.read_text()
+    assert rows["tree"] == rows["family"]
+
+
 @pytest.mark.parametrize("depth", ["0", "-3"])
 def test_nathanson_depth_below_1_exits_2(depth, tmp_path, capsys):
     stats = str(tmp_path / "s.csv")

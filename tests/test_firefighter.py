@@ -88,6 +88,19 @@ def test_greedy_play_path_contained():
     assert res.contained and res.reason == "fire frozen"
 
 
+def test_greedy_play_zero_budgets_burn_to_the_surrounding_set():
+    # with no protection the fire stops only at the truncation's edge: not contained
+    t = gen.binary_family().build(4)
+    s = ff.surrounding_set_from_cutset(t, t.level_set(4), 1)
+    res = ff.greedy_play(t, 1, unit_budget(0), s, horizon=10)
+    assert not res.contained and res.reason == "fire reached the surrounding set"
+    assert res.fire_size == t.n_vertices and res.protected_size == 0
+    # one protection a round holds a single-vertex set
+    path = gen.path_family().build(6)
+    held = ff.greedy_play(path, 1, unit_budget(1), path.level_set(4), horizon=10)
+    assert held.contained and held.protected_size == 1
+
+
 def test_greedy_play_respects_budget_accounting():
     # on every contained run the cumulative budget covers the protected set
     fam = gen.sequence_family()

@@ -64,6 +64,28 @@ def test_effective_conductance_monotone_under_edge_decrease():
     assert lower <= base + 1e-15
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_log_effective_conductance_shifts_with_the_field(seed):
+    # C_eff is 1-homogeneous in the conductances; exp(-1000) underflows linearly
+    t = random_tree(seed, 5)
+    log_c = walks.deterministic_conductances(t, 0.4) + np.random.default_rng(seed).normal(
+        size=t.n_vertices)
+    for N in (1, 3, 5):
+        base = walks.log_effective_conductance(t, log_c, N)
+        shifted = walks.log_effective_conductance(t, log_c - 1000.0, N)
+        assert math.isclose(shifted, base - 1000.0, rel_tol=1e-12)
+        assert math.isclose(math.exp(base), walks.effective_conductance(t, log_c, N), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("family, N", [(gen.path_family(), 1100), (gen.binary_family(), 12)])
+def test_log_effective_conductance_below_the_double_range_matches_symmetric(family, N):
+    t = family.build(N)
+    per_depth = -800.0 - 3.0 * np.arange(1, N + 1)  # log c(n) for n = 1..N
+    log_c = np.concatenate(([np.nan], per_depth[t.depth_array()[1:] - 1]))
+    expect = walks.log_effective_conductance_symmetric(family.level_log2_sizes(N), per_depth)
+    assert math.isclose(walks.log_effective_conductance(t, log_c, N), expect, rel_tol=1e-12)
+
+
 def test_sampler_support_and_cdf_points():
     logs = walks.sample_conductance_logs(200_000, 0.4, seed=7)
     C = np.exp(logs)
