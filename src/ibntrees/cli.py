@@ -60,13 +60,20 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
             fh.write(",".join(repr(x) if isinstance(x, float) else str(x) for x in row) + "\n")
 
 
+MAX_GRID_VALUES = 10_000
+
+
 def _parse_grid(text: str) -> tuple[float, ...]:
-    """a:b:step (finite, a <= b, step > 0) or a comma list."""
+    """a:b:step (finite, a <= b, step > 0, at most MAX_GRID_VALUES values)
+    or a comma list."""
     if ":" in text:
         a, b, step = (float(x) for x in text.split(":"))
         if not (all(map(math.isfinite, (a, b, step))) and step > 0 and a <= b):
             raise ValueError("a:b:step needs finite a <= b and step > 0")
-        n = int(round((b - a) / step)) + 1
+        steps = (b - a) / step  # inf when b - a overflows
+        n = round(steps) + 1 if math.isfinite(steps) else math.inf
+        if n > MAX_GRID_VALUES:
+            raise ValueError(f"a:b:step asks for {n} values, more than {MAX_GRID_VALUES}")
         return tuple(round(a + i * step, 10) for i in range(n) if a + i * step <= b + 1e-12)
     return tuple(float(x) for x in text.split(","))
 
@@ -149,11 +156,8 @@ def _read_marks(path: str) -> list[bool]:
 
 
 def _schedule(opts: dict) -> flowcut.DepthSchedule:
-    return flowcut.DepthSchedule(
-        _parse_depths(opts["schedule"]),
-        eps_stop=opts.get("eps_stop", 1e-6),
-        c_stay=opts.get("c_stay", 1e-3),
-    )
+    return flowcut.DepthSchedule(_parse_depths(opts["schedule"]),
+                                 **{k: opts[k] for k in ("eps_stop", "c_stay") if k in opts})
 
 
 def _trajectory_rows(grid: tuple[float, ...], res: flowcut.BracketResult) -> list[list]:
@@ -196,7 +200,7 @@ def _run_walk(config: ExperimentConfig) -> dict:
     opts = config.options
     trials = opts["trials"]
     returned, steps, maxd = walks.root_walks(_load_source(opts), opts["lam"], opts["depth"],
-                                             trials, opts.get("cap", 10 ** 6), opts["seed"])
+                                             trials, opts["cap"], opts["seed"])
     rows = [[t, int(returned[t]), int(steps[t]), int(maxd[t])] for t in range(trials)]
     out = _resolve(opts["out"])
     _write_csv(out, ["trial", "returned", "steps", "maxdepth"], rows)
@@ -212,7 +216,7 @@ def _run_rwrc(config: ExperimentConfig) -> dict:
     tree = generators.truncation(source, N)
     field = walks.sample_conductances(tree, opts["lam"], opts["seed"])
     psi = walks.psi_field(tree, field, N)
-    res = walks.rt_estimate(tree, psi, grid, schedule)
+    res = walks.rt_estimate(psi, grid, schedule)
     out = _resolve(opts["out"])
     _write_csv(out, ["gamma", "depth", "rtvalue", "class"], _trajectory_rows(grid, res))
     tag = f"rt@{opts['lam']:g}"
@@ -227,7 +231,7 @@ def _run_percolate(config: ExperimentConfig) -> dict:
     depths = _parse_depths(opts["depths"])
     grid = _parse_grid(opts["grid"]) if opts.get("grid") else (opts["lam"],)
     table = percolation.survival_table(_load_source(opts), grid, depths,
-                                       opts.get("mc", 0), opts.get("seed", 0))
+                                       opts["mc"], opts["seed"])
     out = _resolve(opts["out"])
     _write_csv(out, ["lambda", "depth", "exact", "mc", "stderr", "bound"],
                [[lam, N, *table[lam, N]] for lam in grid for N in depths])
@@ -244,7 +248,7 @@ def _run_firefight(config: ExperimentConfig) -> dict:
     source = _load_source(opts)
     grid = _parse_grid(opts["gamma_grid"])
     schedule = flowcut.DepthSchedule(_parse_depths(opts["schedule"]))
-    res, attempts = firefighter.lambda_c_estimate(source, opts["k"], grid, opts.get("K", 1.0),
+    res, attempts = firefighter.lambda_c_estimate(source, opts["k"], grid, opts["K"],
                                                   schedule)
     rows = []
     for g in grid:
@@ -285,7 +289,7 @@ def _run_nathanson(config: ExperimentConfig) -> dict:
 
 def _run_grig(config: ExperimentConfig) -> dict:
     opts = config.options
-    n, beam, seed = opts["search"], opts.get("beam", 256), opts["seed"]
+    n, beam, seed = opts["search"], opts["beam"], opts["seed"]
     word = grigorchuk.search_word(n, beam, seed)
     erased = grigorchuk.loop_erase(word)
     bm = grigorchuk.branch_marks(erased)
@@ -404,8 +408,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("estimate-ibn", "bracket the branching number", source="family-or-tree")
     p.add_argument("--grid", type=unit_grid, default="0.05:0.95:0.05")
     p.add_argument("--schedule", type=_depths_type, default="16,32,64,128,256,512,1024")
-    p.add_argument("--eps-stop", dest="eps_stop", type=float, default=1e-6)
-    p.add_argument("--c-stay", dest="c_stay", type=float, default=1e-3)
+    p.add_argument("--eps-stop", dest="eps_stop", type=float,
+                   default=flowcut.DepthSchedule.eps_stop)
+    p.add_argument("--c-stay", dest="c_stay", type=float, default=flowcut.DepthSchedule.c_stay)
     p.add_argument("--out", required=True)
 
     p = command("walk", "conductance-weighted walks from the root", source="family-or-tree")

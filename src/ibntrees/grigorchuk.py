@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product
+from functools import lru_cache, reduce
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -114,9 +114,9 @@ def _trim(bits: str) -> str:
     return bits.rstrip("1")
 
 
-def act_point_word(word: str, prefix: str, budget: int = 4096) -> str:
+def act_point_word(word: str, prefix: str) -> str:
     for ch in word:
-        prefix = act_point(ch, prefix, budget)
+        prefix = act_point(ch, prefix)
     return prefix
 
 
@@ -197,26 +197,23 @@ def is_trivial(word: str) -> bool:
 X0 = ""  # canonical prefix of the all-ones ray point
 
 
-def inverted_orbit(word: str, budget: int = 4096) -> frozenset[str]:
-    """O(g_1..g_l) = {x0 g_l, x0 g_{l-1} g_l, ..., x0 g_1..g_l}; the empty
-    word gives {x0}."""
-    pts = {X0}
-    for ch in word:
-        pts = {act_point(ch, p, budget) for p in pts}
-        pts.add(act_point(ch, X0, budget))
+def _orbit_step(orbit: frozenset[str], ch: str) -> frozenset[str]:
+    """O(w ch) = {x0 ch} union O(w) ch, from O(w)."""
+    pts = {act_point(ch, p) for p in orbit}
+    pts.add(act_point(ch, X0))
     return frozenset(pts)
 
 
-def orbit_sizes(word: str, budget: int = 4096) -> np.ndarray:
+def inverted_orbit(word: str) -> frozenset[str]:
+    """O(g_1..g_l) = {x0 g_l, x0 g_{l-1} g_l, ..., x0 g_1..g_l}; the empty
+    word gives {x0}."""
+    return reduce(_orbit_step, word, frozenset({X0}))
+
+
+def orbit_sizes(word: str) -> np.ndarray:
     """sizes[l] = #O(g_1..g_l) for every prefix, sizes[0] = 1."""
-    sizes = np.empty(len(word) + 1, dtype=np.int64)
-    sizes[0] = 1
-    pts = {X0}
-    for i, ch in enumerate(word, start=1):
-        pts = {act_point(ch, p, budget) for p in pts}
-        pts.add(act_point(ch, X0, budget))
-        sizes[i] = len(pts)
-    return sizes
+    orbits = accumulate(word, _orbit_step, initial=frozenset({X0}))
+    return np.array([len(o) for o in orbits], dtype=np.int64)
 
 
 # -- loop erasure ---------------------------------------------------------------
@@ -289,7 +286,7 @@ def search_word(n: int, beam: int = 256, seed: int = 0,
         nxt: dict[frozenset[str], str] = {}
         for orbit, word in states.items():
             for ch in GENERATORS:
-                no = frozenset({act_point(ch, p) for p in orbit} | {act_point(ch, X0)})
+                no = _orbit_step(orbit, ch)
                 if no not in nxt:
                     nxt[no] = word + ch
         if width is not None and len(nxt) > width:
@@ -361,8 +358,8 @@ class BranchMarks:
         return int(L + self.sizes[L])
 
 
-def branch_marks(word: str, budget: int = 4096) -> BranchMarks:
-    sizes = orbit_sizes(word, budget)
+def branch_marks(word: str) -> BranchMarks:
+    sizes = orbit_sizes(word)
     marks = np.zeros(len(word) + 1, dtype=bool)
     if len(word) >= 1:
         marks[1] = True

@@ -7,8 +7,9 @@ probabilities meaningful, in one Tree.sweep_up on a materialized tree.
 The conductance bound's comparison network is per-depth (one log
 conductance per depth, from one cumsum) and is reduced in log space.
 Spherically symmetric trees collapse the recursion to one value per level,
-which is how deep schedules are run.  survival_table evaluates a source
-over a (rate, depth) grid by the route generators.route picks for it.
+which is how deep schedules are run.  _evaluators is the one place that
+picks, by generators.route, how a source's survival and bound are
+evaluated; Monte Carlo is one Tree.sweep_down per chunk of trials.
 """
 
 from __future__ import annotations
@@ -44,10 +45,7 @@ class PercolationLaw:
         return PercolationLaw(None)
 
     def p(self, depth) -> np.ndarray:
-        d = np.asarray(depth, dtype=float)
-        if self.lam is None:
-            return np.ones_like(d)
-        return np.exp(-np.power(d, self.lam - 1.0))
+        return np.exp(self.log_p(depth))
 
     def log_p(self, depth) -> np.ndarray:
         d = np.asarray(depth, dtype=float)
@@ -100,19 +98,16 @@ def mc_survival(tree: Tree, law: PercolationLaw, N: int, trials: int,
     frontier = tree.level(N)
     if len(frontier) == 0:
         raise ValueError(f"tree must reach depth N={N}")
-    par = tree.parent_array()
     hits = 0
     done = 0
     index = 0
     while done < trials:
         m = min(MC_CHUNK, trials - done)
         gen = rng.stream_rng(seed, rng.PERC_STREAM, index)
-        reach = np.ones((m, tree.n_vertices), dtype=bool)
-        for k in range(1, N + 1):
-            lv = tree.level(k)
-            u = gen.random((m, len(lv)))
-            reach[:, lv] = reach[:, par[lv]] & (u < p_edge[lv])
-        hits += int(reach[:, frontier].any(axis=1).sum())
+        # reach[v, t]: trial t's cluster holds v; uniforms drawn trial-major
+        reach = tree.sweep_down(lambda r, p: r & (gen.random((m, len(r))).T < p),
+                                np.ones((tree.n_vertices, m), dtype=bool), p_edge[:, None], N)
+        hits += int(reach[frontier].any(axis=0).sum())
         done += m
         index += 1
     est = hits / trials
@@ -120,45 +115,35 @@ def mc_survival(tree: Tree, law: PercolationLaw, N: int, trials: int,
     return est, stderr
 
 
-def _exact_survivals(source: TreeFamily | Tree, grid: Sequence[float], depths: Sequence[int]):
-    """Per depth N, (N, truncation, {lam: exact survival}) by the route
-    generators.route picks: a symmetric family runs survival_symmetric on
-    prefixes of one degree array for the deepest N and yields no truncation
-    (None); any other source is swept on each truncation, built once per
-    depth."""
-    symmetric = route(source) == "symmetric"
-    if symmetric:
-        degrees = source.degrees(max(depths))
-    for N in depths:
-        tree = None if symmetric else truncation(source, N)
-        yield N, tree, {lam: survival_symmetric(degrees, PercolationLaw(lam), N) if symmetric
-                        else exact_survival(tree, PercolationLaw(lam), N) for lam in grid}
+def _evaluators(source: TreeFamily | Tree, deepest: int):
+    """(survival, bound) of a source, each a function of (law, N) for
+    N <= deepest, by the route generators.route picks: a symmetric family
+    runs survival_symmetric on one degree array and
+    conductance_bound_symmetric on one level-size table; any other source
+    is swept on one truncation at the deepest depth."""
+    if route(source) == "symmetric":
+        degrees = source.degrees(deepest)
+        log2_levels = source.level_log2_sizes(deepest)
+        return (lambda law, N: survival_symmetric(degrees, law, N),
+                lambda law, N: conductance_bound_symmetric(log2_levels, law.lam, N))
+    tree = truncation(source, deepest)
+    return (lambda law, N: exact_survival(tree, law, N),
+            lambda law, N: conductance_bound(tree, law, N))
 
 
 def survival_table(source: TreeFamily | Tree, grid: Sequence[float], depths: Sequence[int],
                    mc_trials: int = 0, seed: int = 0) -> dict[tuple[float, int], tuple]:
     """(exact survival, Monte Carlo estimate, its standard error, conductance
     bound) for every (lam, N) of grid x depths; nan for the Monte Carlo pair
-    when mc_trials is 0.
-
-    A symmetric family takes its bounds from one level-size table for the
-    deepest N (conductance_bound_symmetric) and builds a truncation only for
-    Monte Carlo; any other source is swept on the truncation its exact
-    survival used.
-    """
-    symmetric = route(source) == "symmetric"
-    if symmetric:
-        log2_levels = source.level_log2_sizes(max(depths))
+    when mc_trials is 0.  Monte Carlo draws on the depth-N truncation."""
+    survival, bound = _evaluators(source, max(depths))
     table = {}
-    for N, tree, exact in _exact_survivals(source, grid, depths):
-        if tree is None and mc_trials:
-            tree = truncation(source, N)
+    for N in depths:
+        tree = truncation(source, N) if mc_trials else None
         for lam in grid:
             law = PercolationLaw(lam)
-            bound = (conductance_bound_symmetric(log2_levels, lam, N) if symmetric
-                     else conductance_bound(tree, law, N))
             mc = mc_survival(tree, law, N, mc_trials, seed) if mc_trials else (math.nan,) * 2
-            table[lam, N] = (exact[lam], *mc, bound)
+            table[lam, N] = (survival(law, N), *mc, bound(law, N))
     return table
 
 
@@ -169,11 +154,9 @@ def theta_estimate(source: TreeFamily | Tree, schedule: DepthSchedule,
     grid = tuple(sorted(grid))
     if any(not 0 < g < 1 for g in grid):
         raise ValueError("grid must lie inside (0, 1)")
-    survival = {lam: [] for lam in grid}
-    for _, _, exact in _exact_survivals(source, grid, schedule.depths):
-        for lam in grid:
-            survival[lam].append(exact[lam])
-    return theta_from_survival(schedule, survival)
+    survival, _ = _evaluators(source, schedule.depths[-1])
+    return theta_from_survival(schedule, {lam: [survival(PercolationLaw(lam), N)
+                                                for N in schedule.depths] for lam in grid})
 
 
 def theta_from_survival(schedule: DepthSchedule,

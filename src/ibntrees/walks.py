@@ -256,10 +256,10 @@ def psi_field(tree: Tree, log_c: np.ndarray, N: int) -> PsiField:
     return PsiField(tree, log_S, log_psi, log_Psi, N)
 
 
-def rt_estimate(tree: Tree, psi: PsiField, gamma_grid: Sequence[float],
+def rt_estimate(psi: PsiField, gamma_grid: Sequence[float],
                 schedule: DepthSchedule) -> BracketResult:
     """Bracket the recurrence/transience exponent: classify, per gamma, the
-    min-cut trajectory under weights Psi(e)**gamma."""
+    min-cut trajectory on psi.tree under weights Psi(e)**gamma."""
     gamma_grid = tuple(sorted(gamma_grid))
     if any(g <= 0 for g in gamma_grid):
         raise ValueError("gamma grid must be positive")
@@ -269,7 +269,7 @@ def rt_estimate(tree: Tree, psi: PsiField, gamma_grid: Sequence[float],
     for g in gamma_grid:
         w = g * psi.log_Psi
         w[0] = np.nan
-        vals = [min_cut(tree, w, N, want_cut=False).log_value for N in schedule.depths]
+        vals = [min_cut(psi.tree, w, N, want_cut=False).log_value for N in schedule.depths]
         trajectories[g] = tuple(vals)
     return trajectory_bracket(gamma_grid, schedule, trajectories)
 

@@ -179,12 +179,12 @@ def test_criterion_6_rwrc():
     above, below = 0, 0
     for seed in range(10):
         f3 = walks.sample_conductances(tree, 0.3, seed)
-        res3 = walks.rt_estimate(tree, walks.psi_field(tree, f3, 128), grid, sched)
+        res3 = walks.rt_estimate(walks.psi_field(tree, f3, 128), grid, sched)
         if res3.lower is not None and res3.lower > 1.0 and (
                 res3.upper is None or res3.upper > 1.0):
             above += 1
         f7 = walks.sample_conductances(tree, 0.7, seed)
-        res7 = walks.rt_estimate(tree, walks.psi_field(tree, f7, 128), grid, sched)
+        res7 = walks.rt_estimate(walks.psi_field(tree, f7, 128), grid, sched)
         if res7.upper is not None and res7.upper <= 1.0 and (
                 res7.lower is None or res7.lower < 1.0):
             below += 1

@@ -143,6 +143,8 @@ def test_report_empty_dir(tmp_path):
                  id="percolate-lambda-and-grid"),
     pytest.param(["estimate-ibn", "--family", "seq", "--grid", "0.1:0.5:0"], id="zero-step"),
     pytest.param(["estimate-ibn", "--family", "seq", "--grid", "abc"], id="grid-not-a-number"),
+    pytest.param(["estimate-ibn", "--family", "seq", "--grid", "0.05:0.95:1e-9"],
+                 id="grid-too-fine"),
     pytest.param(["percolate", "--family", "seq", "--grid", "0.5:0.1:0.1"], id="reversed-grid"),
     pytest.param(["firefight", "--family", "seq", "--gamma-grid", "0.9:0.2:0.1"],
                  id="reversed-gamma-grid"),
@@ -183,6 +185,16 @@ def test_usage_errors_exit_2(argv, tmp_path, capsys):
     assert "error:" in err
     assert "unrecognized arguments" not in err, err
     assert not os.path.exists(out)
+
+
+def test_grid_size_bound_names_the_count(tmp_path, capsys):
+    assert len(cli._parse_grid("1:10000:1")) == cli.MAX_GRID_VALUES
+    with pytest.raises(ValueError, match="asks for 10001 values"):
+        cli._parse_grid("1:10001:1")
+    with pytest.raises(SystemExit):
+        cli.main(["percolate", "--family", "seq", "--grid", "0.05:0.95:1e-6",
+                  "--out", str(tmp_path / "x.csv")])
+    assert "asks for 900001 values, more than 10000" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("k", ["7", str(10 ** 400)])

@@ -155,3 +155,39 @@ def test_law_validation():
     p = law.p(np.arange(1, 5, dtype=float))
     assert (np.diff(p) > 0).all()
     assert math.isclose(p[0], math.exp(-1.0))
+
+
+def test_mc_survival_values_are_pinned():
+    # each level draws one (trials, level size) block of uniforms from its
+    # chunk's substream; these values pin that order (700 trials span 3 chunks)
+    seq = gen.sequence_family().build(32)
+    assert pc.mc_survival(seq, pc.PercolationLaw(0.5), 32, 1000, seed=5) == \
+        (0.002, 0.0014127986409959489)
+    assert pc.mc_survival(seq, pc.PercolationLaw(0.3), 32, 1000, seed=5) == \
+        (0.02, 0.004427188724235731)
+    t31 = gen.three_one_stretched(28)
+    assert pc.mc_survival(t31, pc.PercolationLaw(0.3), 28, 700, seed=2) == \
+        (0.08, 0.010253919111386492)
+
+
+def test_survival_table_sweeps_one_truncation(monkeypatch):
+    built = []
+    real = gen.three_one_stretched
+    monkeypatch.setattr(gen, "three_one_stretched", lambda N: built.append(N) or real(N))
+    depths = (15, 28, 45)
+    table = pc.survival_table(gen.three_one_family(), (0.3, 0.7), depths)
+    assert built == [45]
+    for N in depths:  # the deepest truncation gives each depth's values bit for bit
+        t = real(N)
+        for lam in (0.3, 0.7):
+            law = pc.PercolationLaw(lam)
+            assert table[lam, N][::3] == (pc.exact_survival(t, law, N),
+                                          pc.conductance_bound(t, law, N))
+    pc.theta_estimate(gen.three_one_family(), DepthSchedule(depths), (0.3, 0.7))
+    assert built == [45, 45]
+
+
+def test_three_one_schedule_past_the_cap_fails_before_any_depth(monkeypatch):
+    monkeypatch.setattr(pc, "exact_survival", lambda *a: pytest.fail("a depth was evaluated"))
+    with pytest.raises(gen.MemoryCapError, match="vertices"):
+        pc.survival_table(gen.three_one_family(), (0.5,), (10, 400))

@@ -289,7 +289,7 @@ def test_rt_all_ones_field_stays():
     t = gen.binary_family().build(8)
     pf = walks.PsiField(t, np.zeros(t.n_vertices), np.zeros(t.n_vertices),
                         np.zeros(t.n_vertices), 8)
-    res = walks.rt_estimate(t, pf, (0.5, 1.0, 2.0), DepthSchedule((4, 8)))
+    res = walks.rt_estimate(pf, (0.5, 1.0, 2.0), DepthSchedule((4, 8)))
     assert all(v == "below" for v in res.classifications.values())
 
 
@@ -305,7 +305,7 @@ def test_rt_deterministic_field_matches_level_oracle():
     log_Psi[1:] = -np.power(d[1:], beta)
     pf = walks.PsiField(t, log_Psi.copy(), log_Psi.copy(), log_Psi, 32)
     sched = DepthSchedule((8, 16, 32))
-    res = walks.rt_estimate(t, pf, gammas, sched)
+    res = walks.rt_estimate(pf, gammas, sched)
     lv = np.array([math.log2(float(x)) for x in gen.sequence_level_sizes(32)])
     for g in gammas:
         for N, got in zip(sched.depths, res.trajectories[g]):
