@@ -28,6 +28,8 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--quick", action="store_true", help="shallower schedules")
     args = ap.parse_args()
+    if not 0 <= args.seed < 1 << 64:
+        ap.error(f"--seed {args.seed} must be in [0, 2**64), as every subcommand requires")
     os.makedirs(args.outdir, exist_ok=True)
 
     depth_sched = "16,32,64,128" if args.quick else "16,32,64,128,256,512,1024"

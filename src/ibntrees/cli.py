@@ -119,6 +119,7 @@ def _int_at_least(low: int):
 
 
 _positive_int = _int_at_least(1)
+_seed = _checked(int, "in [0, 2**64)", lambda v: 0 <= v < 1 << 64)  # one Philox key word
 _open_unit = _checked(float, "in (0, 1)", lambda v: 0 < v < 1)  # a rate
 _finite = _checked(float, "finite", math.isfinite)
 _finite_positive = _checked(float, "a finite number > 0", lambda v: math.isfinite(v) and v > 0)
@@ -392,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "family-or-tree" (exactly one of --family and --tree)."""
         p = sub.add_parser(name, help=help)
         if seed:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_seed, default=0)
         if source:
             group = p.add_mutually_exclusive_group(required=True)
             group.add_argument("--family", choices=["seq", "three-one", "binary", "path", "marks"])

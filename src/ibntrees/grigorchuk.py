@@ -196,11 +196,24 @@ def is_trivial(word: str) -> bool:
 
 X0 = ""  # canonical prefix of the all-ones ray point
 
+# Memo of act_point per generator: prefix -> image.  The action is pure and
+# a word search meets few distinct points (452 over search_word(512, 64)),
+# so each is computed once.  A point whose image raises DepthBudgetError is
+# never stored and raises again on every call.
+_IMAGES: dict[str, dict[str, str]] = {ch: {} for ch in GENERATORS}
+
 
 def _orbit_step(orbit: frozenset[str], ch: str) -> frozenset[str]:
     """O(w ch) = {x0 ch} union O(w) ch, from O(w)."""
-    pts = {act_point(ch, p) for p in orbit}
-    pts.add(act_point(ch, X0))
+    image = _IMAGES[ch]
+    try:
+        pts = set(map(image.__getitem__, orbit))
+        pts.add(image[X0])
+    except KeyError:
+        for p in (orbit | {X0}) - image.keys():
+            image[p] = act_point(ch, p)
+        pts = set(map(image.__getitem__, orbit))
+        pts.add(image[X0])
     return frozenset(pts)
 
 

@@ -24,15 +24,17 @@ SEARCH_STREAM = 4
 def stream_rng(seed: int, stream: int, index: int = 0) -> np.random.Generator:
     """Generator for substream (seed, stream, index).
 
+    seed is the first Philox key word, so it must lie in [0, 2**64);
     stream must be < 2**16 and index < 2**48; they are packed into the
-    second Philox key word.
+    second key word.
     """
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed out of range: {seed}")
     if not 0 <= stream < (1 << 16):
         raise ValueError(f"stream id out of range: {stream}")
     if not 0 <= index < (1 << 48):
         raise ValueError(f"stream index out of range: {index}")
-    key = np.array([seed & _MASK64, ((stream << 48) | index) & _MASK64],
-                   dtype=np.uint64)
+    key = np.array([seed, (stream << 48) | index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

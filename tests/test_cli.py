@@ -64,6 +64,15 @@ def test_walk_csv_and_seed_dependence(tmp_path):
     assert b1.splitlines()[0] == b"trial,returned,steps,maxdepth"
 
 
+def test_walk_seed_range_edges_run_and_differ(tmp_path):
+    # the whole 64-bit key word is usable, and its ends are distinct streams
+    base = ["walk", "--family", "seq", "--lambda", "0.3", "--depth", "16",
+            "--trials", "20", "--cap", "500"]
+    for seed in ("0", str(2 ** 64 - 1)):
+        assert run_cli(base + ["--seed", seed, "--out", f"w{seed}.csv"], tmp_path).returncode == 0
+    assert (tmp_path / "w0.csv").read_bytes() != (tmp_path / f"w{2 ** 64 - 1}.csv").read_bytes()
+
+
 def test_percolate_on_tree_file(tmp_path):
     r = run_cli(["generate", "--family", "seq", "--depth", "12", "--out", "seq.txt"], tmp_path)
     assert r.returncode == 0, r.stderr
@@ -174,6 +183,13 @@ def test_report_empty_dir(tmp_path):
     pytest.param(["firefight", "--family", "seq", "--k", "7", "--schedule", "8"],
                  id="firefight-k-at-deepest-depth"),
     pytest.param(["firefight", "--family", "seq", "--k", str(10 ** 400)], id="firefight-k-huge"),
+    pytest.param(["walk", "--family", "seq", "--lambda", "0.3", "--seed", "-1"],
+                 id="seed-negative"),
+    pytest.param(["grig", "--search", "4", f"--seed={5 - 2 ** 64}"], id="seed-below-minus-2**64"),
+    pytest.param(["percolate", "--family", "seq", "--lambda", "0.3", "--seed", str(2 ** 64)],
+                 id="seed-2**64"),
+    pytest.param(["walk", "--family", "seq", "--lambda", "0.3", "--seed", str(5 + 2 ** 64)],
+                 id="seed-above-2**64"),
 ])
 def test_usage_errors_exit_2(argv, tmp_path, capsys):
     out = str(tmp_path / "x.out")
@@ -345,6 +361,9 @@ NUMBER = (st.one_of(st.floats(0, 1), st.floats(allow_nan=False, allow_infinity=F
 RATE = (st.floats(0, 1, exclude_min=True, exclude_max=True),
         st.sampled_from(["0", "1", "-1", "150", "1e308", "nan", "inf"]))
 INTEGER = (st.one_of(st.integers(), st.just(10 ** 400)), st.sampled_from(["nan", "1.5", "x"]))
+SEED = (st.integers(0, 2 ** 64 - 1),
+        st.one_of(st.integers(max_value=-1), st.integers(min_value=2 ** 64),
+                  st.sampled_from(["nan", "1.5", "x"])))
 SOURCE = (st.sampled_from([["--family", f] for f in ("seq", "three-one", "binary", "path")]
                           + [["--family", "marks", "--marks-file", "marks.txt"],
                              ["--tree", "t.txt"]]),
@@ -369,7 +388,7 @@ def cli_argv(draw) -> list[str]:
     if sub == "report":
         return ["report", draw(st.sampled_from([".", "missing"])),
                 *draw(st.sampled_from([[], ["--out", "o.csv"]]))]
-    seed = opt("--seed", INTEGER)
+    seed = opt("--seed", SEED)
     if sub == "nathanson":
         return ["nathanson", *opt("--depth", SIZE), "--emit-tree", "o.txt",
                 "--emit-stats", "o.csv", *seed]

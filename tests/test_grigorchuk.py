@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -92,6 +93,51 @@ def test_orbit_incremental_matches_scratch(w):
     for l in (0, len(w) // 2, len(w)):
         assert gg.inverted_orbit(w[:l]) == scratch(w[:l])
         assert sizes[l] == len(scratch(w[:l]))
+
+
+@pytest.fixture
+def fresh_images(monkeypatch):
+    """Empty image tables for one test; the shared ones come back after it."""
+    tables = {ch: {} for ch in gg.GENERATORS}
+    monkeypatch.setattr(gg, "_IMAGES", tables)
+    return tables
+
+
+def test_search_computes_each_point_action_once(fresh_images, monkeypatch):
+    calls = []
+
+    def counting(letter, prefix):
+        calls.append((letter, prefix))
+        return act_point(letter, prefix)
+
+    act_point = gg.act_point
+    monkeypatch.setattr(gg, "act_point", counting)
+    gg.search_word(64, 64, seed=2)
+    entries = sum(len(image) for image in fresh_images.values())
+    assert entries > 0
+    assert len(calls) == entries == len(set(calls))
+
+
+def test_warm_tables_keep_the_exact_orbits(fresh_images):
+    w = gg.search_word(160, 64, 1)
+    assert all(fresh_images.values())
+    sizes = gg.orbit_sizes(w)
+    for l in range(len(w) + 1):
+        scratch = frozenset(gg.act_point_word(w[i:l], gg.X0) for i in range(l)) \
+            if l else frozenset({gg.X0})
+        assert gg.inverted_orbit(w[:l]) == scratch, l
+        assert sizes[l] == len(scratch), l
+
+
+def test_battery_wreath_word_is_pinned():
+    # grig --search 128 --beam 64 at seed 0, the marks row of both batteries
+    q = gg.loop_erase(gg.search_word(128, 64, 0))
+    bm = gg.branch_marks(q)
+    assert hashlib.sha256(q.encode()).hexdigest() == \
+        "183479c999defa30c31cabced0333718abbb4e5490275098cb3e7ab4061a3f57"
+    assert len(q) == 121
+    assert int(bm.sizes[-1]) == len(gg.inverted_orbit(q)) == 29
+    assert bm.max_tree_depth() == 150
 
 
 def test_loop_erase_keeps_orbit_growing_loops():
