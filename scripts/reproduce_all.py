@@ -2,7 +2,8 @@
 """Run the full experiment battery into a results directory and print the
 summary table (one row per family: growth index, branching-number bracket,
 percolation bracket, containment bracket, walk classifier brackets).  The
-`marks` row is the wreath-product tree of a searched Grigorchuk word."""
+`marks` row is the wreath-product tree of a searched Grigorchuk word, of
+length 128 (--quick) or 512."""
 
 import argparse
 import os
@@ -57,7 +58,7 @@ def main():
 
     cli(["nathanson", "--depth", "40" if args.quick else "60",
          "--emit-stats", "nathanson_stats.csv"] + seed, args.outdir)
-    cli(["grig", "--search", "128", "--beam", "64",
+    cli(["grig", "--search", "128" if args.quick else "512", "--beam", "64",
          "--emit-marks", "grig_marks.txt"] + seed, args.outdir)
 
     # the wreath row: the tree the marks describe, scheduled to the depth

@@ -14,10 +14,10 @@ __version__ = "0.1.0"
 
 from .trees import Tree, FlowCheck, check_flow
 from .generators import (MemoryCapError, TreeFamily, binary_family,
-                         family_by_name, marks_family, path_family,
-                         sequence_degrees, sequence_family,
-                         sequence_level_sizes, spherically_symmetric,
-                         three_one_family, three_one_stretched)
+                         family_by_name, level_sizes, marks_family,
+                         path_family, sequence_degrees, sequence_family,
+                         spherically_symmetric, three_one_family,
+                         three_one_stretched)
 from .flowcut import (BracketResult, DepthSchedule, IgrEstimate, MinCut,
                       ibn_estimate, ibn_log_weights, igr_estimate, max_flow,
                       min_cut, min_cut_symmetric, three_one_log_min_cut)
@@ -31,5 +31,5 @@ from .percolation import (PercolationLaw, conductance_bound,
                           theta_estimate)
 from .firefighter import (BudgetSchedule, ContainmentAttempt, GameState,
                           PlayResult, greedy_play, lambda_c_estimate, new_game,
-                          new_game_from, step, surrounding_set_from_cutset)
+                          step, surrounding_set_from_cutset)
 from . import grigorchuk, nathanson

@@ -317,17 +317,16 @@ def _run_report(config: ExperimentConfig) -> dict:
         if not name.endswith(".manifest.json"):
             continue
         path = os.path.join(directory, name)
-        try:
+        try:  # a manifest of the wrong shape raises TypeError or AttributeError
             with open(path) as fh:
                 manifest = json.load(fh)
-            summary = manifest["summary"]
-            cfg = manifest["config"]
-        except (json.JSONDecodeError, KeyError) as exc:
+            summary, cfg = manifest["summary"], manifest["config"]
+            key = (summary.get("family") or cfg["options"].get("family") or cfg["subcommand"],
+                   cfg["options"].get("seed"))
+            row = rows.setdefault(key, {})
+        except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
             skipped.append(f"{name}: {exc}")
             continue
-        key = (summary.get("family") or cfg["options"].get("family") or cfg["subcommand"],
-               cfg["options"].get("seed"))
-        row = rows.setdefault(key, {})
         for field_name, value in summary.items():
             fixed = field_name in ("igr", "ibn_lower", "ibn_upper", "theta_lower",
                                    "theta_upper", "lambdac_lower", "lambdac_upper")
@@ -464,6 +463,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = vars(parser.parse_args(argv))
+    if [] in args.values():  # argparse drops a lone '--' value (--grid=--) unconverted
+        parser.error("'--' is not an option value")
     if args.get("family") == "marks" and not args.get("marks_file"):
         parser.error("--family marks needs --marks-file")
     if "eps_stop" in args and not 0 < args["eps_stop"] < args["c_stay"]:

@@ -1,10 +1,13 @@
 """The firefighting game on trees and the containment-threshold estimate.
 
 Rounds are synchronous: protection is placed first, then the fire spreads
-to every unprotected neighbor of a burning vertex (parents included).
-The containment strategy mirrors the cut construction: pick a cutset of
-weight below the margin eps = exp(-k**lam) - exp(-(k+1)**lam), promote its
-child endpoints to a surrounding set, and protect it greedily by depth.
+to every unprotected child of a burning vertex (the fire starts as a ball,
+so every ancestor of a burning vertex already burns).  The containment
+strategy mirrors the cut construction: pick a cutset of weight below the
+margin eps = exp(-k**lam) - exp(-(k+1)**lam), promote its child endpoints
+to a surrounding set, and protect it greedily by depth.  On a spherically
+symmetric family that set is a whole level, and attempt_containment reads
+the game's outcome off the exact level sizes without building a tree.
 A contained fire classifies its rate 'above' the threshold, an
 uncontained one 'below', in the same BracketResult as every estimator.
 """
@@ -19,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .flowcut import BracketResult, DepthSchedule, ibn_log_weights, min_cut, min_cut_symmetric
-from .generators import TreeFamily, route, truncation
+from .generators import TreeFamily, level_sizes, route, truncation
 from .trees import Tree
 
 LOG_MAXSIZE = math.log(sys.maxsize)
@@ -81,26 +84,6 @@ def new_game(tree: Tree, k: int, budgets: BudgetSchedule) -> GameState:
     return GameState(tree, budgets, 0, burning, np.zeros(tree.n_vertices, dtype=bool))
 
 
-def new_game_from(tree: Tree, initial_fire: Sequence[int], budgets: BudgetSchedule) -> GameState:
-    """Round-0 state with an arbitrary finite initial fire (monotonicity checks)."""
-    burning = np.zeros(tree.n_vertices, dtype=bool)
-    burning[np.asarray(list(initial_fire), dtype=np.int64)] = True
-    if not burning.any():
-        raise ValueError("initial fire must be nonempty")
-    return GameState(tree, budgets, 0, burning, np.zeros(tree.n_vertices, dtype=bool))
-
-
-def _spread(tree: Tree, burning: np.ndarray, protected: np.ndarray) -> np.ndarray:
-    par = tree.parent_array()
-    from_parent = np.zeros(tree.n_vertices, dtype=bool)
-    from_parent[1:] = burning[par[1:]]
-    from_child = np.zeros(tree.n_vertices, dtype=bool)
-    ids = np.flatnonzero(burning)
-    ids = ids[ids > 0]
-    from_child[par[ids]] = True
-    return burning | (~protected & (from_parent | from_child))
-
-
 def step(state: GameState, protect: Sequence[int]) -> GameState:
     """Play one round: place the protections, then spread the fire."""
     n = state.round + 1
@@ -113,7 +96,9 @@ def step(state: GameState, protect: Sequence[int]) -> GameState:
     protected = state.protected.copy()
     if len(ids):
         protected[ids] = True
-    burning = _spread(state.tree, state.burning, protected)
+    from_parent = np.zeros(state.tree.n_vertices, dtype=bool)
+    from_parent[1:] = state.burning[state.tree.parent_array()[1:]]
+    burning = state.burning | (~protected & from_parent)
     return replace(state, round=n, burning=burning, protected=protected)
 
 
@@ -184,7 +169,7 @@ class ContainmentAttempt:
     contained: bool
     cut_depth: int | None   # truncation depth of the qualifying cut, if any
     reason: str
-    fire_size: int = -1      # final game sizes; -1 when no game was played
+    fire_size: int = -1      # final fire sizes; -1 when no cut qualified
     protected_size: int = -1
 
 
@@ -196,12 +181,19 @@ def attempt_containment(source: TreeFamily | Tree, k: int, gamma: float, K: floa
     (which forces it outside B(k)), promote it to a surrounding set and
     play greedily with budgets floor(K * exp(n**gamma)).  Containment with
     no qualifying cutset at any scheduled depth counts as failure.
+
+    A symmetric family's cut is its min-cut level L, and its game needs no
+    tree: by round L-k, when the fire reaches level L, the budgets have paid
+    P = g_1 + ... + g_{L-k}, so min(P, #E_L) of the level is protected and
+    the fire holds every level above it plus the rest of level L.
     """
     eps = containment_margin(k, gamma)
     budgets = BudgetSchedule.exponential(K, gamma)
     symmetric = route(source) == "symmetric"
-    log2_levels = source.level_log2_sizes(schedule.depths[-1]) if symmetric else None
-    last_play = None
+    if symmetric:
+        log2_levels = source.level_log2_sizes(schedule.depths[-1])
+        sizes = level_sizes(source.degrees(schedule.depths[-1]))
+    last = None
     for N in schedule.depths:
         if N <= k + 1:
             continue
@@ -209,27 +201,27 @@ def attempt_containment(source: TreeFamily | Tree, k: int, gamma: float, K: floa
             log_val, level = min_cut_symmetric(log2_levels, gamma, N)
             if log_val >= math.log(eps) or level <= k:
                 continue
-            tree = source.build(level)
-            cut = tree.level_set(level)
+            paid = sum(map(budgets, range(1, level - k + 1)))
+            held = paid >= sizes[level]
+            last = ContainmentAttempt(
+                gamma, held, N, "fire frozen" if held else "fire reached the surrounding set",
+                sum(sizes[:level]) + max(sizes[level] - paid, 0), min(paid, sizes[level]))
         else:
             tree = truncation(source, N)
             res = min_cut(tree, ibn_log_weights(tree, gamma), N, want_cut=True)
             if res.log_value >= math.log(eps):
                 continue
-            cut = res.cut
-            if int(tree.depth_array()[np.asarray(cut)].min()) <= k:
+            if int(tree.depth_array()[np.asarray(res.cut)].min()) <= k:
                 continue
-        surrounding = surrounding_set_from_cutset(tree, cut, k)
-        horizon = max(int(tree.depth_array()[np.asarray(surrounding)].max()), 1) + 1
-        play = greedy_play(tree, k, budgets, surrounding, horizon)
-        last_play = play
-        if play.contained:
-            return ContainmentAttempt(gamma, True, N, play.reason,
+            surrounding = surrounding_set_from_cutset(tree, res.cut, k)
+            horizon = max(int(tree.depth_array()[np.asarray(surrounding)].max()), 1) + 1
+            play = greedy_play(tree, k, budgets, surrounding, horizon)
+            last = ContainmentAttempt(gamma, play.contained, N, play.reason,
                                       play.fire_size, play.protected_size)
-    if last_play is not None:
-        return ContainmentAttempt(gamma, False, None,
-                                  f"greedy protection too slow: {last_play.reason}",
-                                  last_play.fire_size, last_play.protected_size)
+        if last.contained:
+            return last
+    if last is not None:
+        return replace(last, cut_depth=None, reason=f"greedy protection too slow: {last.reason}")
     return ContainmentAttempt(gamma, False, None,
                               f"no cutset below the containment margin {eps:.3g} "
                               f"within the schedule")

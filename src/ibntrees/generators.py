@@ -3,11 +3,11 @@
 All generators return finite truncations; asymptotic quantities are always
 taken along a schedule of increasing depths.  A spherically symmetric tree
 is its degree array: degrees[n] children below every depth-n vertex, for
-n = 0..N-1, and log2 of its level sizes is the cumulative sum of
-log2(degrees).  Lexicographic minimal spanning trees of semigroups are
-sub-periodic -- each subtree embeds into the tree near the root -- which
-is why they appear among the examples, but sub-periodicity itself is never
-computed here.
+n = 0..N-1; its level sizes are the running products of the degrees, and
+their log2 the cumulative sum of log2(degrees).  Lexicographic minimal
+spanning trees of semigroups are sub-periodic -- each subtree embeds into
+the tree near the root -- which is why they appear among the examples, but
+sub-periodicity itself is never computed here.
 
 A family is a name plus its degree array (None for the stretched 3-1 tree);
 it builds truncations and gives the cheap level-size arithmetic that the
@@ -19,7 +19,9 @@ Tree or a family -- is evaluated.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,12 +50,10 @@ def sequence_degrees(N: int) -> np.ndarray:
     return out
 
 
-def sequence_level_sizes(N: int) -> list[int]:
-    """Exact #E_n for n = 0..N of the sequence tree (arbitrary precision)."""
-    sizes = [1]
-    for d in sequence_degrees(N).tolist():
-        sizes.append(sizes[-1] * d)
-    return sizes
+def level_sizes(degrees: np.ndarray) -> list[int]:
+    """Exact #E_n for n = 0..len(degrees) of the spherically symmetric tree
+    with these child counts (arbitrary precision)."""
+    return list(accumulate(np.asarray(degrees).tolist(), operator.mul, initial=1))
 
 
 def spherically_symmetric(degrees: np.ndarray, N: int,

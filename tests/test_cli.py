@@ -138,6 +138,24 @@ def test_report_merges_and_skips(tmp_path):
     assert fields["ibn_lower"] != "" and fields["lambdac_upper"] != ""
 
 
+def test_report_skips_manifests_of_the_wrong_shape(tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    assert cli.main(["firefight", "--family", "seq", "--gamma-grid", "0.6,0.8",
+                     "--schedule", "8,16,32", "--out", str(out)]) == 0
+    bad = {"list": [],
+           "summary-list": {"summary": [], "config": {"subcommand": "walk", "options": {}}},
+           "no-options": {"summary": {"ibn_lower": 0.5}, "config": {"subcommand": "walk"}}}
+    for name, manifest in bad.items():
+        (tmp_path / f"{name}.manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert cli.main(["report", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    warnings = captured.err.splitlines()
+    assert sorted(w.split(".manifest.json")[0] for w in warnings) == sorted(
+        f"warning: skipped {name}" for name in bad)
+    assert captured.out.splitlines()[1].startswith("seq,0,")  # the good run's row
+
+
 def test_report_empty_dir(tmp_path):
     r = run_cli(["report", "."], tmp_path)
     assert r.returncode == 0
@@ -159,6 +177,8 @@ def test_report_empty_dir(tmp_path):
                  id="reversed-gamma-grid"),
     pytest.param(["estimate-ibn", "--family", "seq", "--grid", "0.5,1.5"], id="grid-outside-unit"),
     pytest.param(["estimate-ibn", "--family", "seq", "--schedule", "64,32"], id="schedule-decreasing"),
+    pytest.param(["estimate-ibn", "--family", "seq", "--schedule=--"], id="schedule-lone-dashes"),
+    pytest.param(["walk", "--family", "seq", "--lambda=--"], id="lambda-lone-dashes"),
     pytest.param(["generate", "--family", "marks", "--depth", "4"], id="marks-without-file"),
     pytest.param(["estimate-ibn", "--family", "seq", "--eps-stop", "1e-2", "--c-stay", "1e-3"],
                  id="eps-stop-above-c-stay"),
@@ -244,6 +264,20 @@ def test_firefight_zero_budgets_contain_nothing(tmp_path):
     assert row[2:] == ["0", str(generators.sequence_family().build(32).n_vertices), "0"]
     reasons = json.loads((tmp_path / "f.csv.manifest.json").read_text())["summary"]["reasons"]
     assert reasons == {"0.8": "greedy protection too slow: fire reached the surrounding set"}
+
+
+def test_firefight_cut_level_past_the_vertex_cap_exits_0(tmp_path):
+    # 1s at depths 0..22: the cut level alone holds 2**23 vertices, more than
+    # a truncation may, and the symmetric route builds none
+    assert 2 ** 23 > generators.DEFAULT_VERTEX_CAP
+    marks = tmp_path / "m.txt"
+    marks.write_text("1\n" * 23)
+    out = tmp_path / "f.csv"
+    assert cli.main(["firefight", "--family", "marks", "--marks-file", str(marks),
+                     "--gamma-grid", "0.9", "--schedule", "32", "--out", str(out)]) == 0
+    row = out.read_text().splitlines()[1].split(",")
+    # contained at level 32: levels 0..31 burn, level 32 is protected
+    assert row[2:] == ["1", str(2 ** 23 - 1 + 9 * 2 ** 23), str(2 ** 23)]
 
 
 def test_percolate_deep_path_tree_file_matches_the_family(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from conftest import brute_force_fire, random_tree
 from ibntrees import firefighter as ff
 from ibntrees import generators as gen
-from ibntrees.flowcut import DepthSchedule
+from ibntrees.flowcut import DepthSchedule, min_cut_symmetric
 from ibntrees.rng import stream_rng
 
 
@@ -142,7 +142,7 @@ def test_containment_monotone_in_initial_fire():
     full = ff.greedy_play(t, 2, budgets, surrounding, horizon=12)
     assert full.contained
     order = sorted(surrounding, key=lambda v: (t.depth(v), v))
-    state = ff.new_game_from(t, [0], budgets)  # only the root burns
+    state = ff.new_game(t, 0, budgets)  # only the root burns: the ball B(0)
     pos = 0
     for rnd in range(1, 12):
         budget = budgets(rnd)
@@ -178,3 +178,65 @@ def test_lambda_c_binary_fails_everywhere():
     _, attempts = ff.lambda_c_estimate(gen.binary_family(), 2, (0.3, 0.6, 0.9), 1.0,
                                        DepthSchedule((8, 16, 24)))
     assert not any(a.contained for a in attempts.values())
+
+
+def game_on_cut_levels(fam, k, gamma, K, schedule):
+    """The symmetric route played out: the greedy game on build(L) with the
+    min-cut level L as the surrounding set, at every scheduled depth."""
+    eps = ff.containment_margin(k, gamma)
+    budgets = ff.BudgetSchedule.exponential(K, gamma)
+    log2_levels = fam.level_log2_sizes(schedule.depths[-1])
+    last = None
+    for N in schedule.depths:
+        if N <= k + 1:
+            continue
+        log_val, level = min_cut_symmetric(log2_levels, gamma, N)
+        if log_val >= math.log(eps) or level <= k:
+            continue
+        t = fam.build(level)
+        last = ff.greedy_play(t, k, budgets, t.level_set(level), level + 1)
+        if last.contained:
+            return ff.ContainmentAttempt(gamma, True, N, last.reason,
+                                         last.fire_size, last.protected_size)
+    if last is None:
+        return None
+    return ff.ContainmentAttempt(gamma, False, None, f"greedy protection too slow: {last.reason}",
+                                 last.fire_size, last.protected_size)
+
+
+@pytest.mark.parametrize("fam, schedule", [
+    (gen.sequence_family(), (8, 16, 32, 64)),
+    (gen.binary_family(), (4, 8, 12)),
+    (gen.path_family(), (8, 32, 128)),
+    (gen.marks_family([n % 3 == 0 for n in range(30)]), (8, 16, 24, 30)),
+], ids=["seq", "binary", "path", "marks"])
+def test_symmetric_closed_form_matches_the_game(fam, schedule):
+    # K = 1e-9 keeps every budget at 0 here: nothing is protected
+    sched = DepthSchedule(schedule)
+    played = 0
+    for k in (0, 1, 2, 3):
+        for K in (1e-9, 0.5, 1.0, 3.0):
+            for gamma in (0.1, 0.3, 0.5, 0.6, 0.7, 0.8, 0.9):
+                want = game_on_cut_levels(fam, k, gamma, K, sched)
+                got = ff.attempt_containment(fam, k, gamma, K, sched)
+                if want is None:
+                    assert got.fire_size == -1 and got.reason.startswith("no cutset")
+                else:
+                    assert got == want, (k, K, gamma)
+                    played += 1
+    assert played > 0
+
+
+def test_symmetric_containment_builds_no_tree(monkeypatch):
+    def refuse(self, N):
+        raise AssertionError(f"{self.name} built a depth-{N} truncation")
+
+    monkeypatch.setattr(gen.TreeFamily, "build", refuse)
+    big = gen.marks_family([True] * 40)  # levels 40 and below hold 2**40 vertices each
+    sched = DepthSchedule((8, 32, 64))
+    for fam, gamma in ((gen.sequence_family(), 0.6), (big, 0.9)):
+        for K in (1.0, 1e-9):  # contained; then budgets far too small
+            att = ff.attempt_containment(fam, 2, gamma, K, sched)
+            assert att.contained == (K == 1.0) and att.fire_size > 0, (fam.name, K)
+    # the fire holds all of levels 0..64 that the budgets did not pay for
+    assert att.fire_size + att.protected_size == sum(gen.level_sizes(big.degrees(64)))

@@ -32,7 +32,7 @@ def test_min_cut_matches_exhaustive_enumeration():
 
 
 def test_min_cut_symmetric_reduction():
-    lv = np.log2(np.asarray([float(x) for x in gen.sequence_level_sizes(14)]))
+    lv = np.log2(np.asarray([float(x) for x in gen.level_sizes(gen.sequence_degrees(14))]))
     t = gen.sequence_family().build(14)
     for lam in (0.2, 0.5, 0.8):
         g = fc.min_cut(t, fc.ibn_log_weights(t, lam), 14).log_value
@@ -196,7 +196,7 @@ def test_igr_path_at_grid_minimum():
 
 
 def test_igr_sequence_window():
-    sizes = gen.sequence_level_sizes(1000)
+    sizes = gen.level_sizes(gen.sequence_degrees(1000))
     lv = np.array([math.log2(float(s)) for s in sizes])
     est = fc.igr_estimate(lv, 1000)
     assert 0.42 <= est.slope <= 0.58

@@ -32,7 +32,7 @@ def test_sequence_degrees_match_scalar_rule():
 
 
 def test_sequence_level_sizes_product_oracle():
-    sizes = gen.sequence_level_sizes(40)
+    sizes = gen.level_sizes(gen.sequence_degrees(40))
     prod = 1
     for n in range(1, 41):
         prod *= sequence_degree_oracle(n - 1)
@@ -44,7 +44,7 @@ def test_sequence_log2_at_1000_is_two_count():
     # independent oracle: enumerate the doubling positions below 1000
     twos = sum(1 for k in range(1, 1000) if k + (1 + k) * k // 2 < 1000)
     assert twos == 43
-    sizes = gen.sequence_level_sizes(1000)
+    sizes = gen.level_sizes(gen.sequence_degrees(1000))
     assert sizes[1000] == 2 ** twos
 
 
@@ -129,6 +129,14 @@ def test_level_log2_sizes_match_built_tree(family, N):
     lv = family.level_log2_sizes(N)
     assert len(lv) == N + 1
     assert np.array_equal(np.log2(family.build(N).level_sizes()), lv)
+    if family.degrees is not None:  # and the exact sizes of every symmetric family
+        assert gen.level_sizes(family.degrees(N)) == family.build(N).level_sizes().tolist()
+
+
+def test_level_sizes_exact_past_int64():
+    sizes = gen.level_sizes(np.full(100, 2, dtype=np.int64))
+    assert sizes[100] == 2 ** 100 and all(type(s) is int for s in sizes)
+    assert gen.level_sizes(np.array([], dtype=np.int64)) == [1]
 
 
 def test_three_one_level_profile_matches_materialized():

@@ -306,7 +306,7 @@ def test_rt_deterministic_field_matches_level_oracle():
     pf = walks.PsiField(t, log_Psi.copy(), log_Psi.copy(), log_Psi, 32)
     sched = DepthSchedule((8, 16, 32))
     res = walks.rt_estimate(pf, gammas, sched)
-    lv = np.array([math.log2(float(x)) for x in gen.sequence_level_sizes(32)])
+    lv = np.array([math.log2(float(x)) for x in gen.level_sizes(gen.sequence_degrees(32))])
     for g in gammas:
         for N, got in zip(sched.depths, res.trajectories[g]):
             n = np.arange(1, N + 1, dtype=float)
