@@ -311,6 +311,8 @@ def _run_grig(config: ExperimentConfig) -> dict:
 def _run_report(config: ExperimentConfig) -> dict:
     opts = config.options
     directory = opts["results_dir"]
+    fixed = ("igr", "ibn_lower", "ibn_upper", "theta_lower", "theta_upper",
+             "lambdac_lower", "lambdac_upper")
     rows: dict[tuple, dict] = {}
     skipped = []
     for name in sorted(os.listdir(directory)):
@@ -328,13 +330,10 @@ def _run_report(config: ExperimentConfig) -> dict:
             skipped.append(f"{name}: {exc}")
             continue
         for field_name, value in summary.items():
-            fixed = field_name in ("igr", "ibn_lower", "ibn_upper", "theta_lower",
-                                   "theta_upper", "lambdac_lower", "lambdac_upper")
-            if (fixed or field_name.startswith("rt@")) and value is not None:
+            if (field_name in fixed or field_name.startswith("rt@")) and value is not None:
                 row[field_name] = value
     rt_cols = sorted({k for row in rows.values() for k in row if k.startswith("rt@")})
-    header = ["family", "seed", "igr", "ibn_lower", "ibn_upper", "theta_lower",
-              "theta_upper", "lambdac_lower", "lambdac_upper"] + rt_cols
+    header = ["family", "seed", *fixed, *rt_cols]
     table = []
     for (family, seed), row in sorted(rows.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1]))):
         if not row:

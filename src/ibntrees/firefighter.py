@@ -5,11 +5,16 @@ to every unprotected child of a burning vertex (the fire starts as a ball,
 so every ancestor of a burning vertex already burns).  The containment
 strategy mirrors the cut construction: pick a cutset of weight below the
 margin eps = exp(-k**lam) - exp(-(k+1)**lam), promote its child endpoints
-to a surrounding set, and protect it greedily by depth.  On a spherically
-symmetric family that set is a whole level, and attempt_containment reads
-the game's outcome off the exact level sizes without building a tree.
-A contained fire classifies its rate 'above' the threshold, an
-uncontained one 'below', in the same BracketResult as every estimator.
+to a surrounding set, and protect it greedily by depth.  One rule ends
+every game where the fire meets that set: contained iff the fire stops with
+the whole set protected, not contained once a vertex of the set burns.
+No game looks below the set, so a tree file or the stretched 3-1 family
+plays every rate and depth on one truncation at the deepest scheduled
+depth, built before any rate is tried.  On a spherically symmetric family
+the set is a whole level, and attempt_containment reads the same outcome
+off the exact level sizes without building a tree.  A contained fire
+classifies its rate 'above' the threshold, an uncontained one 'below', in
+the same BracketResult as every estimator.
 """
 
 from __future__ import annotations
@@ -124,37 +129,26 @@ class PlayResult:
 
 
 def greedy_play(tree: Tree, k: int, budgets: BudgetSchedule,
-                surrounding: Sequence[int], horizon: int) -> PlayResult:
-    """Protect the surrounding set in depth order (ties by id) and report
-    whether the fire froze within the horizon."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+                surrounding: Sequence[int]) -> PlayResult:
+    """Protect the surrounding set in depth order (ties by id) until the fire
+    meets it or stops.  The fire gains a level each round it grows, so the
+    game ends within height - k + 1 rounds."""
     state = new_game(tree, k, budgets)
     depths = tree.depth_array()
-    queue = sorted(surrounding, key=lambda v: (int(depths[v]), v))
+    queue = np.array(sorted(surrounding, key=lambda v: (int(depths[v]), v)), dtype=np.int64)
     pos = 0
     history = [(0, state.fire_size, 0)]
-    for _ in range(horizon):
-        budget = state.budgets(state.round + 1)
-        chosen = []
-        while pos < len(queue) and len(chosen) < budget:
-            v = queue[pos]
-            if state.burning[v]:
-                return PlayResult(False, state.round, state.fire_size,
-                                  state.protected_size,
-                                  "fire reached the surrounding set", tuple(history))
-            pos += 1
-            chosen.append(v)
+    while not state.burning[queue].any():
+        chosen = queue[pos:pos + state.budgets(state.round + 1)]
+        pos += len(chosen)
         before = state.fire_size
         state = step(state, chosen)
         history.append((state.round, state.fire_size, state.protected_size))
         if state.fire_size == before:  # contained only if the whole set held
-            held = pos == len(queue)
-            return PlayResult(held, state.round, state.fire_size, state.protected_size,
-                              "fire frozen" if held else "fire reached the surrounding set",
-                              tuple(history))
+            return PlayResult(pos == len(queue), state.round, state.fire_size,
+                              state.protected_size, "fire frozen", tuple(history))
     return PlayResult(False, state.round, state.fire_size, state.protected_size,
-                      f"not contained by horizon {horizon}", tuple(history))
+                      "fire reached the surrounding set", tuple(history))
 
 
 def containment_margin(k: int, lam: float) -> float:
@@ -180,7 +174,8 @@ def attempt_containment(source: TreeFamily | Tree, k: int, gamma: float, K: floa
     Over the depth schedule, look for a cutset of weight below the margin
     (which forces it outside B(k)), promote it to a surrounding set and
     play greedily with budgets floor(K * exp(n**gamma)).  Containment with
-    no qualifying cutset at any scheduled depth counts as failure.
+    no qualifying cutset at any scheduled depth counts as failure.  Every
+    depth's cut is taken on the one truncation at the deepest depth.
 
     A symmetric family's cut is its min-cut level L, and its game needs no
     tree: by round L-k, when the fire reaches level L, the budgets have paid
@@ -193,13 +188,16 @@ def attempt_containment(source: TreeFamily | Tree, k: int, gamma: float, K: floa
     if symmetric:
         log2_levels = source.level_log2_sizes(schedule.depths[-1])
         sizes = level_sizes(source.degrees(schedule.depths[-1]))
+    else:
+        tree = truncation(source, schedule.depths[-1])
+        logw = ibn_log_weights(tree, gamma)
     last = None
     for N in schedule.depths:
         if N <= k + 1:
             continue
         if symmetric:
             log_val, level = min_cut_symmetric(log2_levels, gamma, N)
-            if log_val >= math.log(eps) or level <= k:
+            if log_val >= math.log(eps):
                 continue
             paid = sum(map(budgets, range(1, level - k + 1)))
             held = paid >= sizes[level]
@@ -207,15 +205,10 @@ def attempt_containment(source: TreeFamily | Tree, k: int, gamma: float, K: floa
                 gamma, held, N, "fire frozen" if held else "fire reached the surrounding set",
                 sum(sizes[:level]) + max(sizes[level] - paid, 0), min(paid, sizes[level]))
         else:
-            tree = truncation(source, N)
-            res = min_cut(tree, ibn_log_weights(tree, gamma), N, want_cut=True)
+            res = min_cut(tree, logw, N, want_cut=True)
             if res.log_value >= math.log(eps):
                 continue
-            if int(tree.depth_array()[np.asarray(res.cut)].min()) <= k:
-                continue
-            surrounding = surrounding_set_from_cutset(tree, res.cut, k)
-            horizon = max(int(tree.depth_array()[np.asarray(surrounding)].max()), 1) + 1
-            play = greedy_play(tree, k, budgets, surrounding, horizon)
+            play = greedy_play(tree, k, budgets, surrounding_set_from_cutset(tree, res.cut, k))
             last = ContainmentAttempt(gamma, play.contained, N, play.reason,
                                       play.fire_size, play.protected_size)
         if last.contained:
@@ -236,6 +229,8 @@ def lambda_c_estimate(source: TreeFamily | Tree, k: int, gamma_grid: Sequence[fl
     gamma_grid = tuple(sorted(gamma_grid))
     if any(not 0 < g < 1 for g in gamma_grid):
         raise ValueError("gamma grid must lie inside (0, 1)")
+    if route(source) != "symmetric":
+        source = truncation(source, schedule.depths[-1])
     attempts = {g: attempt_containment(source, k, g, K, schedule)
                 for g in gamma_grid}
     classes = {g: "above" if a.contained else "below" for g, a in attempts.items()}

@@ -18,8 +18,8 @@ routes feed the same classifier:
   shallower one shares, so one level pass over a (positions, columns)
   array evaluates every (rate, depth) pair of a bracket at once.
 
-generators.route decides which route a source takes, and
-generators.truncation supplies the trees the level sweeps run on.  Every
+generators.route decides which route a source takes; the level sweeps
+run on an explicit Tree, each scheduled depth on the one tree.  Every
 estimator reports a BracketResult: per-value classifications and the
 bracket they induce.
 """
@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .generators import LOG2, TreeFamily, base_level_at_depth, route, triangular, truncation
+from .generators import LOG2, TreeFamily, base_level_at_depth, route, triangular
 from .trees import Tree
 
 NEG_INF = float("-inf")
@@ -430,8 +430,8 @@ def ibn_estimate(source: TreeFamily | Tree, schedule: DepthSchedule,
     """Bracket the branching number by classifying min-cut trajectories.
 
     The route follows generators.route: symmetric families use level sizes,
-    the stretched 3-1 family its DP at base-level depths, and anything else
-    a level sweep over each truncation (an explicit Tree must reach the
+    the stretched 3-1 family its DP at base-level depths, and an explicit
+    Tree a level sweep per depth on the tree itself (it must reach the
     deepest scheduled depth).
     """
     grid = tuple(sorted(grid))
@@ -448,9 +448,9 @@ def ibn_estimate(source: TreeFamily | Tree, schedule: DepthSchedule,
         trajectories = {lam: tuple(min_cut_symmetric(lv, lam, N)[0] for N in schedule.depths)
                         for lam in grid}
         return trajectory_bracket(grid, schedule, trajectories)
-    columns: dict[float, list[float]] = {lam: [] for lam in grid}
-    for N in schedule.depths:
-        tree = truncation(source, N)
-        for lam, column in columns.items():
-            column.append(min_cut(tree, ibn_log_weights(tree, lam), N, want_cut=False).log_value)
-    return trajectory_bracket(grid, schedule, {lam: tuple(c) for lam, c in columns.items()})
+    trajectories = {}
+    for lam in grid:
+        logw = ibn_log_weights(source, lam)
+        trajectories[lam] = tuple(min_cut(source, logw, N, want_cut=False).log_value
+                                  for N in schedule.depths)
+    return trajectory_bracket(grid, schedule, trajectories)

@@ -167,15 +167,10 @@ def wreath_sections(word: str) -> tuple[bool, str, str]:
     return swapped, "".join(w0), "".join(w1)
 
 
-_BASE_STRINGS = ["".join(bits) for bits in product("01", repeat=3)]
-
-
 @lru_cache(maxsize=1 << 20)
 def _trivial_reduced(word: str) -> bool:
-    if not word:
-        return True
     if len(word) <= 2:
-        return all(act_word_on_string(word, s) == s for s in _BASE_STRINGS)
+        return not word
     swapped, w0, w1 = wreath_sections(word)
     if swapped:
         return False
@@ -186,8 +181,8 @@ def is_trivial(word: str) -> bool:
     """Word problem via the contracting wreath recursion.
 
     Reduce, check the root permutation, split into the two level-1
-    sections and recurse; sections strictly shorten, and words of reduced
-    length <= 2 are decided by their action at depth 3.
+    sections and recurse; sections strictly shorten, and every nonempty
+    reduced word of length <= 2 acts nontrivially at depth 3.
     """
     return _trivial_reduced(reduce_word(word))
 

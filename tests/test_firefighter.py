@@ -4,11 +4,12 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import brute_force_fire, random_tree
+from conftest import all_cutsets, brute_force_fire, random_tree
 from ibntrees import firefighter as ff
 from ibntrees import generators as gen
 from ibntrees.flowcut import DepthSchedule, min_cut_symmetric
 from ibntrees.rng import stream_rng
+from ibntrees.trees import Tree
 
 
 def unit_budget(n=1):
@@ -84,7 +85,7 @@ def test_surrounding_set_from_level_cut():
 def test_greedy_play_path_contained():
     t = gen.path_family().build(8)
     s = (t.level_set(3)[0],)
-    res = ff.greedy_play(t, 2, unit_budget(1), s, horizon=10)
+    res = ff.greedy_play(t, 2, unit_budget(1), s)
     assert res.contained and res.reason == "fire frozen"
 
 
@@ -92,12 +93,12 @@ def test_greedy_play_zero_budgets_burn_to_the_surrounding_set():
     # with no protection the fire stops only at the truncation's edge: not contained
     t = gen.binary_family().build(4)
     s = ff.surrounding_set_from_cutset(t, t.level_set(4), 1)
-    res = ff.greedy_play(t, 1, unit_budget(0), s, horizon=10)
+    res = ff.greedy_play(t, 1, unit_budget(0), s)
     assert not res.contained and res.reason == "fire reached the surrounding set"
     assert res.fire_size == t.n_vertices and res.protected_size == 0
     # one protection a round holds a single-vertex set
     path = gen.path_family().build(6)
-    held = ff.greedy_play(path, 1, unit_budget(1), path.level_set(4), horizon=10)
+    held = ff.greedy_play(path, 1, unit_budget(1), path.level_set(4))
     assert held.contained and held.protected_size == 1
 
 
@@ -110,10 +111,92 @@ def test_greedy_play_respects_budget_accounting():
     t = fam.build(att.cut_depth)
     budgets = ff.BudgetSchedule.exponential(1.0, 0.8)
     s = ff.surrounding_set_from_cutset(t, t.level_set(8), 2)
-    res = ff.greedy_play(t, 2, budgets, s, horizon=20)
+    res = ff.greedy_play(t, 2, budgets, s)
     assert res.contained
     for rnd, fire, prot in res.history[1:]:
         assert prot <= sum(budgets(i) for i in range(1, rnd + 1))
+
+
+def test_greedy_play_matches_brute_force():
+    # the greedy's protection rounds replayed in closed form: the game ends
+    # in the first round a surrounding vertex burns or the fire stops
+    outcomes = set()
+    for seed in range(30):
+        t = random_tree(seed, 6, extra=10)
+        rng = stream_rng(seed, 12)
+        table = rng.integers(0, 4, size=t.height() + 2)  # budgets 0-3
+        budgets = ff.BudgetSchedule(lambda n: int(table[n]))
+        for k in (0, 1):
+            cuts = [c for c in all_cutsets(t, t.height())
+                    if c and min(t.depth(v) for v in c) > k]
+            surrounding = cuts[int(rng.integers(len(cuts)))]
+            res = ff.greedy_play(t, k, budgets, surrounding)
+            assert res.rounds <= t.height() - k + 1
+            order = sorted(surrounding, key=lambda v: (t.depth(v), v))
+            protections, pos = {}, 0
+            for rnd in range(1, res.rounds + 1):
+                protections[rnd] = order[pos:pos + budgets(rnd)]
+                pos += len(protections[rnd])
+            burning, protected = brute_force_fire(t, k, protections, res.rounds)
+            before, _ = brute_force_fire(t, k, protections, res.rounds - 1)
+            assert (res.fire_size, res.protected_size) == (len(burning), len(protected))
+            assert not before & set(surrounding), (seed, k)
+            if burning & set(surrounding):
+                assert not res.contained and res.reason == "fire reached the surrounding set"
+            else:
+                assert burning == before and res.reason == "fire frozen"
+                assert res.contained == (protected == set(surrounding)), (seed, k)
+            outcomes.add(res.contained)
+    assert outcomes == {True, False}
+
+
+def dead_branch_tree() -> Tree:
+    """The root's first child heads a complete binary subtree down to depth
+    8, its second child a bare path that ends at depth 7: 263 vertices."""
+    parent, depth = [-1], [0]
+
+    def add(p: int) -> int:
+        parent.append(p)
+        depth.append(depth[p] + 1)
+        return len(parent) - 1
+
+    level, tip = [add(0)], add(0)
+    while depth[level[0]] < 8:
+        level = [add(v) for v in level for _ in range(2)]
+    while depth[tip] < 7:
+        tip = add(tip)
+    return Tree(parent, depth)
+
+
+def test_containment_plays_until_the_fire_stops_on_a_dead_branch():
+    # the min-cut is the edge into vertex 1; protecting it in round 1 leaves
+    # the fire 6 more rounds down the bare path before it stops
+    t = dead_branch_tree()
+    assert (t.n_vertices, t.height()) == (263, 8)
+    _, attempts = ff.lambda_c_estimate(t, 0, (0.5,), 1.0, DepthSchedule((8,)))
+    att = attempts[0.5]
+    assert att.contained and att.reason == "fire frozen"
+    assert (att.fire_size, att.protected_size) == (8, 1)
+    burning, _ = brute_force_fire(t, 0, {1: [1]}, 8)
+    assert len(burning) == 8
+
+
+def test_tree_route_builds_one_truncation(monkeypatch):
+    calls = []
+    build = gen.TreeFamily.build
+
+    def counted(self, N):
+        calls.append(N)
+        return build(self, N)
+
+    monkeypatch.setattr(gen.TreeFamily, "build", counted)
+    fam = gen.three_one_family()
+    ff.lambda_c_estimate(fam, 2, (0.3, 0.6, 0.9), 1.0, DepthSchedule((8, 16, 28)))
+    assert calls == [28]
+    # a schedule past the vertex cap fails before any rate is tried
+    monkeypatch.setattr(ff, "attempt_containment", None)
+    with pytest.raises(gen.MemoryCapError):
+        ff.lambda_c_estimate(fam, 2, (0.3, 0.6), 1.0, DepthSchedule((8, 1000)))
 
 
 def test_fire_spread_matches_brute_force():
@@ -139,7 +222,7 @@ def test_containment_monotone_in_initial_fire():
     t = gen.sequence_family().build(10)
     budgets = ff.BudgetSchedule.exponential(1.0, 0.8)
     surrounding = ff.surrounding_set_from_cutset(t, t.level_set(5), 2)
-    full = ff.greedy_play(t, 2, budgets, surrounding, horizon=12)
+    full = ff.greedy_play(t, 2, budgets, surrounding)
     assert full.contained
     order = sorted(surrounding, key=lambda v: (t.depth(v), v))
     state = ff.new_game(t, 0, budgets)  # only the root burns: the ball B(0)
@@ -194,7 +277,7 @@ def game_on_cut_levels(fam, k, gamma, K, schedule):
         if log_val >= math.log(eps) or level <= k:
             continue
         t = fam.build(level)
-        last = ff.greedy_play(t, k, budgets, t.level_set(level), level + 1)
+        last = ff.greedy_play(t, k, budgets, t.level_set(level))
         if last.contained:
             return ff.ContainmentAttempt(gamma, True, N, last.reason,
                                          last.fire_size, last.protected_size)
