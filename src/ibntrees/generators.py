@@ -34,7 +34,15 @@ LOG2 = math.log(2.0)
 
 
 class MemoryCapError(RuntimeError):
-    """Raised when a requested truncation would exceed the vertex cap."""
+    """Raised when a requested truncation or array would exceed the cap."""
+
+
+def check_elements(n: int, what: str) -> None:
+    """Raise MemoryCapError up front when an array of n elements would
+    exceed DEFAULT_VERTEX_CAP, the element cap of every array a request
+    sizes."""
+    if n > DEFAULT_VERTEX_CAP:
+        raise MemoryCapError(f"{what} would hold {n} elements (cap {DEFAULT_VERTEX_CAP})")
 
 
 def sequence_degrees(N: int) -> np.ndarray:
@@ -152,11 +160,23 @@ class TreeFamily:
 
     degrees(N) gives the child counts at depths 0..N-1 of a spherically
     symmetric family, which is all of it; degrees is None only for the
-    stretched 3-1 tree.
+    stretched 3-1 tree.  Every family's degrees(N) raises MemoryCapError
+    before it allocates more than DEFAULT_VERTEX_CAP elements.
     """
 
     name: str
     degrees: Callable[[int], np.ndarray] | None = None
+
+    def __post_init__(self):
+        rule = self.degrees
+        if rule is None:
+            return
+
+        def degrees(N: int) -> np.ndarray:
+            check_elements(N, "the degree array")
+            return rule(N)
+
+        object.__setattr__(self, "degrees", degrees)
 
     def build(self, N: int) -> Tree:
         if self.degrees is None:

@@ -4,8 +4,14 @@ Every stochastic routine takes an explicit 64-bit seed.  Streams are keyed
 by (seed, stream id, index), so draws never depend on traversal or
 scheduling order.  Edge conductances read one EDGE_STREAM stream in edge-id
 order; a walk batch reads one WALK_STREAM stream, one uniform per live
-walker per step; mc_survival reads one PERC_STREAM substream per 256-trial
-chunk; the word search reads one SEARCH_STREAM stream.
+walker per step, drawn ahead in blocks; mc_survival reads one PERC_STREAM
+substream per 256-trial chunk; the word search reads one SEARCH_STREAM
+stream.
+
+A Philox generator's random(a) then random(b) returns the same values as
+random(a + b): each double takes one 64-bit word, and words left over in
+the generator's 4-word buffer carry to the next call.  So how a consumer
+splits its draws into calls never changes the values it reads.
 """
 
 from __future__ import annotations

@@ -7,10 +7,17 @@ one Tree.sweep_up on a materialized tree and a level sum on a symmetric
 one; the psi fields and the coupled open set are Tree.sweep_down passes.
 
 Both walkers run on one loop, _walk_batch: all trials of a batch at once,
-one uniform per live walker per step from the single (seed, WALK_STREAM)
-stream.  depth_walk_batch walks the depth chain of a spherically symmetric
-tree, simulate_walk a materialized truncation; root_walks picks one for a
-source by generators.route.
+one uniform per live walker per step.  A walker is a state in a next-state
+table, so a step is a few whole-array numpy calls: depth_walk_batch walks
+the depth chain of a spherically symmetric tree (state 2n is depth n, and
+the uniform picks one of two table entries), simulate_walk a materialized
+truncation (the state is a vertex id, picked by one searchsorted in a CSR
+table of cumulative conductances).  The uniforms are drawn ahead in blocks
+from the single (seed, WALK_STREAM) Philox stream; since Philox continues
+one sequence across calls, every walker reads the uniform it would read
+from one draw per step, and the outputs are the same bit for bit.
+return_probability_symmetric is the exact counterpart of the depth chain.
+root_walks picks a walker for a source by generators.route.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import numpy as np
 from . import rng
 from .flowcut import BracketResult, DepthSchedule, min_cut, trajectory_bracket
 from .flowcut import ibn_log_weights as deterministic_conductances
-from .generators import LOG2, TreeFamily, route, truncation
+from .generators import LOG2, TreeFamily, check_elements, route, truncation
 from .trees import Tree
 
 NEG_INF = float("-inf")
@@ -115,34 +122,63 @@ def effective_conductance_symmetric(log2_levels: Sequence[float], lam: float, N:
 
 # -- walkers -----------------------------------------------------------------
 
-def _walk_batch(move, start: int, trials: int, step_cap: int, seed: int,
-                stop_depth: int | None):
+_BLOCK = 1 << 16  # uniforms per refill of the walk's draw buffer (512 KB)
+
+
+def _walk_batch(move, depth_of: np.ndarray, first: int, trials: int, step_cap: int,
+                seed: int, stop_depth: int | None):
     """The one walk loop: every trial at once, each live walker moving by
-    move(pos, u) -> (pos, depth) on one uniform per step.  Walkers start at
-    position and depth `start` after `start` steps and stop at the root, on
-    first reaching stop_depth if set, or at step_cap steps."""
+    state = move(state, u) on one uniform per step, at depth depth_of[state].
+    Walkers start in state `first`, at depth start = depth_of[first] after
+    `start` steps, and stop at the root, on first reaching stop_depth if set,
+    or at step_cap steps.
+
+    The uniforms come from the one (seed, WALK_STREAM) Philox stream, drawn
+    ahead in blocks of _BLOCK, or of m when more walkers are live; a step
+    takes the next m, one per live walker in trial order.  Philox random(a)
+    then random(b) draws what random(a + b) draws, so a walker reads the same
+    uniform as if every step drew its own m.  The running maximum depth is
+    kept on the live arrays and written out when a walker stops.
+    """
     if step_cap < 1 or trials < 1:
         raise ValueError("need step_cap >= 1 and trials >= 1")
+    check_elements(trials, "the walk batch")
+    start = int(depth_of[first])
     if stop_depth is not None and stop_depth <= start:
         step_cap = start  # the forced first step already stops every walk
     gen = rng.stream_rng(seed, rng.WALK_STREAM)
-    pos = np.full(trials, start, dtype=np.int64)
-    maxd = pos.copy()
+    u, at = np.empty(0), 0
+    idx = np.arange(trials)
+    state = np.full(trials, first, dtype=np.int64)
+    top = np.full(trials, start, dtype=np.int64)  # max depth so far, per live walker
     returned = np.zeros(trials, dtype=bool)
     final_steps = np.full(trials, step_cap, dtype=np.int64)
-    idx = np.arange(trials)
-    step = start
-    while step < step_cap and len(idx) > 0:
-        pos, depth = move(pos, gen.random(len(idx)))
+    maxd = np.empty(trials, dtype=np.int64)
+    m, step = trials, start
+    while step < step_cap and m > 0:
+        if at + m > len(u):
+            u, at = np.concatenate((u[at:], gen.random(max(_BLOCK, m)))), 0
+        state = move(state, u[at:at + m])
+        at += m
         step += 1
-        maxd[idx] = np.maximum(maxd[idx], depth)
-        done = depth == 0
-        if stop_depth is not None:
-            done |= depth >= stop_depth
-        if done.any():
-            returned[idx[done]] = depth[done] == 0
-            final_steps[idx[done]] = step
-            idx, pos = idx[~done], pos[~done]
+        depth = depth_of[state]
+        np.maximum(top, depth, out=top)
+        if stop_depth is None:
+            if np.count_nonzero(depth) == m:
+                continue
+            done = depth == 0
+        else:
+            done = (depth == 0) | (depth >= stop_depth)
+            if not done.any():
+                continue
+        gone = idx[done]
+        returned[gone] = depth[done] == 0
+        final_steps[gone] = step
+        maxd[gone] = top[done]
+        live = ~done
+        idx, state, top = idx[live], state[live], top[live]
+        m = len(idx)
+    maxd[idx] = top
     return returned, final_steps, maxd
 
 
@@ -154,7 +190,8 @@ def simulate_walk(tree: Tree, log_c: np.ndarray, N: int, trials: int, step_cap: 
     A step moves to a neighbor with probability proportional to the edge's
     conductance; depth-N vertices reflect.  Row v of a CSR table holds v's
     neighbors (parent, then children) with cumulative weights scaled by the
-    row's largest, so a step is one searchsorted for all live walkers.
+    row's largest, so a step is one searchsorted for all live walkers; the
+    walker's state is its vertex id.
     """
     if N < 1 or tree.height() < N:
         raise ValueError(f"tree must reach depth N={N}")
@@ -174,20 +211,15 @@ def simulate_walk(tree: Tree, log_c: np.ndarray, N: int, trials: int, step_cap: 
     span = cum[last] - base
 
     def move(pos, u):
-        k = np.minimum(np.searchsorted(cum, base[pos] + u * span[pos], side="right"), last[pos])
-        return nbr[k], d[nbr[k]]
+        return nbr[np.minimum(np.searchsorted(cum, base[pos] + u * span[pos], side="right"),
+                              last[pos])]
 
-    return _walk_batch(move, 0, trials, step_cap, seed, stop_depth)
+    return _walk_batch(move, d, 0, trials, step_cap, seed, stop_depth)
 
 
-def depth_walk_batch(degrees: np.ndarray, lam: float, N: int,
-                     trials: int, step_cap: int, seed: int,
-                     stop_depth: int | None = None):
-    """simulate_walk on the depth-N truncation of a spherically symmetric
-    tree, given its degree array.  The walk's depth is itself a Markov chain
-    (children are exchangeable), with P(up at depth n) = c(n) / (c(n) +
-    d(n) c(n+1)), so the batch walks the chain from depth 1, after the
-    forced first step."""
+def _p_up(degrees: np.ndarray, lam: float, N: int) -> np.ndarray:
+    """P(up at depth n) of the depth chain, indexed by depth n = 0..N: c(n) /
+    (c(n) + d(n) c(n+1)); 0 at the root and 1 at depth N, which reflects."""
     if len(degrees) < N:
         raise ValueError(f"need degrees for depths 0..{N - 1}")
     n = np.arange(1, N + 1, dtype=float)
@@ -198,13 +230,46 @@ def depth_walk_batch(degrees: np.ndarray, lam: float, N: int,
     # exactly 1.0, so no walk gets past depth 1 to read a nan
     with np.errstate(over="ignore", invalid="ignore"):
         gap = np.power(n + 1, lam) - np.power(n, lam)
-    p_up = np.concatenate([[0.0], 1.0 / (1.0 + d * np.exp(-gap))])  # index by depth
+    return np.concatenate([[0.0], 1.0 / (1.0 + d * np.exp(-gap))])
 
-    def move(pos, u):
-        pos = np.where(u < p_up[pos], pos - 1, pos + 1)
-        return pos, pos
 
-    return _walk_batch(move, 1, trials, step_cap, seed, stop_depth)
+def depth_walk_batch(degrees: np.ndarray, lam: float, N: int,
+                     trials: int, step_cap: int, seed: int,
+                     stop_depth: int | None = None):
+    """simulate_walk on the depth-N truncation of a spherically symmetric
+    tree, given its degree array.  The walk's depth is itself a Markov chain
+    (children are exchangeable), so the batch walks the chain from depth 1,
+    after the forced first step.
+
+    State 2n stands for depth n, and the next state is nxt[s + (u < p2[s])]:
+    nxt[2n] = 2n + 2 (down), nxt[2n + 1] = 2n - 2 (up) and p2[2n] is
+    P(up at depth n), so a step is two table reads and no np.where.
+    """
+    p2 = np.repeat(_p_up(degrees, lam, N), 2)
+    depth_of = np.arange(2 * N + 2) // 2
+    # clipped at the root's up and depth N's down entry, which no walker reads
+    nxt = np.clip(2 * depth_of + np.tile([2, -2], N + 1), 0, 2 * N)
+
+    def move(s, u):
+        return nxt[s + (u < p2[s])]
+
+    return _walk_batch(move, depth_of, 2, trials, step_cap, seed, stop_depth)
+
+
+def return_probability_symmetric(degrees: np.ndarray, lam: float, N: int, T: int) -> float:
+    """Exact chance that depth_walk_batch's walk is back at the root by step
+    T: the (1, 0) entry of P**(T - 1), where P is the depth chain's
+    transition matrix with the root absorbing, by repeated squaring."""
+    if T < 1:
+        raise ValueError("need T >= 1")
+    check_elements((N + 1) ** 2, "the transition matrix")
+    p_up = _p_up(degrees, lam, N)
+    P = np.zeros((N + 1, N + 1))
+    P[0, 0] = 1.0
+    n = np.arange(1, N + 1)
+    P[n, n - 1] = p_up[1:]
+    P[n[:-1], n[:-1] + 1] = 1.0 - p_up[1:-1]
+    return float(np.linalg.matrix_power(P, T - 1)[1, 0])
 
 
 def root_walks(source: TreeFamily | Tree, lam: float, N: int, trials: int,

@@ -280,6 +280,40 @@ def test_firefight_cut_level_past_the_vertex_cap_exits_0(tmp_path):
     assert row[2:] == ["1", str(2 ** 23 - 1 + 9 * 2 ** 23), str(2 ** 23)]
 
 
+def _exits_1_naming_the_cap(argv, capsys):
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"(cap {generators.DEFAULT_VERTEX_CAP})" in err
+    return err
+
+
+def test_walk_batch_past_the_element_cap_exits_1(tmp_path, capsys):
+    out = tmp_path / "w.csv"
+    err = _exits_1_naming_the_cap(
+        ["walk", "--family", "seq", "--lambda", "0.3", "--depth", "5",
+         "--trials", str(10 ** 12), "--cap", "10", "--out", str(out)], capsys)
+    assert "walk batch" in err and str(10 ** 12) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate-ibn", "--grid", "0.5", "--schedule", "16,DEEP"],
+    ["percolate", "--grid", "0.5", "--depths", "16,DEEP"],
+    ["firefight", "--gamma-grid", "0.5", "--schedule", "16,DEEP"],
+    ["rwrc", "--lambda", "0.3", "--gamma-grid", "1.0", "--schedule", "16,DEEP"],
+    ["walk", "--lambda", "0.3", "--depth", "DEEP", "--trials", "3", "--cap", "10"],
+], ids=lambda argv: argv[0])
+def test_depth_past_the_element_cap_exits_1(argv, tmp_path, capsys):
+    # a degree array to depth 10**12 would take 7.3 TiB
+    out = tmp_path / "x.csv"
+    argv = [a.replace("DEEP", str(10 ** 12)) for a in argv]
+    err = _exits_1_naming_the_cap(argv + ["--family", "seq", "--out", str(out)], capsys)
+    assert "degree array" in err and str(10 ** 12) in err
+    assert not out.exists()
+
+
 def test_percolate_deep_path_tree_file_matches_the_family(tmp_path):
     # the comparison network's conductances fall below exp(-745) long before depth 1100
     assert cli.main(["generate", "--family", "path", "--depth", "1100",

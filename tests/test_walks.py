@@ -152,28 +152,12 @@ def test_depth_walk_matches_tree_walk():
     assert abs(f_tree - ret.mean()) < 6 * se
 
 
-def _return_by_step(p_up, T):
-    """P(the depth chain, at depth 1 after its first step, is back at the
-    root by step T): the (1, 0) entry of P**(T - 1) with the root absorbing.
-    p_up[n] is the chance of stepping up at depth n; p_up[N] = 1 reflects."""
-    N = len(p_up) - 1
-    P = np.zeros((N + 1, N + 1))
-    P[0, 0] = 1.0
-    for n in range(1, N + 1):
-        P[n, n - 1] = p_up[n]
-        if n < N:
-            P[n, n + 1] = 1.0 - p_up[n]
-    return np.linalg.matrix_power(P, T - 1)[1, 0]
-
-
 @pytest.mark.parametrize("cap", [2, 3, 4, 5, 6, 7, 12])
 def test_walk_return_by_cap_matches_birth_death_chain(cap):
     # return by step T is possible only at even T, so odd and even caps
     # together pin both off-by-one directions of steps and step_cap
     fam, lam, N, trials = gen.binary_family(), 0.5, 5, 20_000
-    c = [math.exp(-n ** lam) for n in range(N + 2)]
-    p_up = [0.0] + [c[n] / (c[n] + 2 * c[n + 1]) for n in range(1, N)] + [1.0]
-    exact = _return_by_step(p_up, cap)
+    exact = walks.return_probability_symmetric(fam.degrees(N), lam, N, cap)
     se = math.sqrt(exact * (1 - exact) / trials)
     t = fam.build(N + 2)  # the tree walk reflects at depth N, not at the leaves
     batches = (walks.depth_walk_batch(fam.degrees(N), lam, N, trials, cap, seed=31),
@@ -185,6 +169,30 @@ def test_walk_return_by_cap_matches_birth_death_chain(cap):
         assert (steps[ret] <= cap).all() and (steps[ret] % 2 == 0).all()
         assert (2 * maxd[ret] <= steps[ret]).all()
         assert (maxd >= 1).all() and (maxd <= min(N, cap)).all()
+
+
+def test_return_probability_symmetric_closed_forms():
+    # on a binary tree of depth 1 every walk is back at step 2; with unit
+    # conductances on a path of depth 2 the chain from depth 1 returns at
+    # step 2 with chance 1/2, else reflects and returns at step 4
+    assert walks.return_probability_symmetric(np.full(1, 2), 0.5, 1, 1) == 0.0
+    assert walks.return_probability_symmetric(np.full(1, 2), 0.5, 1, 2) == 1.0
+    path = np.ones(2, dtype=np.int64)
+    got = [walks.return_probability_symmetric(path, 0.0, 2, T) for T in (2, 3, 4, 6)]
+    assert got == [0.5, 0.5, 0.75, 0.875]
+    with pytest.raises(ValueError):
+        walks.return_probability_symmetric(path, 0.0, 2, 0)
+
+
+def test_transient_walk_at_the_benchmark_size_matches_the_exact_return():
+    # the benchmark's lam = 0.3 walk on the sequence tree, 144 of whose 2000
+    # trials run to the 30 000-step cap at seed 1
+    fam, lam, N, trials, cap = gen.sequence_family(), 0.3, 512, 2000, 30_000
+    exact = walks.return_probability_symmetric(fam.degrees(N), lam, N, cap)
+    ret, steps, _ = walks.depth_walk_batch(fam.degrees(N), lam, N, trials, cap, seed=1)
+    se = math.sqrt(exact * (1 - exact) / trials)
+    assert abs(ret.mean() - exact) < 4 * se
+    assert (steps[~ret] == cap).all()
 
 
 def test_stop_depth_one_halts_both_walkers_after_the_first_step():
