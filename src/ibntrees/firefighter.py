@@ -5,16 +5,9 @@ to every unprotected child of a burning vertex (the fire starts as a ball,
 so every ancestor of a burning vertex already burns).  The containment
 strategy mirrors the cut construction: pick a cutset of weight below the
 margin eps = exp(-k**lam) - exp(-(k+1)**lam), promote its child endpoints
-to a surrounding set, and protect it greedily by depth.  One rule ends
-every game where the fire meets that set: contained iff the fire stops with
-the whole set protected, not contained once a vertex of the set burns.
-No game looks below the set, so a tree file or the stretched 3-1 family
-plays every rate and depth on one truncation at the deepest scheduled
-depth, built before any rate is tried.  On a spherically symmetric family
-the set is a whole level, and attempt_containment reads the same outcome
-off the exact level sizes without building a tree.  A contained fire
-classifies its rate 'above' the threshold, an uncontained one 'below', in
-the same BracketResult as every estimator.
+to a surrounding set, and protect it greedily by depth.  The game ends
+where the fire meets that set, so attempt_containment decides it from
+counts per depth on every route; the game engine stays as its reference.
 """
 
 from __future__ import annotations
@@ -167,21 +160,31 @@ class ContainmentAttempt:
     protected_size: int = -1
 
 
+def _count_rule(gamma: float, N: int, k: int, budgets: BudgetSchedule,
+                cut: Sequence[int], free: Sequence[int]) -> ContainmentAttempt:
+    """The greedy game's outcome from cut[d] surrounding vertices and free[d]
+    vertices not under the set at depth d: the fire reaches depth d in round
+    d-k, and the set holds while g_1 + ... + g_{d-k} covers it down to d."""
+    if any(cut[:k + 1]):
+        raise ValueError(f"cutset touches B({k})")
+    paid = held = 0
+    for d in range(k + 1, len(cut)):
+        paid += budgets(d - k)
+        held += cut[d]
+        if held > paid:
+            return ContainmentAttempt(gamma, False, N, "fire reached the surrounding set",
+                                      sum(free[:d + 1]) + held - paid, paid)
+    return ContainmentAttempt(gamma, True, N, "fire frozen", sum(free), held)
+
+
 def attempt_containment(source: TreeFamily | Tree, k: int, gamma: float, K: float,
                         schedule: DepthSchedule) -> ContainmentAttempt:
-    """Run the cut-based strategy for one rate gamma.
-
-    Over the depth schedule, look for a cutset of weight below the margin
-    (which forces it outside B(k)), promote it to a surrounding set and
-    play greedily with budgets floor(K * exp(n**gamma)).  Containment with
-    no qualifying cutset at any scheduled depth counts as failure.  Every
-    depth's cut is taken on the one truncation at the deepest depth.
-
-    A symmetric family's cut is its min-cut level L, and its game needs no
-    tree: by round L-k, when the fire reaches level L, the budgets have paid
-    P = g_1 + ... + g_{L-k}, so min(P, #E_L) of the level is protected and
-    the fire holds every level above it plus the rest of level L.
-    """
+    """Run the cut-based strategy for one rate gamma: at each scheduled
+    depth, take the min-cut (a symmetric family's min-cut level, counted
+    exactly; else on the one truncation at the deepest depth), and if it
+    weighs less than the margin, which forces it outside B(k), decide the
+    game with budgets floor(K * exp(n**gamma)) on its child endpoints.
+    No qualifying cutset at any scheduled depth counts as failure."""
     eps = containment_margin(k, gamma)
     budgets = BudgetSchedule.exponential(K, gamma)
     symmetric = route(source) == "symmetric"
@@ -191,33 +194,29 @@ def attempt_containment(source: TreeFamily | Tree, k: int, gamma: float, K: floa
     else:
         tree = truncation(source, schedule.depths[-1])
         logw = ibn_log_weights(tree, gamma)
+        depth = tree.depth_array()
     last = None
-    for N in schedule.depths:
-        if N <= k + 1:
-            continue
+    for N in (d for d in schedule.depths if d > k + 1):
         if symmetric:
-            log_val, level = min_cut_symmetric(log2_levels, gamma, N)
-            if log_val >= math.log(eps):
-                continue
-            paid = sum(map(budgets, range(1, level - k + 1)))
-            held = paid >= sizes[level]
-            last = ContainmentAttempt(
-                gamma, held, N, "fire frozen" if held else "fire reached the surrounding set",
-                sum(sizes[:level]) + max(sizes[level] - paid, 0), min(paid, sizes[level]))
+            log_val, L = min_cut_symmetric(log2_levels, gamma, N)
         else:
             res = min_cut(tree, logw, N, want_cut=True)
-            if res.log_value >= math.log(eps):
-                continue
-            play = greedy_play(tree, k, budgets, surrounding_set_from_cutset(tree, res.cut, k))
-            last = ContainmentAttempt(gamma, play.contained, N, play.reason,
-                                      play.fire_size, play.protected_size)
+            log_val = res.log_value
+        if log_val >= math.log(eps):
+            continue
+        if symmetric:  # the set is level L, and every level above it is free
+            counts = [0] * L + [sizes[L]], sizes[:L]
+        else:  # the cut's child endpoints; one sweep marks the vertices under them
+            cut = np.bincount(res.cut, minlength=tree.n_vertices) > 0
+            under = tree.sweep_down(np.logical_or, cut.copy(), cut, tree.height())
+            counts = np.bincount(depth[cut]).tolist(), np.bincount(depth[~under]).tolist()
+        last = _count_rule(gamma, N, k, budgets, *counts)
         if last.contained:
             return last
-    if last is not None:
-        return replace(last, cut_depth=None, reason=f"greedy protection too slow: {last.reason}")
-    return ContainmentAttempt(gamma, False, None,
-                              f"no cutset below the containment margin {eps:.3g} "
-                              f"within the schedule")
+    if last is None:
+        return ContainmentAttempt(gamma, False, None, f"no cutset below the containment "
+                                  f"margin {eps:.3g} within the schedule")
+    return replace(last, cut_depth=None, reason=f"greedy protection too slow: {last.reason}")
 
 
 def lambda_c_estimate(source: TreeFamily | Tree, k: int, gamma_grid: Sequence[float],

@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .generators import LOG2, TreeFamily, base_level_at_depth, route, triangular
+from .generators import LOG2, TreeFamily, base_level_at_depth, check_elements, route, triangular
 from .trees import Tree
 
 NEG_INF = float("-inf")
@@ -247,6 +247,7 @@ def three_one_log_min_cut(lams: Sequence[float], ms: Sequence[int]) -> np.ndarra
     L = len(lams)
     frontiers = sorted(set(ms), reverse=True)
     M = frontiers[0]
+    check_elements(M * M, "the 3-1 breakpoint lattice")  # the gathers' work grows as M**2
     logW = np.array([[0.0] + [-(float(triangular(j)) ** lam) for j in range(1, M + 1)]
                      for lam in lams])  # [rate, base level]
     # column f * L + i is (lams[i], frontiers[f]); the live columns at

@@ -119,9 +119,11 @@ def three_one_stretched(N: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Tree:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    est = sum((2 ** j) * j for j in range(1, base_level_at_depth(N) + 1))
-    if est > max_vertices:
-        raise MemoryCapError(f"stretched truncation needs ~{est} vertices (cap {max_vertices})")
+    J = base_level_at_depth(N)
+    est = (J - 1) * 2 ** (J + 1) + 2  # sum of j * 2**j over j = 1..J
+    if est > max_vertices:  # est may have too many digits to print
+        raise MemoryCapError(f"stretched truncation to depth {N} needs ~2**{math.log2(est):.1f} "
+                             f"vertices (cap {max_vertices})")
 
     # Paths into base level j leave base level j-1 (depth D(j-1)) in order,
     # fanout[i] of them from its i-th vertex; each path's vertices take
@@ -130,7 +132,7 @@ def three_one_stretched(N: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Tree:
     n = 1
     base = np.array([0])      # vertex ids of the current base level, left to right
     fanout = np.array([2])    # paths leaving each of them
-    for j in range(1, base_level_at_depth(N) + 1):
+    for j in range(1, J + 1):
         top = triangular(j - 1)
         length = min(j, N - top)
         tops = np.repeat(base, fanout)
@@ -148,6 +150,7 @@ def three_one_stretched(N: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Tree:
 def three_one_level_log2_sizes(N: int) -> np.ndarray:
     """log2 #E_d for d = 0..N of the stretched 3-1 tree: 2**j on the j
     depths of the paths into base level j."""
+    check_elements(N, "the 3-1 level-size table")
     j = np.arange(1, base_level_at_depth(N) + 1)
     return np.concatenate(([0.0], np.repeat(j, j)[:N].astype(float)))
 

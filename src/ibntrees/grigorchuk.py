@@ -114,12 +114,6 @@ def _trim(bits: str) -> str:
     return bits.rstrip("1")
 
 
-def act_point_word(word: str, prefix: str) -> str:
-    for ch in word:
-        prefix = act_point(ch, prefix)
-    return prefix
-
-
 # -- word problem -------------------------------------------------------------
 
 _THIRD = {frozenset("bc"): "d", frozenset("bd"): "c", frozenset("cd"): "b"}
@@ -304,17 +298,6 @@ def search_word(n: int, beam: int = 256, seed: int = 0,
             nxt = {keys[i]: nxt[keys[i]] for i in ranked[:width]}
         states = nxt
     return max(states.items(), key=lambda kv: len(kv[0]))[1]
-
-
-def doubling_word(levels: int, beam: int = 256, seed: int = 0) -> tuple[str, list[str]]:
-    """Concatenation xi_1 xi_2 ... of the best found blocks of length 2^k.
-
-    Along the result, every prefix containing xi_k has orbit at least
-    #O(xi_k) while being at most 4 |xi_k| long, so orbit growth transfers
-    from the blocks to the whole word.
-    """
-    blocks = [search_word(2 ** k, beam, seed) for k in range(1, levels + 1)]
-    return "".join(blocks), blocks
 
 
 # -- branch marks and the embedded spherically symmetric tree --------------------

@@ -200,14 +200,3 @@ def ball_sizes(n: int, max_elements: int = 2_000_000) -> tuple[np.ndarray, np.nd
 def theorem_bound_log(n: int) -> float:
     """log of the ball upper bound 2 n**(2 sqrt(n) + 2)."""
     return math.log(2.0) + (2.0 * math.sqrt(n) + 2.0) * math.log(n)
-
-
-def fitted_lower_constant(ball: np.ndarray, n_min: int = 8) -> float:
-    """Largest c with #B(m) >= 2**(c sqrt(m)/log m) on every m >= n_min."""
-    cs = []
-    for m in range(n_min, len(ball)):
-        if ball[m] > 1:
-            cs.append(math.log2(float(ball[m])) * math.log(m) / math.sqrt(m))
-    if not cs:
-        raise ValueError("ball too small to fit")
-    return min(cs)

@@ -1,5 +1,4 @@
-"""Rooted trees as immutable parent and depth arrays, with cutset tests and
-flow checks.
+"""Rooted trees as immutable parent and depth arrays, with flow checks.
 
 Vertices are integers 0..n-1; 0 is the root and a vertex's parent always
 has a smaller id, so id order is topological.  An edge is identified with
@@ -175,25 +174,6 @@ class Tree:
             ids, starts, parents = self.siblings(k)
             out[parents] = fold(out[ids], ids, starts)
         return out
-
-    # -- cutsets ----------------------------------------------------------
-
-    def is_cutset(self, edges, frontier_depth: int) -> bool:
-        """True iff every path from the root to a depth-`frontier_depth`
-        vertex contains exactly one edge of `edges` (edges given as child
-        endpoints)."""
-        edges = list(edges)
-        d = self.depth_array()
-        if edges and frontier_depth < int(d[np.asarray(edges)].max()):
-            raise ValueError("frontier_depth shallower than the cutset")
-        frontier = d == frontier_depth
-        if not frontier.any():
-            return False
-        member = np.zeros(self.n_vertices, dtype=np.int64)
-        member[np.asarray(edges, dtype=np.int64)] = 1 if edges else 0
-        hits = self.sweep_down(np.add, np.zeros(self.n_vertices, dtype=np.int64),
-                               member, frontier_depth)  # cut edges on each root path
-        return bool((hits[frontier] == 1).all())
 
     # -- serialization ----------------------------------------------------
 

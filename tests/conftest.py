@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import ibntrees
+from ibntrees import grigorchuk
 from ibntrees.trees import Tree
 
 CLI = [sys.executable, "-m", "ibntrees.cli"]
@@ -91,6 +92,23 @@ def all_cutsets(t: Tree, N: int) -> list[list[int]]:
     return combos
 
 
+def is_cutset(t: Tree, edges, frontier_depth: int) -> bool:
+    """True iff every path from the root to a depth-`frontier_depth` vertex
+    contains exactly one edge of `edges` (edges given as child endpoints)."""
+    edges = list(edges)
+    d = t.depth_array()
+    if edges and frontier_depth < int(d[np.asarray(edges)].max()):
+        raise ValueError("frontier_depth shallower than the cutset")
+    frontier = d == frontier_depth
+    if not frontier.any():
+        return False
+    member = np.zeros(t.n_vertices, dtype=np.int64)
+    member[np.asarray(edges, dtype=np.int64)] = 1 if edges else 0
+    hits = t.sweep_down(np.add, np.zeros(t.n_vertices, dtype=np.int64),
+                        member, frontier_depth)  # cut edges on each root path
+    return bool((hits[frontier] == 1).all())
+
+
 def cutset_weight(t: Tree, cut, lam: float) -> float:
     d = t.depth_array()
     return sum(math.exp(-float(d[v]) ** lam) for v in cut)
@@ -128,3 +146,33 @@ def brute_force_fire(tree: Tree, k: int, protections: dict[int, list[int]],
         if not blocked and arrival is not None and arrival <= rounds:
             burning.add(v)
     return burning, set(protected_round)
+
+
+def act_point_word(word: str, prefix: str) -> str:
+    """A word's action on one point of the orbit of 1^infinity, letter by
+    letter through grigorchuk.act_point."""
+    for ch in word:
+        prefix = grigorchuk.act_point(ch, prefix)
+    return prefix
+
+
+def doubling_word(levels: int, beam: int = 256, seed: int = 0) -> tuple[str, list[str]]:
+    """Concatenation xi_1 xi_2 ... of the best found blocks of length 2^k.
+
+    Along the result, every prefix containing xi_k has orbit at least
+    #O(xi_k) while being at most 4 |xi_k| long, so orbit growth transfers
+    from the blocks to the whole word.
+    """
+    blocks = [grigorchuk.search_word(2 ** k, beam, seed) for k in range(1, levels + 1)]
+    return "".join(blocks), blocks
+
+
+def fitted_lower_constant(ball: np.ndarray, n_min: int = 8) -> float:
+    """Largest c with #B(m) >= 2**(c sqrt(m)/log m) on every m >= n_min."""
+    cs = []
+    for m in range(n_min, len(ball)):
+        if ball[m] > 1:
+            cs.append(math.log2(float(ball[m])) * math.log(m) / math.sqrt(m))
+    if not cs:
+        raise ValueError("ball too small to fit")
+    return min(cs)

@@ -314,6 +314,27 @@ def test_depth_past_the_element_cap_exits_1(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, what", [
+    (["estimate-ibn", "--grid", "0.5", "--schedule", "16,DEEP"], "3-1 breakpoint lattice"),
+    (["estimate-ibn", "--schedule", "16,100000000"], "3-1 breakpoint lattice"),
+    (["percolate", "--grid", "0.5", "--depths", "16,DEEP"], "stretched truncation"),
+    (["firefight", "--gamma-grid", "0.5", "--schedule", "16,DEEP"], "stretched truncation"),
+    (["rwrc", "--lambda", "0.3", "--gamma-grid", "1.0", "--schedule", "16,DEEP"],
+     "stretched truncation"),
+    (["walk", "--lambda", "0.3", "--depth", "DEEP", "--trials", "3", "--cap", "10"],
+     "stretched truncation"),
+], ids=["estimate-ibn", "estimate-ibn-1e8", "percolate", "firefight", "rwrc", "walk"])
+def test_three_one_depth_past_the_element_cap_exits_1(argv, what, tmp_path, capsys):
+    # refused before any work that grows with the depth: the vertex estimate
+    # is a closed form, and the min-cut DP's lattice pass costs M**2 at base
+    # level M (about 1.4e6 at depth 10**12, 14142 at depth 10**8)
+    out = tmp_path / "x.csv"
+    argv = [a.replace("DEEP", str(10 ** 12)) for a in argv]
+    err = _exits_1_naming_the_cap(argv + ["--family", "three-one", "--out", str(out)], capsys)
+    assert what in err
+    assert not out.exists()
+
+
 def test_percolate_deep_path_tree_file_matches_the_family(tmp_path):
     # the comparison network's conductances fall below exp(-745) long before depth 1100
     assert cli.main(["generate", "--family", "path", "--depth", "1100",

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 
@@ -7,7 +8,8 @@ import pytest
 from conftest import all_cutsets, brute_force_fire, random_tree
 from ibntrees import firefighter as ff
 from ibntrees import generators as gen
-from ibntrees.flowcut import DepthSchedule, min_cut_symmetric
+from ibntrees import nathanson
+from ibntrees.flowcut import DepthSchedule, ibn_log_weights, min_cut, min_cut_symmetric
 from ibntrees.rng import stream_rng
 from ibntrees.trees import Tree
 
@@ -263,51 +265,92 @@ def test_lambda_c_binary_fails_everywhere():
     assert not any(a.contained for a in attempts.values())
 
 
-def game_on_cut_levels(fam, k, gamma, K, schedule):
-    """The symmetric route played out: the greedy game on build(L) with the
-    min-cut level L as the surrounding set, at every scheduled depth."""
+def game_on_min_cut(source, k, gamma, K, schedule):
+    """attempt_containment played out: greedy_play on the surrounding set of
+    the min-cut at every scheduled depth, on the truncation at the deepest
+    one; a symmetric family's min-cut level L is played on build(L).
+    Returns the attempt (None when no cut qualifies) and, per game played,
+    the number of depths its surrounding set spans."""
     eps = ff.containment_margin(k, gamma)
     budgets = ff.BudgetSchedule.exponential(K, gamma)
-    log2_levels = fam.level_log2_sizes(schedule.depths[-1])
-    last = None
+    symmetric = gen.route(source) == "symmetric"
+    last, spans = None, []
     for N in schedule.depths:
         if N <= k + 1:
             continue
-        log_val, level = min_cut_symmetric(log2_levels, gamma, N)
-        if log_val >= math.log(eps) or level <= k:
-            continue
-        t = fam.build(level)
-        last = ff.greedy_play(t, k, budgets, t.level_set(level))
+        if symmetric:
+            log_val, level = min_cut_symmetric(source.level_log2_sizes(schedule.depths[-1]),
+                                               gamma, N)
+            if log_val >= math.log(eps):
+                continue
+            t = source.build(level)
+            surrounding = t.level_set(level)
+        else:
+            t = gen.truncation(source, schedule.depths[-1])
+            res = min_cut(t, ibn_log_weights(t, gamma), N)
+            if res.log_value >= math.log(eps):
+                continue
+            surrounding = ff.surrounding_set_from_cutset(t, res.cut, k)
+        spans.append(len(set(t.depth_array()[list(surrounding)].tolist())))
+        last = ff.greedy_play(t, k, budgets, surrounding)
         if last.contained:
             return ff.ContainmentAttempt(gamma, True, N, last.reason,
-                                         last.fire_size, last.protected_size)
+                                         last.fire_size, last.protected_size), spans
     if last is None:
-        return None
+        return None, spans
     return ff.ContainmentAttempt(gamma, False, None, f"greedy protection too slow: {last.reason}",
-                                 last.fire_size, last.protected_size)
+                                 last.fire_size, last.protected_size), spans
 
 
-@pytest.mark.parametrize("fam, schedule", [
-    (gen.sequence_family(), (8, 16, 32, 64)),
-    (gen.binary_family(), (4, 8, 12)),
-    (gen.path_family(), (8, 32, 128)),
-    (gen.marks_family([n % 3 == 0 for n in range(30)]), (8, 16, 24, 30)),
-], ids=["seq", "binary", "path", "marks"])
-def test_symmetric_closed_form_matches_the_game(fam, schedule):
-    # K = 1e-9 keeps every budget at 0 here: nothing is protected
-    sched = DepthSchedule(schedule)
-    played = 0
-    for k in (0, 1, 2, 3):
-        for K in (1e-9, 0.5, 1.0, 3.0):
-            for gamma in (0.1, 0.3, 0.5, 0.6, 0.7, 0.8, 0.9):
-                want = game_on_cut_levels(fam, k, gamma, K, sched)
-                got = ff.attempt_containment(fam, k, gamma, K, sched)
-                if want is None:
-                    assert got.fire_size == -1 and got.reason.startswith("no cutset")
-                else:
-                    assert got == want, (k, K, gamma)
-                    played += 1
+SYMMETRIC_GRID = ((0, 1, 2, 3), (1e-9, 0.5, 1.0, 3.0), (0.1, 0.3, 0.5, 0.6, 0.7, 0.8, 0.9))
+TREE_GRID = ((0, 1, 2), (1e-9, 0.5, 1.0, 3.0), (0.2, 0.4, 0.6, 0.8))
+
+
+def tree_cases(trees):
+    """Each tree with the schedules N = 5, N = 8 and N = its height, alone
+    and together."""
+    return [(t, DepthSchedule(s)) for t in trees
+            for s in ((5,), (8,), (t.height(),), (5, 8, t.height()))]
+
+
+@pytest.mark.parametrize("cases, grid", [
+    (lambda: [(gen.sequence_family(), DepthSchedule((8, 16, 32, 64)))], SYMMETRIC_GRID),
+    (lambda: [(gen.binary_family(), DepthSchedule((4, 8, 12)))], SYMMETRIC_GRID),
+    (lambda: [(gen.path_family(), DepthSchedule((8, 32, 128)))], SYMMETRIC_GRID),
+    (lambda: [(gen.marks_family([n % 3 == 0 for n in range(30)]),
+               DepthSchedule((8, 16, 24, 30)))], SYMMETRIC_GRID),
+    (lambda: tree_cases([random_tree(seed, 9, extra=20) for seed in range(40)]), TREE_GRID),
+    (lambda: tree_cases([gen.three_one_stretched(45)]), TREE_GRID),
+    (lambda: tree_cases([nathanson.lex_tree(20).tree]), TREE_GRID),
+], ids=["seq", "binary", "path", "marks", "random-trees", "three-one", "lex-20"])
+def test_symmetric_closed_form_matches_the_game(cases, grid):
+    # the count rule against the game it replaces, on every route; K = 1e-9
+    # keeps every budget at 0 here: nothing is protected
+    played, outcomes, spans = 0, set(), []
+    for source, sched in cases():
+        for k, K, gamma in itertools.product(*grid):
+            want, games = game_on_min_cut(source, k, gamma, K, sched)
+            got = ff.attempt_containment(source, k, gamma, K, sched)
+            if want is None:
+                assert got.fire_size == -1 and got.reason.startswith("no cutset")
+            else:
+                assert got == want, (k, K, gamma, sched.depths)
+                played += 1
+                outcomes.add(got.contained)
+                spans += games
     assert played > 0
+    if grid is TREE_GRID:
+        assert outcomes == {True, False}
+        assert max(spans) > 1  # some surrounding set lies at several depths
+
+
+def test_count_rule_rejects_a_cut_inside_the_ball():
+    budgets = ff.BudgetSchedule.exponential(1.0, 0.5)
+    with pytest.raises(ValueError, match=r"cutset touches B\(2\)"):
+        ff._count_rule(0.5, 8, 2, budgets, [0, 0, 1, 3], [1, 2, 3])
+    # one vertex at depth 3, paid for in round 1: levels 0..2 burn
+    held = ff._count_rule(0.5, 8, 2, budgets, [0, 0, 0, 1], [1, 2, 3])
+    assert held == ff.ContainmentAttempt(0.5, True, 8, "fire frozen", 6, 1)
 
 
 def test_symmetric_containment_builds_no_tree(monkeypatch):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import all_cutsets, cutset_weight, random_tree
+from conftest import all_cutsets, cutset_weight, is_cutset, random_tree
 from ibntrees import generators as gen
 from ibntrees import flowcut as fc
 from ibntrees import percolation as pc
@@ -28,7 +28,7 @@ def test_min_cut_matches_exhaustive_enumeration():
         res = fc.min_cut(t, fc.ibn_log_weights(t, lam), 5)
         best = min(cutset_weight(t, c, lam) for c in all_cutsets(t, 5))
         assert math.isclose(res.value, best, rel_tol=1e-12)
-        assert t.is_cutset(res.cut, 5)
+        assert is_cutset(t, res.cut, 5)
 
 
 def test_min_cut_symmetric_reduction():
@@ -285,14 +285,14 @@ def test_sweeps_on_levels_out_of_id_order():
             for edges in itertools.combinations(inside, r):
                 on_paths = [sum(u in edges for u in (x, par[x], par[par[x]]) if u > 0)
                             for x in t.level_set(N)]
-                assert t.is_cutset(edges, N) == all(h == 1 for h in on_paths)
+                assert is_cutset(t, edges, N) == all(h == 1 for h in on_paths)
 
         for lam in (0.3, 0.6, 0.9):
             w = fc.ibn_log_weights(t, lam)
             res = fc.min_cut(t, w, N)
             best = min(cutset_weight(t, c, lam) for c in all_cutsets(t, N))
             assert math.isclose(res.value, best, rel_tol=1e-12)
-            assert t.is_cutset(res.cut, N)
+            assert is_cutset(t, res.cut, N)
 
             # subtree min-cuts m, then each vertex's inflow split among its
             # children in proportion to their m

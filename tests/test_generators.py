@@ -151,6 +151,11 @@ def test_three_one_level_profile_matches_materialized():
 def test_three_one_memory_cap():
     with pytest.raises(gen.MemoryCapError):
         gen.three_one_stretched(5000, max_vertices=10 ** 5)
+    # the estimate is a closed form: 2**1414235 vertices are refused at once
+    with pytest.raises(gen.MemoryCapError, match=r"needs ~2\*\*1414235\.4 vertices"):
+        gen.three_one_stretched(10 ** 12)
+    with pytest.raises(gen.MemoryCapError, match="level-size table"):
+        gen.three_one_level_log2_sizes(10 ** 12)
 
 
 def test_family_lookup():

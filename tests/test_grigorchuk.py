@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import act_point_word, doubling_word
 from ibntrees import generators as gen
 from ibntrees import grigorchuk as gg
 from ibntrees.flowcut import DepthSchedule, ibn_estimate
@@ -87,7 +88,7 @@ def test_orbit_incremental_matches_scratch(w):
     def scratch(word):
         if not word:
             return frozenset({gg.X0})
-        return frozenset(gg.act_point_word(word[i:], gg.X0) for i in range(len(word)))
+        return frozenset(act_point_word(word[i:], gg.X0) for i in range(len(word)))
 
     sizes = gg.orbit_sizes(w)
     for l in (0, len(w) // 2, len(w)):
@@ -123,7 +124,7 @@ def test_warm_tables_keep_the_exact_orbits(fresh_images):
     assert all(fresh_images.values())
     sizes = gg.orbit_sizes(w)
     for l in range(len(w) + 1):
-        scratch = frozenset(gg.act_point_word(w[i:l], gg.X0) for i in range(l)) \
+        scratch = frozenset(act_point_word(w[i:l], gg.X0) for i in range(l)) \
             if l else frozenset({gg.X0})
         assert gg.inverted_orbit(w[:l]) == scratch, l
         assert sizes[l] == len(scratch), l
@@ -179,7 +180,7 @@ def test_search_word_exhaustive_small():
 
 
 def test_doubling_word_carries_block_orbits():
-    w, blocks = gg.doubling_word(5, beam=32, seed=1)
+    w, blocks = doubling_word(5, beam=32, seed=1)
     sizes = gg.orbit_sizes(w)
     offset = 0
     for k, blk in enumerate(blocks):

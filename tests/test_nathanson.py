@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import fitted_lower_constant
 from ibntrees import nathanson as na
 from ibntrees.flowcut import DepthSchedule, ibn_estimate, ibn_log_weights, min_cut
 from ibntrees.trees import check_flow
@@ -128,7 +129,7 @@ def test_theorem_bound_holds_to_40():
     ball, _ = na.ball_sizes(40)
     for n in range(1, 41):
         assert math.log(float(ball[n])) <= na.theorem_bound_log(n)
-    assert na.fitted_lower_constant(ball) > 0
+    assert fitted_lower_constant(ball) > 0
 
 
 def test_lex_tree_prefix_closed_and_ordered():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_tree
+from conftest import is_cutset, random_tree
 from ibntrees.trees import Tree, check_flow
 
 
@@ -42,19 +42,19 @@ def test_is_cutset_levels_and_degenerate():
     t = random_tree(3, 5)
     n = 3
     level_edges = t.level_set(n)
-    assert t.is_cutset(level_edges, 5)
-    assert not t.is_cutset([], 5)
+    assert is_cutset(t, level_edges, 5)
+    assert not is_cutset(t, [], 5)
     # an edge plus its child edge hits one ray twice
     deep = max(range(t.n_vertices), key=t.depth)
     rest = [v for v in t.level_set(t.depth(deep)) if v != deep]
-    assert not t.is_cutset([deep, t.parent(deep)] + rest, t.depth(deep))
+    assert not is_cutset(t, [deep, t.parent(deep)] + rest, t.depth(deep))
 
 
 def test_is_cutset_frontier_precondition():
     t = random_tree(5, 4)
     deep = max(range(t.n_vertices), key=t.depth)
     with pytest.raises(ValueError):
-        t.is_cutset([deep], t.depth(deep) - 1)
+        is_cutset(t, [deep], t.depth(deep) - 1)
 
 
 def test_check_flow_zero_and_path():
