@@ -7,8 +7,9 @@ builds the IBN's); linear values are derived views.  Three evaluation
 routes feed the same classifier:
 
 * explicit trees and materialized truncations: a bottom-up recursion
-  m(v) = min(w(v), sum over children), one Tree.sweep_up, with the cut
-  and the flow read off it by Tree.sweep_down;
+  m(v) = min(w(v), sum over children), one Tree.sweep_up that folds
+  siblings by one np.logaddexp reduction, as effective conductance does;
+  the cut and the flow are read off it by Tree.sweep_down;
 * spherically symmetric families: the recursion collapses to
   min over n of #E_n * w(n), evaluated from level sizes alone;
 * the stretched 3-1 family: a piecewise-constant dynamic program over base
@@ -63,17 +64,6 @@ def _check_log_weights(tree: Tree, logw: np.ndarray) -> np.ndarray:
     return logw
 
 
-def _segment_logsumexp(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    lengths = np.diff(np.append(starts, len(vals)))
-    segmax = np.maximum.reduceat(vals, starts)
-    rep = np.repeat(segmax, lengths)
-    with np.errstate(invalid="ignore"):
-        shifted = np.where(np.isneginf(rep), NEG_INF, vals - rep)
-    sums = np.add.reduceat(np.exp(shifted), starts)
-    with np.errstate(divide="ignore"):
-        return np.where(np.isneginf(segmax), NEG_INF, segmax + np.log(sums))
-
-
 @dataclass(frozen=True)
 class MinCut:
     log_value: float
@@ -87,7 +77,9 @@ class MinCut:
 
 def _cut_table(tree: Tree, logw: np.ndarray, N: int) -> np.ndarray:
     """Bottom-up table msum of the cut recursion on the depth-N truncation:
-    the log cut of each vertex's children; m = minimum(logw, msum)."""
+    the log cut of each vertex's children; m = minimum(logw, msum).  Each
+    level folds its siblings by one np.logaddexp.reduceat, which gives -inf
+    on a segment that is all -inf (dead branches, zero-weight edges)."""
     if tree.n_vertices < 2:
         raise ValueError("empty tree")
     if N < 1 or tree.height() < N:
@@ -95,7 +87,7 @@ def _cut_table(tree: Tree, logw: np.ndarray, N: int) -> np.ndarray:
     msum = np.full(tree.n_vertices, NEG_INF)
     msum[tree.level(N)] = np.inf  # frontier: the edge itself is the only option
     return tree.sweep_up(msum, N, lambda vals, ids, starts:
-                         _segment_logsumexp(np.minimum(logw[ids], vals), starts))
+                         np.logaddexp.reduceat(np.minimum(logw[ids], vals), starts))
 
 
 def min_cut(tree: Tree, logw: np.ndarray, N: int, want_cut: bool = True) -> MinCut:
@@ -111,9 +103,12 @@ def min_cut(tree: Tree, logw: np.ndarray, N: int, want_cut: bool = True) -> MinC
     log_value = float(msum[0])
     cut = None
     if want_cut:
-        # from the root down: a live vertex cuts its own edge when that is no
-        # dearer than its children's cuts, and otherwise passes the search on
-        live = np.minimum(logw, msum) > NEG_INF
+        # from the root down: a live vertex (at or above a depth-N one) cuts
+        # its own edge when that is no dearer than its children's cuts, and
+        # otherwise passes the search on
+        live = np.zeros(tree.n_vertices, dtype=bool)
+        live[tree.level(N)] = True  # not m > -inf: a zero-weight cut gives that too
+        tree.sweep_up(live, N, lambda vals, ids, starts: np.logical_or.reduceat(vals, starts))
         take = logw <= msum
         searched = np.zeros(tree.n_vertices, dtype=bool)
         searched[0] = True

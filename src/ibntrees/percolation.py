@@ -62,16 +62,16 @@ def exact_survival(tree: Tree, law: PercolationLaw, N: int) -> float:
     if N < 1 or tree.height() < N:
         raise ValueError(f"tree must reach depth N={N}")
     d = tree.depth_array()
+    neg_p = [0.0, *(-law.p(np.arange(1, N + 1))).tolist()]  # neg_p[n] = -p(n); no edge at 0
 
-    def fold(s, ids, starts):
-        ps = law.p(d[ids]) * s
-        with np.errstate(divide="ignore"):
-            log_miss = np.log1p(-np.minimum(ps, 1.0))
+    def fold(s, ids, starts):  # one open probability per level: p <= 1 and s <= 1
+        log_miss = np.log1p(s * neg_p[d[ids[0]]])
         return 0.0 - np.expm1(np.add.reduceat(log_miss, starts))  # 0.0, never -0.0
 
     s = np.zeros(tree.n_vertices)
     s[tree.level(N)] = 1.0
-    return float(tree.sweep_up(s, N, fold)[0])
+    with np.errstate(divide="ignore"):  # an always-open edge: log1p(-1) = -inf
+        return float(tree.sweep_up(s, N, fold)[0])
 
 
 def survival_symmetric(degrees: np.ndarray, law: PercolationLaw, N: int) -> float:

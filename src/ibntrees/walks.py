@@ -82,10 +82,11 @@ def log_effective_conductance(tree: Tree, log_c: np.ndarray, N: int) -> float:
     1/(1/c(e_child) + 1/C(child))."""
     if N < 1 or tree.height() < N:
         raise ValueError(f"tree must reach depth N={N}")
+    neg_log_c = -log_c
     log_C = np.full(tree.n_vertices, NEG_INF)
     log_C[tree.level(N)] = np.inf
     tree.sweep_up(log_C, N, lambda log_C, ids, starts:  # each child's branch, in parallel
-                  np.logaddexp.reduceat(-np.logaddexp(-log_c[ids], -log_C), starts))
+                  np.logaddexp.reduceat(-np.logaddexp(neg_log_c[ids], -log_C), starts))
     return float(log_C[0])
 
 

@@ -31,6 +31,29 @@ def test_min_cut_matches_exhaustive_enumeration():
         assert is_cutset(t, res.cut, 5)
 
 
+def test_min_cut_with_zero_weight_edges():
+    # zero-weight edges make all -inf sibling segments on live branches as
+    # well as dead ones; the cut must still cover every path to the frontier
+    zero = 0
+    for seed in range(40):
+        t = random_tree(seed, 5)
+        logw = fc.ibn_log_weights(t, 0.3 + 0.5 * (seed / 40))
+        hit = np.random.default_rng(seed).random(t.n_vertices) < 0.1
+        hit[0] = False
+        logw[hit] = -np.inf
+        res = fc.min_cut(t, logw, 5)
+        best = min(sum(math.exp(logw[v]) for v in c) for c in all_cutsets(t, 5))
+        assert is_cutset(t, res.cut, 5), seed
+        taken = sum(math.exp(logw[v]) for v in res.cut)
+        if best == 0.0:
+            zero += 1
+            assert res.log_value == -math.inf and taken == 0.0, seed
+        else:
+            assert math.isclose(res.value, best, rel_tol=1e-12), seed
+            assert math.isclose(taken, best, rel_tol=1e-12), seed
+    assert 0 < zero < 40  # both outcomes are exercised
+
+
 def test_min_cut_symmetric_reduction():
     lv = np.log2(np.asarray([float(x) for x in gen.level_sizes(gen.sequence_degrees(14))]))
     t = gen.sequence_family().build(14)
@@ -168,13 +191,16 @@ def test_three_one_dp_columns_are_independent():
 
 
 def test_three_one_dp_matches_materialized():
-    for m in range(2, 7):
+    # up to m = 12, depth 78, the benchmark's tree; both the log value and
+    # the linear one within 1e-12 relative
+    for m in range(2, 13):
         N = gen.triangular(m)
         t = gen.three_one_stretched(N)
         for lam in (0.2, 0.4, 0.6, 0.8):
             g = fc.min_cut(t, fc.ibn_log_weights(t, lam), N, want_cut=False).log_value
             dp = fc.three_one_log_min_cut((lam,), (m,))[0, 0]
-            assert abs(g - dp) < 1e-9, (m, lam)
+            assert math.isclose(g, dp, rel_tol=1e-12), (m, lam)
+            assert math.isclose(math.exp(g), math.exp(dp), rel_tol=1e-12), (m, lam)
 
 
 def test_three_one_dp_decays_for_every_lambda():

@@ -43,6 +43,35 @@ def test_survival_depth_one_edge_is_exp_minus_one():
     assert math.isclose(s, math.exp(-1.0), rel_tol=1e-12)
 
 
+def brute_force_survival(t: Tree, lam: float, N: int) -> float:
+    """P[root <-> depth N], summed over every set of open edges."""
+    E = t.n_vertices - 1
+    d = t.depth_array()
+    par = t.parent_array()
+    p = np.exp(-np.power(d[1:].astype(float), lam - 1.0))
+    bits = (np.arange(1 << E)[:, None] >> np.arange(E)) & 1 == 1  # subsets x edges
+    reach = np.ones((1 << E, t.n_vertices), dtype=bool)
+    for v in range(1, t.n_vertices):  # random_tree numbers parents first
+        reach[:, v] = reach[:, par[v]] & bits[:, v - 1]
+    weight = np.where(bits, p, 1.0 - p).prod(axis=1)
+    return float(weight[reach[:, d == N].any(axis=1)].sum())
+
+
+def test_survival_matches_enumeration_on_irregular_trees():
+    dead = 0
+    for seed in range(12):
+        N = 3 + seed % 3
+        t = random_tree(seed + 100, N, extra=12 - N)
+        assert t.n_vertices - 1 <= 12
+        leaves = np.bincount(t.parent_array()[1:], minlength=t.n_vertices) == 0
+        dead += bool((leaves & (t.depth_array() < N)).any())
+        for lam in (0.3, 0.7):
+            s = pc.exact_survival(t, pc.PercolationLaw(lam), N)
+            assert math.isclose(s, brute_force_survival(t, lam, N), rel_tol=1e-12), (seed, lam)
+        assert pc.exact_survival(t, pc.PercolationLaw.always_open(), N) == 1.0
+    assert dead >= 6  # most trees carry a branch that dies above depth N
+
+
 def test_survival_symmetric_matches_generic():
     fam = gen.sequence_family()
     t = fam.build(16)
