@@ -2,19 +2,31 @@
 
 The semigroup is generated by a = [[1,1],[0,1]] and b = [[1,0],[1,0]]
 under multiplication.  Words over {a, b} are ordered length-first, then
-lexicographically with b < a; breadth-first search that extends by b
-before a therefore reaches every element through its minimal word, in
-that order, and those words form a spanning tree under the prefix
-relation.  One BFS emits the tree directly: each element records the
-frontier element it extended (its parent vertex) and the last letter, so
-vertex ids are the length-then-lex order, and words are rebuilt from the
-letters only on demand.  Matrix entries are exact big integers: deduping
-is by the matrix itself, never a hash truncation.
+lexicographically with b < a; the minimal words are prefix-closed and form
+a spanning tree of the ball under the prefix relation, with vertex ids in
+length-then-lex order.
+
+Normal form.  b a^k b = (k+1) b, so a word a^i b a^(r_1) b ... b a^j with at
+least one b is the matrix c * [[i+1, j(i+1)], [1, j]], where c is the
+product of (r+1) over the middle runs; a^i is [[1,i],[0,1]], the one
+element with a zero lower-left entry.  The matrix therefore fixes (c, i, j),
+and the shortest word for it writes c as a product whose factors f = r+1
+have the least sum: its prime factorization, since x + y <= xy for
+x, y >= 2 with equality only at 2 * 2 = 4.  That tie and the order of the
+factors go to the earlier b, so the minimal word takes nondecreasing
+primes: a^i (b a^(p-1)) ... (b a^(q-1)) b a^j with primes
+p <= ... <= q (`word_type`).  `lex_tree` builds the tree from this
+automaton, one numpy level at a time.
+
+`_ball` is the breadth-first search over the matrices themselves, exact
+big integers deduped by the matrix, never a hash.  It is the oracle the
+tests hold the automaton to, and `bfs_ball` and `ball_sizes` read the
+matrices through it.
 
 The tree supports a flow from the identity that is routed entirely into
 the b-subtree and halves at every branch vertex; branches occur exactly
-where a run of a's can be closed by b, which the minimal-word structure
-ties to prime run lengths.
+where a run of a's can be closed by b, which the normal form ties to prime
+run lengths.
 """
 
 from __future__ import annotations
@@ -120,17 +132,42 @@ class LexTree:
         """words[v] is the minimal word of vertex v."""
         return _words(self.tree.parent_array().tolist(), self.letters)
 
-    def word_index(self) -> dict[str, int]:
-        return {w: i for i, w in enumerate(self.words)}
-
 
 def lex_tree(n: int, max_elements: int = 2_000_000) -> LexTree:
     """Spanning tree of the ball: parent of a word is its one-shorter prefix,
-    and vertex ids are in length-then-lex order of the minimal words."""
-    ids, parent, letters, level_ends = _ball(n, max_elements)
-    del ids  # the matrices are not needed for the tree; free them before building it
-    depth = np.repeat(np.arange(n + 1), np.diff(level_ends, prepend=0))
-    return LexTree(Tree(np.frombuffer(parent, dtype=np.int64), depth), bytes(letters))
+    and vertex ids are in length-then-lex order of the minimal words.
+
+    Built one level at a time from each vertex's automaton state (see the
+    module docstring), never from the matrices: run[v] is the number of a's
+    since v's last b (-1 before the first b) and last[v] the last prime v
+    closed (0 if none).  Every vertex has an a-child; it has a b-child, placed
+    first, exactly when it has no b yet or run+1 is a prime >= last.
+    Matches the BFS `_ball` vertex for vertex, letters included.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    prime = np.array([_is_prime(k) for k in range(n + 2)])
+    parents, letters, sizes = [np.array([-1])], [np.array([ord("-")], dtype=np.uint8)], [1]
+    run, last = np.array([-1]), np.array([0])
+    first, total = 0, 1
+    for _ in range(n):
+        has_b = (run < 0) | (prime[run + 1] & (run + 1 >= last))
+        counts = 1 + has_b
+        size = int(counts.sum())
+        total += size
+        if total > max_elements:
+            raise BallCapError(f"ball exceeds {max_elements} elements")
+        is_b = np.zeros(size, dtype=bool)
+        is_b[np.cumsum(counts)[has_b] - 2] = True
+        parents.append(np.repeat(np.arange(first, first + len(run)), counts))
+        letters.append(np.where(is_b, ord("b"), ord("a")).astype(np.uint8))
+        first += len(run)
+        run, last = np.repeat(run, counts), np.repeat(last, counts)
+        run, last = (np.where(is_b, 0, run + (run >= 0)),
+                     np.where(is_b, run + 1, last))
+        sizes.append(size)
+    depth = np.repeat(np.arange(n + 1), sizes)
+    return LexTree(Tree(np.concatenate(parents), depth), np.concatenate(letters).tobytes())
 
 
 def _is_prime(m: int) -> bool:

@@ -58,6 +58,41 @@ def _brute_minimal_words(n):
     return brute
 
 
+def word_index(lt):
+    """Vertex id of every minimal word of lt."""
+    return {w: i for i, w in enumerate(lt.words)}
+
+
+def test_lex_tree_matches_the_matrix_bfs():
+    # the automaton against the BFS over the matrices, vertex for vertex
+    for n in range(41):
+        _, parent, letters, level_ends = na._ball(n, 2_000_000)
+        lt = na.lex_tree(n)
+        assert lt.tree.parent_array().tolist() == parent.tolist(), n
+        depth = np.repeat(np.arange(n + 1), np.diff(level_ends, prepend=0))
+        assert lt.tree.depth_array().tolist() == depth.tolist(), n
+        assert lt.letters == bytes(letters), n
+
+
+def test_typed_words_are_the_minimal_words_to_length_16():
+    # every word of length <= 16, each level's matrices from the last one's;
+    # words of one length come in lex order, so the first word of a matrix
+    # is its minimal word
+    minimal, typed = set(), set()
+    seen = {na.MAT_ID}
+    level = [("", na.MAT_ID)]
+    for _ in range(16):
+        level = [(w + ch, na.mat_mul(m, na.GEN[ch])) for w, m in level for ch in "ba"]
+        for w, m in level:
+            if m not in seen:
+                seen.add(m)
+                minimal.add(w)
+            if na.word_type(w) is not None:
+                typed.add(w)
+    assert len(minimal) == len(na.bfs_ball(16)) - 1  # the identity has the empty word
+    assert typed == minimal
+
+
 def test_bfs_ball_words_are_lex_minimal():
     assert na.bfs_ball(12) == _brute_minimal_words(12)
 
@@ -73,10 +108,13 @@ def test_lex_tree_matches_brute_force_order():
     assert all(parents[v] == index[w[:-1]] for v, w in enumerate(words) if w)
 
 
-# Recorded from the sort-based construction that the one-pass BFS replaced.
+# 12 and 30 were recorded from the sort-based construction that the one-pass
+# BFS replaced, 38 and 60 from that BFS before the automaton replaced it.
 PINNED_TREE_SHA256 = {
     12: "26f14aa06a085c7298990320d3dad183586f034d2a7d8475021110094a803c5f",
     30: "de9ea1ae3116ffe6a37392af9f55fdf0eb2445f716841a64e851682700d8ea6e",
+    38: "1de793f5501033810493f52d550bf393a9a1e849fcc1e19d8585288240cb5743",
+    60: "142948c6f931545202329a413becc9301548d7ec66b69f213d8345a3ed46597e",
 }
 PINNED_BALL_40 = [
     0, 2, 5, 10, 18, 30, 48, 74, 111, 162, 231, 323, 444, 601, 803, 1060, 1384, 1789,
@@ -154,7 +192,7 @@ def test_word_types_to_depth_24():
 
 def test_prime_flow_structure_and_admissibility():
     lt = na.lex_tree(24)
-    idx = lt.word_index()
+    idx = word_index(lt)
     c = 0.25
     theta = na.prime_flow(lt, c)
     assert theta[idx["b"]] == c and theta[idx["a"]] == 0.0
