@@ -19,7 +19,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .flowcut import BracketResult, DepthSchedule, ibn_log_weights, min_cut, min_cut_symmetric
+from . import classes
+from .flowcut import BracketResult, DepthSchedule, ibn_log_weights, min_cut
 from .generators import TreeFamily, level_sizes, route, truncation
 from .trees import Tree
 
@@ -177,6 +178,11 @@ def _count_rule(gamma: float, N: int, k: int, budgets: BudgetSchedule,
     return ContainmentAttempt(gamma, True, N, "fire frozen", sum(free), held)
 
 
+def _symmetric(source: TreeFamily | Tree) -> bool:
+    """A family with a degree array: its min-cut is a whole level."""
+    return route(source) == "classes" and source.degrees is not None
+
+
 def attempt_containment(source: TreeFamily | Tree, k: int, gamma: float, K: float,
                         schedule: DepthSchedule) -> ContainmentAttempt:
     """Run the cut-based strategy for one rate gamma: at each scheduled
@@ -187,18 +193,20 @@ def attempt_containment(source: TreeFamily | Tree, k: int, gamma: float, K: floa
     No qualifying cutset at any scheduled depth counts as failure."""
     eps = containment_margin(k, gamma)
     budgets = BudgetSchedule.exponential(K, gamma)
-    symmetric = route(source) == "symmetric"
-    if symmetric:
-        log2_levels = source.level_log2_sizes(schedule.depths[-1])
-        sizes = level_sizes(source.degrees(schedule.depths[-1]))
-    else:
+    depths = [N for N in schedule.depths if N > k + 1]
+    symmetric = _symmetric(source)
+    if not symmetric:
         tree = truncation(source, schedule.depths[-1])
         logw = ibn_log_weights(tree, gamma)
         depth = tree.depth_array()
+    elif depths:
+        degrees = source.degrees(depths[-1])
+        sizes = level_sizes(degrees)
+        cuts = classes.cut_levels(classes.from_degrees(degrees, depths), gamma)
     last = None
-    for N in (d for d in schedule.depths if d > k + 1):
+    for j, N in enumerate(depths):
         if symmetric:
-            log_val, L = min_cut_symmetric(log2_levels, gamma, N)
+            log_val, L = cuts[j]
         else:
             res = min_cut(tree, logw, N, want_cut=True)
             log_val = res.log_value
@@ -228,7 +236,7 @@ def lambda_c_estimate(source: TreeFamily | Tree, k: int, gamma_grid: Sequence[fl
     gamma_grid = tuple(sorted(gamma_grid))
     if any(not 0 < g < 1 for g in gamma_grid):
         raise ValueError("gamma grid must lie inside (0, 1)")
-    if route(source) != "symmetric":
+    if not _symmetric(source):
         source = truncation(source, schedule.depths[-1])
     attempts = {g: attempt_containment(source, k, g, K, schedule)
                 for g in gamma_grid}

@@ -3,21 +3,16 @@
 The branching-number weight exp(-|e|**lam) underflows doubles long before
 the depths the estimators need, so every cut computation here works on log
 weights, per-edge arrays indexed by child vertex id (ibn_log_weights
-builds the IBN's); linear values are derived views.  Three evaluation
-routes feed the same classifier:
+builds the IBN's); linear values are derived views.  Two evaluation routes
+feed the same classifier:
 
 * explicit trees and materialized truncations: a bottom-up recursion
   m(v) = min(w(v), sum over children), one Tree.sweep_up that folds
   siblings by one np.logaddexp reduction, as effective conductance does;
   the cut and the flow are read off it by Tree.sweep_down;
-* spherically symmetric families: the recursion collapses to
-  min over n of #E_n * w(n), evaluated from level sizes alone;
-* the stretched 3-1 family: a piecewise-constant dynamic program over base
-  levels (see three_one_log_min_cut) that reaches depths far beyond any
-  materializable truncation.  Its breakpoints lie on a lattice of floors
-  floor(2**(n+k-1) / 3**k) that the deepest frontier fixes and every
-  shallower one shares, so one level pass over a (positions, columns)
-  array evaluates every (rate, depth) pair of a bracket at once.
+* families: one sweep of the family's class table (classes.py) evaluates
+  every (rate, depth) pair of a bracket at once, far beyond any
+  materializable truncation.
 
 generators.route decides which route a source takes; the level sweeps
 run on an explicit Tree, each scheduled depth on the one tree.  Every
@@ -28,15 +23,13 @@ bracket they induce.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import neg
 from typing import Sequence
 
 import numpy as np
 
-from .generators import LOG2, TreeFamily, base_level_at_depth, check_elements, route, triangular
+from . import classes
+from .generators import LOG2, TreeFamily, route, triangular
 from .trees import Tree
 
 NEG_INF = float("-inf")
@@ -140,148 +133,17 @@ def max_flow(tree: Tree, logw: np.ndarray, N: int) -> np.ndarray:
 
 
 def min_cut_symmetric(log2_levels: Sequence[float], lam: float, N: int) -> tuple[float, int]:
-    """Min-cut of a spherically symmetric truncation from level sizes alone.
-
-    By symmetry the optimum is a full level: min over 1 <= n <= N of
-    #E_n * exp(-n**lam).  Returns (log value, argmin level, shallowest on
-    ties).
-    """
-    lv = np.asarray(log2_levels, dtype=float)
-    if len(lv) < N + 1:
-        raise ValueError("need level sizes up to depth N")
-    n = np.arange(1, N + 1, dtype=float)
-    logvals = lv[1:N + 1] * LOG2 - np.power(n, lam)
-    i = int(np.argmin(logvals))
-    return float(logvals[i]), i + 1
-
-
-# -- stretched 3-1 tree: exact min-cut without materialization -------------
-
-# Lattice positions below this are placed by an int64 search; above it the
-# floors lie far enough apart for the closed-form child piece.
-EXACT_BELOW = 1 << 40
-
-
-def _three_one_gathers(M: int):
-    """Gather indices of the 3-1 DP on the breakpoint lattice of frontier M.
-
-    Yields, for base levels n = M-1, ..., 1, an int64 array idx[r, p]: the
-    row, among level n+1's positions followed by one thin row, of the piece
-    that holds the child 3s + r of level n's p-th position s.  A level's
-    positions are the small ones -- 0, 1 and F, F + 1 for its floors below
-    EXACT_BELOW, sorted -- then F_k, F_k + 1 for k = kb, ..., 1, its kb
-    floors above; the frontier has the position 0 alone.
-    """
-    floors = ()  # the child level's nonzero floors, descending
-    kb, n_small, P = 0, 1, 1
-    low = np.zeros(1, dtype=np.int64)  # the child's positions below 4 * EXACT_BELOW
-    for n in range(M - 1, 0, -1):
-        child_small, child_kb, child_low, child_P = n_small, kb, low, P
-        floors, rems = zip(*map(divmod, [1 << n, *floors], repeat(3)))
-        floors = floors[:bisect_right(floors, -1, key=neg)]  # drop the zeros
-        kb = bisect_right(floors, -EXACT_BELOW, key=neg)
-        small = sorted({0, 1, *floors[kb:], *[f + 1 for f in floors[kb:]]})
-        del small[bisect_left(small, 1 << (n - 1)):]  # thick states s < 2**(n-1)
-        near = floors[bisect_right(floors, -4 * EXACT_BELOW, hi=kb, key=neg):kb]
-        low = np.array(small + [p for f in reversed(near) for p in (f, f + 1)], dtype=np.int64)
-        n_small = len(small)
-        P = n_small + 2 * kb
-
-        x = 3 * low[:n_small] + np.arange(3)[:, None]
-        idx_small = np.searchsorted(child_low, x, side="right") - 1
-        if n < 62:
-            idx_small[x >= 1 << n] = child_P  # a thin child
-        # F_k + e for k = kb..1: its child F'_{k-1} + o lies in the piece at
-        # row at[k], or the one before or after it by the sign of o
-        t = np.array(rems[:kb][::-1], dtype=np.int64)
-        o = 3 * np.arange(2) - t[:, None] + np.arange(3)[:, None, None]  # [r, k, e]
-        at = child_small + 2 * (child_kb + 1 - np.arange(kb, 0, -1))
-        idx_big = at[:, None] + np.sign(o)
-        np.minimum(idx_big, child_P, out=idx_big)  # past F'_0 = 2**n: a thin child
-        yield np.concatenate((idx_small, idx_big.reshape(3, -1)), axis=1)
+    """Min-cut of a spherically symmetric truncation from its level sizes:
+    (log value, depth of the cut level, the shallowest on ties)."""
+    return classes.cut_levels(classes.from_log2_levels(log2_levels, N), lam)[0]
 
 
 def three_one_log_min_cut(lams: Sequence[float], ms: Sequence[int]) -> np.ndarray:
     """Log min-cut of the stretched 3-1 tree at depth D(m) = m(m+1)/2, for
-    every rate in lams and base level in ms: an array [len(lams), len(ms)].
-
-    Subtrees of the base tree are classified by (level n, distance s from
-    the right edge): a thick vertex (n, s) has children (n+1, 3s+r) for
-    r in {0,1,2}, thick iff 3s+r <= 2**n - 1, thin children being rays that
-    are cut at the frontier.  The cut value mu_n(s) = min(W_n, sum of child
-    values) is nonincreasing and piecewise constant in s.
-
-    For the deepest frontier M = max(ms), every breakpoint of level n lies
-    on the lattice {0, 1} and {F_k, F_k + 1 : 1 <= k <= M - n} below
-    2**(n-1), with F_k = floor(2**(n+k-1) / 3**k): a breakpoint b of the
-    child level gives ceil((b - r) / 3), and F'_{k-1} = 3 F_k + t with
-    t in {0,1,2}.  Each level's floors come from the child's by one
-    divmod by 3, starting from F'_0 = 2**n, the child's thick bound.  The
-    child of a lattice position F_k + e is 3(F_k + e) + r = F'_{k-1} + o
-    with o = 3e + r - t in [-2, 5], so it lies in the child piece before,
-    at or after F'_{k-1} by the sign of o, with no big-integer search;
-    positions below EXACT_BELOW, where floors can collide, are placed by
-    np.searchsorted on exact int64 values instead.
-
-    A shallower frontier m <= M has a subset of this lattice at every
-    level, so each (rate, m) column samples its own piecewise-constant
-    function on the shared lattice: one pass over (positions, columns)
-    arrays serves them all.  Column m joins at level m - 1 with the
-    constant frontier value W_m, the same value its thin children take.
-    Every column gets the float operations of the scalar breakpoint DP
-    (log-sum-exp of the three children with the maximum pulled out, then
-    the min with W_n), evaluated at more positions; numpy's exp and log
-    may differ from math's in the last bit.
-    """
-    lams = [float(lam) for lam in lams]
-    ms = [int(m) for m in ms]
+    every rate in lams and base level in ms: an array [len(lams), len(ms)]."""
     if any(m < 1 for m in ms):
         raise ValueError("m must be >= 1")
-    if not lams or not ms:
-        return np.empty((len(lams), len(ms)))
-    L = len(lams)
-    frontiers = sorted(set(ms), reverse=True)
-    M = frontiers[0]
-    check_elements(M * M, "the 3-1 breakpoint lattice")  # the gathers' work grows as M**2
-    logW = np.array([[0.0] + [-(float(triangular(j)) ** lam) for j in range(1, M + 1)]
-                     for lam in lams])  # [rate, base level]
-    # column f * L + i is (lams[i], frontiers[f]); the live columns at
-    # level n (frontier m > n) are a prefix
-    thin = logW[:, frontiers].T.ravel()
-    W = np.tile(logW.T, (1, len(frontiers)))  # [base level, column]
-
-    # level M: the frontier, one piece at s = 0; vals[-1] is the thin row
-    vals = np.empty((2, 0))
-    live = 0
-    gathers = _three_one_gathers(M)
-    for n in range(M - 1, -1, -1):
-        if n + 1 in frontiers:  # columns with frontier m = n + 1 join
-            grown = np.empty((len(vals), live + L))
-            grown[:, :live] = vals
-            grown[:, live:] = logW[:, n + 1]
-            vals, live = grown, live + L
-        if n == 0:
-            break
-        g = vals[next(gathers)]  # [child r, position, column]
-        hi = np.maximum(g[0], g[1])
-        np.maximum(hi, g[2], out=hi)
-        g -= hi
-        np.exp(g, out=g)
-        P = g.shape[1]
-        vals = np.empty((P + 1, live))
-        v = vals[:P]
-        np.add(g[0], g[1], out=v)
-        v += g[2]
-        np.log(v, out=v)
-        v += hi
-        np.minimum(v, W[n, :live], out=v)
-        vals[P] = thin[:live]
-        if (v[1:] - v[:-1] > 1e-9).any():
-            raise AssertionError("cut profile must be nonincreasing in s")
-
-    # root: one thin child (a ray) plus the thick level-1 child at s = 0
-    root = np.logaddexp(thin, vals[0]).reshape(len(frontiers), L)
-    return root[[frontiers.index(m) for m in ms]].T
+    return classes.log_min_cut(classes.three_one([triangular(m) for m in ms]), lams)
 
 
 # -- growth estimate --------------------------------------------------------
@@ -410,12 +272,10 @@ class BracketResult:
 
 
 def trajectory_bracket(grid: tuple[float, ...], schedule: DepthSchedule,
-                       trajectories: dict[float, tuple[float, ...]],
-                       depths_used: tuple[int, ...] = ()) -> BracketResult:
-    """Classify each grid value's log-value trajectory against the
-    schedule; depths_used defaults to the schedule's depths."""
+                       trajectories: dict[float, tuple[float, ...]]) -> BracketResult:
+    """Classify each grid value's log-value trajectory against the schedule."""
     return BracketResult(grid, {g: classify_trajectory(trajectories[g], schedule) for g in grid},
-                         trajectories, depths_used or schedule.depths)
+                         trajectories, schedule.depths)
 
 
 DEFAULT_GRID = tuple(round(0.05 * k, 2) for k in range(1, 20))
@@ -425,25 +285,16 @@ def ibn_estimate(source: TreeFamily | Tree, schedule: DepthSchedule,
                  grid: Sequence[float] = DEFAULT_GRID) -> BracketResult:
     """Bracket the branching number by classifying min-cut trajectories.
 
-    The route follows generators.route: symmetric families use level sizes,
-    the stretched 3-1 family its DP at base-level depths, and an explicit
-    Tree a level sweep per depth on the tree itself (it must reach the
-    deepest scheduled depth).
+    The route follows generators.route: a family sweeps its class table
+    once for every (rate, depth), and an explicit Tree is swept per depth on
+    the tree itself (it must reach the deepest scheduled depth).
     """
     grid = tuple(sorted(grid))
     if any(not 0 < g < 1 for g in grid):
         raise ValueError("grid must lie inside (0, 1)")
-    kind = route(source)
-    if kind == "three-one":
-        ms = tuple(max(1, base_level_at_depth(N + 1) - 1) for N in schedule.depths)  # D(m) <= N
-        table = three_one_log_min_cut(grid, ms)
-        trajectories = {lam: tuple(row) for lam, row in zip(grid, table.tolist())}
-        return trajectory_bracket(grid, schedule, trajectories, tuple(triangular(m) for m in ms))
-    if kind == "symmetric":
-        lv = source.level_log2_sizes(schedule.depths[-1])
-        trajectories = {lam: tuple(min_cut_symmetric(lv, lam, N)[0] for N in schedule.depths)
-                        for lam in grid}
-        return trajectory_bracket(grid, schedule, trajectories)
+    if route(source) == "classes":
+        table = classes.log_min_cut(classes.of_family(source, schedule.depths), grid)
+        return trajectory_bracket(grid, schedule, dict(zip(grid, map(tuple, table.tolist()))))
     trajectories = {}
     for lam in grid:
         logw = ibn_log_weights(source, lam)

@@ -10,10 +10,10 @@ the tree near the root -- which is why they appear among the examples, but
 sub-periodicity itself is never computed here.
 
 A family is a name plus its degree array (None for the stretched 3-1 tree);
-it builds truncations and gives the cheap level-size arithmetic that the
-estimators use when a truncation is too large to materialize.  route() and
-truncation() are the one place that decides how a source -- an explicit
-Tree or a family -- is evaluated.
+it builds truncations and gives the cheap level-size arithmetic.  route()
+and truncation() are the one place that decides how a source -- an
+explicit Tree or a family, whose class table (classes.py) stands in for a
+truncation too large to materialize -- is evaluated.
 """
 
 from __future__ import annotations
@@ -242,14 +242,14 @@ def family_by_name(name: str, marks: Sequence[bool] | None = None) -> TreeFamily
 def route(source: TreeFamily | Tree) -> str:
     """How the estimators evaluate a source.
 
-    "symmetric": a family with a degree array, evaluated from its degrees
-    and level sizes; "three-one": the stretched 3-1 family, whose min-cut
-    has a structured DP (its other quantities still sweep materialized
-    truncations); "tree": an explicit Tree, swept level by level.
+    "classes": a family, whose deterministic quantities -- min-cut,
+    survival, effective conductance -- sweep its class table (classes.py);
+    its random fields, Monte Carlo and walks on a tree sweep truncations.
+    "tree": an explicit Tree, swept level by level.  Only the depth-chain
+    walker and the symmetric containment counts also ask whether a family
+    has a degree array.
     """
-    if isinstance(source, Tree):
-        return "tree"
-    return "symmetric" if source.degrees is not None else "three-one"
+    return "tree" if isinstance(source, Tree) else "classes"
 
 
 def truncation(source: TreeFamily | Tree, N: int) -> Tree:

@@ -3,13 +3,13 @@
 p(e) = exp(-|e|**(-1+lam)) increases with depth, so deep truncations
 survive through branching but shallow thin stretches kill clusters; the
 survival recursion is evaluated with log1p/expm1 to keep tiny
-probabilities meaningful, in one Tree.sweep_up on a materialized tree.
-The conductance bound's comparison network is per-depth (one log
-conductance per depth, from one cumsum) and is reduced in log space.
-Spherically symmetric trees collapse the recursion to one value per level,
-which is how deep schedules are run.  _evaluators is the one place that
-picks, by generators.route, how a source's survival and bound are
-evaluated; Monte Carlo is one Tree.sweep_down per chunk of trials.
+probabilities meaningful.  The conductance bound's comparison network is
+per-depth (one log conductance per depth, from one cumsum) and is reduced
+in log space.  _exact is the one place that picks, by generators.route,
+how a source's survival and bound are evaluated: a family, three-one
+included, by one sweep of its class table for every (rate, depth), an
+explicit Tree by one Tree.sweep_up per (rate, depth).  Monte Carlo is one
+Tree.sweep_down per chunk of trials.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import rng, walks
+from . import classes, rng, walks
 from .flowcut import BracketResult, DepthSchedule, trajectory_bracket
 from .generators import TreeFamily, route, truncation
 from .trees import Tree
@@ -76,14 +76,8 @@ def exact_survival(tree: Tree, law: PercolationLaw, N: int) -> float:
 
 def survival_symmetric(degrees: np.ndarray, law: PercolationLaw, N: int) -> float:
     """exact_survival on a spherically symmetric tree from its degree array."""
-    if N < 1 or len(degrees) < N:
-        raise ValueError(f"need N >= 1 and degrees for depths 0..N-1 (N={N})")
-    p_at = law.p(np.arange(1, N + 1)).tolist()  # p_at[n - 1] opens edges at depth n
-    s = 1.0
-    for p, d in zip(reversed(p_at), reversed(np.asarray(degrees[:N]).tolist())):
-        ps = min(p * s, 1.0)
-        s = -math.expm1(d * math.log1p(-ps)) if ps < 1.0 else 1.0
-    return s
+    return float(classes.survival(classes.from_degrees(degrees, (N,)),
+                                  [law.log_p(np.arange(1, N + 1))])[0, 0])
 
 
 def mc_survival(tree: Tree, law: PercolationLaw, N: int, trials: int,
@@ -92,6 +86,8 @@ def mc_survival(tree: Tree, law: PercolationLaw, N: int, trials: int,
     standard error; trials are chunked into independent substreams."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if N < 1:
+        raise ValueError(f"tree must reach depth N={N}")
     d = tree.depth_array()
     p_edge = np.ones(tree.n_vertices)
     p_edge[1:] = law.p(d[1:].astype(float))
@@ -115,20 +111,24 @@ def mc_survival(tree: Tree, law: PercolationLaw, N: int, trials: int,
     return est, stderr
 
 
-def _evaluators(source: TreeFamily | Tree, deepest: int):
-    """(survival, bound) of a source, each a function of (law, N) for
-    N <= deepest, by the route generators.route picks: a symmetric family
-    runs survival_symmetric on one degree array and
-    conductance_bound_symmetric on one level-size table; any other source
-    is swept on one truncation at the deepest depth."""
-    if route(source) == "symmetric":
-        degrees = source.degrees(deepest)
-        log2_levels = source.level_log2_sizes(deepest)
-        return (lambda law, N: survival_symmetric(degrees, law, N),
-                lambda law, N: conductance_bound_symmetric(log2_levels, law.lam, N))
-    tree = truncation(source, deepest)
-    return (lambda law, N: exact_survival(tree, law, N),
-            lambda law, N: conductance_bound(tree, law, N))
+def _exact(source: TreeFamily | Tree, grid: Sequence[float], depths: Sequence[int],
+           bound: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """Exact survival and, if bound is set, the conductance bound for every
+    (lam, N) of grid x depths, arrays [lam, N], by the route
+    generators.route picks: a family sweeps its class table once for all
+    of them, an explicit Tree is swept per (lam, N)."""
+    laws = [PercolationLaw(lam) for lam in grid]
+    if route(source) == "tree":
+        return (np.array([[exact_survival(source, law, N) for N in depths] for law in laws]),
+                np.array([[conductance_bound(source, law, N) for N in depths] for law in laws])
+                if bound else None)
+    table = classes.of_family(source, depths)
+    D = table.depths[-1]
+    survival = classes.survival(table, (law.log_p(np.arange(1, D + 1)) for law in laws))
+    if not bound:
+        return survival, None
+    return survival, _bound(classes.log_conductance(
+        table, (_comparison_log_conductances(law, D) for law in laws)))
 
 
 def survival_table(source: TreeFamily | Tree, grid: Sequence[float], depths: Sequence[int],
@@ -136,14 +136,14 @@ def survival_table(source: TreeFamily | Tree, grid: Sequence[float], depths: Seq
     """(exact survival, Monte Carlo estimate, its standard error, conductance
     bound) for every (lam, N) of grid x depths; nan for the Monte Carlo pair
     when mc_trials is 0.  Monte Carlo draws on the depth-N truncation."""
-    survival, bound = _evaluators(source, max(depths))
+    survival, bound = _exact(source, grid, depths)
     table = {}
-    for N in depths:
+    for j, N in enumerate(depths):
         tree = truncation(source, N) if mc_trials else None
-        for lam in grid:
+        for i, lam in enumerate(grid):
             law = PercolationLaw(lam)
             mc = mc_survival(tree, law, N, mc_trials, seed) if mc_trials else (math.nan,) * 2
-            table[lam, N] = (survival(law, N), *mc, bound(law, N))
+            table[lam, N] = (float(survival[i, j]), *mc, float(bound[i, j]))
     return table
 
 
@@ -154,9 +154,8 @@ def theta_estimate(source: TreeFamily | Tree, schedule: DepthSchedule,
     grid = tuple(sorted(grid))
     if any(not 0 < g < 1 for g in grid):
         raise ValueError("grid must lie inside (0, 1)")
-    survival, _ = _evaluators(source, schedule.depths[-1])
-    return theta_from_survival(schedule, {lam: [survival(PercolationLaw(lam), N)
-                                                for N in schedule.depths] for lam in grid})
+    survival, _ = _exact(source, grid, schedule.depths, bound=False)
+    return theta_from_survival(schedule, dict(zip(grid, survival.tolist())))
 
 
 def theta_from_survival(schedule: DepthSchedule,
@@ -176,8 +175,8 @@ def _comparison_log_conductances(law: PercolationLaw, N: int) -> np.ndarray:
         return np.cumsum(logp) - np.log(-np.expm1(logp))
 
 
-def _bound(log_C: float) -> float:  # C/(1+C) = 1/(1+R)
-    return float(math.exp(-np.logaddexp(0.0, -log_C)))
+def _bound(log_C):  # C/(1+C) = 1/(1+R)
+    return np.exp(-np.logaddexp(0.0, -log_C))
 
 
 def percolation_conductances(tree: Tree, law: PercolationLaw, N: int) -> np.ndarray:
@@ -191,11 +190,12 @@ def percolation_conductances(tree: Tree, law: PercolationLaw, N: int) -> np.ndar
 def conductance_bound(tree: Tree, law: PercolationLaw, N: int) -> float:
     """Lower bound C/(1+C) <= P[root <-> depth N] from the comparison
     network's effective conductance."""
-    return _bound(walks.log_effective_conductance(tree, percolation_conductances(tree, law, N), N))
+    log_c = percolation_conductances(tree, law, N)
+    return float(_bound(walks.log_effective_conductance(tree, log_c, N)))
 
 
 def conductance_bound_symmetric(log2_levels: Sequence[float], lam: float, N: int) -> float:
     """conductance_bound of a spherically symmetric truncation from its
-    level sizes, via the level-shorting identity."""
-    return _bound(walks.log_effective_conductance_symmetric(
-        log2_levels, _comparison_log_conductances(PercolationLaw(lam), N)))
+    level sizes."""
+    return float(_bound(classes.log_conductance(classes.from_log2_levels(log2_levels, N), [
+        _comparison_log_conductances(PercolationLaw(lam), N)])[0, 0]))

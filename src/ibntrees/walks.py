@@ -3,8 +3,9 @@
 Conductances are log arrays indexed by child vertex id, and every sum of
 them stays in log space: sampled values like exp(-t**lam), t in the
 hundreds of digits, underflow any linear sum.  Effective conductance is
-one Tree.sweep_up on a materialized tree and a level sum on a symmetric
-one; the psi fields and the coupled open set are Tree.sweep_down passes.
+one Tree.sweep_up on a materialized tree and a sweep of the class table
+(classes.py) on a family; the psi fields and the coupled open set are
+Tree.sweep_down passes.
 
 Both walkers run on one loop, _walk_batch: all trials of a batch at once,
 one uniform per live walker per step.  A walker is a state in a next-state
@@ -28,10 +29,10 @@ from typing import Sequence
 
 import numpy as np
 
-from . import rng
+from . import classes, rng
 from .flowcut import BracketResult, DepthSchedule, min_cut, trajectory_bracket
 from .flowcut import ibn_log_weights as deterministic_conductances
-from .generators import LOG2, TreeFamily, check_elements, route, truncation
+from .generators import TreeFamily, check_elements, route, truncation
 from .trees import Tree
 
 NEG_INF = float("-inf")
@@ -96,29 +97,11 @@ def effective_conductance(tree: Tree, log_c: np.ndarray, N: int) -> float:
         return float(np.exp(log_effective_conductance(tree, log_c, N)))
 
 
-def log_effective_conductance_symmetric(log2_levels: Sequence[float], log_c: np.ndarray) -> float:
-    """log of the effective conductance of a spherically symmetric truncation
-    to depth N = len(log_c), where log_c[n - 1] is the log conductance of
-    every depth-n edge.
-
-    Same-depth vertices share a potential, so levels short together and
-    R = sum over n of (1/c(n)) / #E_n.
-    """
-    log_c = np.asarray(log_c, dtype=float)
-    lv = np.asarray(log2_levels, dtype=float)
-    if len(lv) < len(log_c) + 1:
-        raise ValueError("need level sizes up to depth N")
-    terms = -log_c - lv[1:len(log_c) + 1] * LOG2  # log of each level resistance
-    hi = terms.max()
-    log_R = hi + math.log(np.exp(terms - hi).sum())
-    return -log_R
-
-
 def effective_conductance_symmetric(log2_levels: Sequence[float], lam: float, N: int) -> float:
     """effective_conductance of a spherically symmetric truncation under the
     conductances exp(-|e|**lam), from its level sizes."""
-    n = np.arange(1, N + 1, dtype=float)
-    return math.exp(log_effective_conductance_symmetric(log2_levels, -np.power(n, lam)))
+    return math.exp(classes.log_conductance(classes.from_log2_levels(log2_levels, N), [
+        -np.power(np.arange(1, N + 1, dtype=float), lam)])[0, 0])
 
 
 # -- walkers -----------------------------------------------------------------
@@ -278,10 +261,10 @@ def root_walks(source: TreeFamily | Tree, lam: float, N: int, trials: int,
     """Walks from the root of the depth-N truncation under the conductances
     exp(-|e|**lam): (returned, steps, max_depth) arrays, one entry per trial.
 
-    The route follows generators.route: a symmetric family walks its depth
-    chain (depth_walk_batch), any other source its truncation (simulate_walk).
+    A family with a degree array walks its depth chain (depth_walk_batch),
+    any other source its truncation (simulate_walk).
     """
-    if route(source) == "symmetric":
+    if route(source) == "classes" and source.degrees is not None:
         return depth_walk_batch(source.degrees(N), lam, N, trials, step_cap, seed)
     tree = truncation(source, N)
     return simulate_walk(tree, deterministic_conductances(tree, lam), N, trials, step_cap, seed)

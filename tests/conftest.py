@@ -13,6 +13,7 @@ import pytest
 
 import ibntrees
 from ibntrees import grigorchuk
+from ibntrees.generators import LOG2
 from ibntrees.trees import Tree
 
 CLI = [sys.executable, "-m", "ibntrees.cli"]
@@ -176,3 +177,54 @@ def fitted_lower_constant(ball: np.ndarray, n_min: int = 8) -> float:
     if not cs:
         raise ValueError("ball too small to fit")
     return min(cs)
+
+
+# -- closed forms on spherically symmetric trees -------------------------------
+
+def min_cut_symmetric(log2_levels, lam: float, N: int) -> tuple[float, int]:
+    """By symmetry the min-cut is a full level: min over 1 <= n <= N of
+    #E_n * exp(-n**lam), as (log value, level), the shallowest on ties."""
+    n = np.arange(1, N + 1, dtype=float)
+    logvals = np.asarray(log2_levels, dtype=float)[1:N + 1] * LOG2 - np.power(n, lam)
+    i = int(np.argmin(logvals))
+    return float(logvals[i]), i + 1
+
+
+def survival_symmetric(degrees, log_p, N: int) -> float:
+    """Survival to depth N, one level at a time from the frontier up:
+    s = 1 - (1 - p(n) s)**d(n-1), with log_p[n - 1] = log p(n)."""
+    s = 1.0
+    for lp, d in zip(reversed(log_p[:N].tolist()), reversed(np.asarray(degrees[:N]).tolist())):
+        s = -math.expm1(d * math.log1p(-math.exp(lp) * s))
+    return s
+
+
+def log_effective_conductance_symmetric(log2_levels, log_c) -> float:
+    """Level shorting: same-depth vertices share a potential, so
+    R = sum over n of (1/c(n)) / #E_n, with log_c[n - 1] = log c(n)."""
+    log_c = np.asarray(log_c, dtype=float)
+    terms = -log_c - np.asarray(log2_levels, dtype=float)[1:len(log_c) + 1] * LOG2
+    hi = terms.max()
+    return -(hi + math.log(np.exp(terms - hi).sum()))
+
+
+# -- the stretched 3-1 tree's classes ---------------------------------------------
+
+def three_one_lattice(n: int, M: int) -> list[int]:
+    """Positions of base level n for frontier M, in closed form: 0, 1 and
+    F, F + 1 with F = 2**(n+k-1) // 3**k for 1 <= k <= M - n, below 2**(n-1)."""
+    if n == M:
+        return [0]
+    floors = [2 ** (n + k - 1) // 3 ** k for k in range(1, M - n + 1)]
+    return sorted(p for p in {0, 1, *floors, *[f + 1 for f in floors]} if p < 2 ** (n - 1))
+
+
+def hash_cons(t: Tree) -> np.ndarray:
+    """Class id of every vertex: vertices share a class iff they have the
+    same depth and the same multiset of child classes, from the leaves up."""
+    ids: dict[tuple, int] = {}
+    cls = np.empty(t.n_vertices, dtype=np.int64)
+    for v in np.argsort(-t.depth_array(), kind="stable").tolist():
+        key = (t.depth(v), *sorted(cls[t.children(v)].tolist()))
+        cls[v] = ids.setdefault(key, len(ids))
+    return cls

@@ -317,7 +317,7 @@ def test_depth_past_the_element_cap_exits_1(argv, tmp_path, capsys):
 @pytest.mark.parametrize("argv, what", [
     (["estimate-ibn", "--grid", "0.5", "--schedule", "16,DEEP"], "3-1 breakpoint lattice"),
     (["estimate-ibn", "--schedule", "16,100000000"], "3-1 breakpoint lattice"),
-    (["percolate", "--grid", "0.5", "--depths", "16,DEEP"], "stretched truncation"),
+    (["percolate", "--grid", "0.5", "--depths", "16,DEEP"], "3-1 breakpoint lattice"),
     (["firefight", "--gamma-grid", "0.5", "--schedule", "16,DEEP"], "stretched truncation"),
     (["rwrc", "--lambda", "0.3", "--gamma-grid", "1.0", "--schedule", "16,DEEP"],
      "stretched truncation"),
@@ -326,7 +326,7 @@ def test_depth_past_the_element_cap_exits_1(argv, tmp_path, capsys):
 ], ids=["estimate-ibn", "estimate-ibn-1e8", "percolate", "firefight", "rwrc", "walk"])
 def test_three_one_depth_past_the_element_cap_exits_1(argv, what, tmp_path, capsys):
     # refused before any work that grows with the depth: the vertex estimate
-    # is a closed form, and the min-cut DP's lattice pass costs M**2 at base
+    # is a closed form, and the class table's lattice costs M**2 at base
     # level M (about 1.4e6 at depth 10**12, 14142 at depth 10**8)
     out = tmp_path / "x.csv"
     argv = [a.replace("DEEP", str(10 ** 12)) for a in argv]

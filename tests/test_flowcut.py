@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import all_cutsets, cutset_weight, is_cutset, random_tree
+from conftest import all_cutsets, cutset_weight, is_cutset, random_tree, three_one_lattice
+from ibntrees import classes
 from ibntrees import generators as gen
 from ibntrees import flowcut as fc
 from ibntrees import percolation as pc
@@ -147,21 +148,12 @@ def three_one_oracle(lam: float, m: int) -> float:
     return float(np.logaddexp(thin, vals[0]))
 
 
-def three_one_lattice(n: int, M: int) -> list[int]:
-    """Positions of base level n for frontier M, in closed form: 0, 1 and
-    F, F + 1 with F = 2**(n+k-1) // 3**k for 1 <= k <= M - n, below 2**(n-1)."""
-    if n == M:
-        return [0]
-    floors = [2 ** (n + k - 1) // 3 ** k for k in range(1, M - n + 1)]
-    return sorted(p for p in {0, 1, *floors, *[f + 1 for f in floors]} if p < 2 ** (n - 1))
-
-
 def test_three_one_gathers_find_the_child_piece():
     # deep enough that floors pass EXACT_BELOW and take the closed-form route
     M = 120
-    assert 2 ** (M - 2) // 3 > fc.EXACT_BELOW
+    assert 2 ** (M - 2) // 3 > classes.EXACT_BELOW
     levels = range(M - 1, 0, -1)
-    for n, idx in zip(levels, fc._three_one_gathers(M), strict=True):
+    for n, idx in zip(levels, classes._three_one_gathers(M), strict=True):
         child = three_one_lattice(n + 1, M)
         expect = [[len(child) if 3 * s + r >= 2 ** n else bisect.bisect_right(child, 3 * s + r) - 1
                    for s in three_one_lattice(n, M)] for r in range(3)]

@@ -98,6 +98,9 @@ def test_mc_always_open_and_single_edge():
     t1 = Tree([-1, 0], [0, 1])
     est, err = pc.mc_survival(t1, pc.PercolationLaw(0.5), 1, 50_000, seed=1)
     assert abs(est - math.exp(-1.0)) < 3 * err
+    for survival in (pc.exact_survival, lambda *a: pc.mc_survival(*a, 10, seed=1)):
+        with pytest.raises(ValueError, match="N=0"):
+            survival(t1, pc.PercolationLaw(0.5), 0)
 
 
 def test_mc_matches_exact():
@@ -199,24 +202,24 @@ def test_mc_survival_values_are_pinned():
         (0.08, 0.010253919111386492)
 
 
-def test_survival_table_sweeps_one_truncation(monkeypatch):
-    built = []
+def test_survival_table_builds_no_three_one_truncation(monkeypatch):
     real = gen.three_one_stretched
-    monkeypatch.setattr(gen, "three_one_stretched", lambda N: built.append(N) or real(N))
-    depths = (15, 28, 45)
+    monkeypatch.setattr(gen, "three_one_stretched",
+                        lambda N: pytest.fail(f"a truncation to depth {N} was built"))
+    depths = (15, 28, 40, 45)  # 40 lies inside a path of the base tree
     table = pc.survival_table(gen.three_one_family(), (0.3, 0.7), depths)
-    assert built == [45]
-    for N in depths:  # the deepest truncation gives each depth's values bit for bit
+    for N in depths:
         t = real(N)
         for lam in (0.3, 0.7):
             law = pc.PercolationLaw(lam)
-            assert table[lam, N][::3] == (pc.exact_survival(t, law, N),
-                                          pc.conductance_bound(t, law, N))
+            exact, _, _, bound = table[lam, N]
+            assert math.isclose(exact, pc.exact_survival(t, law, N), rel_tol=1e-12)
+            assert math.isclose(bound, pc.conductance_bound(t, law, N), rel_tol=1e-12)
     pc.theta_estimate(gen.three_one_family(), DepthSchedule(depths), (0.3, 0.7))
-    assert built == [45, 45]
 
 
 def test_three_one_schedule_past_the_cap_fails_before_any_depth(monkeypatch):
-    monkeypatch.setattr(pc, "exact_survival", lambda *a: pytest.fail("a depth was evaluated"))
-    with pytest.raises(gen.MemoryCapError, match="vertices"):
-        pc.survival_table(gen.three_one_family(), (0.5,), (10, 400))
+    # the lattice of base level M holds M**2 elements: about 2e12 at depth 10**12
+    monkeypatch.setattr(pc.classes, "_sweep", lambda *a: pytest.fail("a depth was evaluated"))
+    with pytest.raises(gen.MemoryCapError, match="3-1 breakpoint lattice"):
+        pc.survival_table(gen.three_one_family(), (0.5,), (10, 10 ** 12))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_tree
+from conftest import log_effective_conductance_symmetric, random_tree
 from ibntrees import generators as gen
 from ibntrees import rng, walks
 from ibntrees.flowcut import DepthSchedule, min_cut
@@ -82,7 +82,7 @@ def test_log_effective_conductance_below_the_double_range_matches_symmetric(fami
     t = family.build(N)
     per_depth = -800.0 - 3.0 * np.arange(1, N + 1)  # log c(n) for n = 1..N
     log_c = np.concatenate(([np.nan], per_depth[t.depth_array()[1:] - 1]))
-    expect = walks.log_effective_conductance_symmetric(family.level_log2_sizes(N), per_depth)
+    expect = log_effective_conductance_symmetric(family.level_log2_sizes(N), per_depth)
     assert math.isclose(walks.log_effective_conductance(t, log_c, N), expect, rel_tol=1e-12)
 
 
