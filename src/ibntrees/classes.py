@@ -171,7 +171,8 @@ def of_family(family: TreeFamily, frontiers: Sequence[int]) -> ClassTable:
 class _Fold(NamedTuple):
     frontier: float  # a frontier class's value
     dead: float      # what a missing child passes up its edge
-    node: Callable   # (child edge values [r, class, column], mult[k]) -> class values
+    node: Callable   # (child edge values [r, class, column], mult[k]) -> class values;
+                     # only survival reads mult, the scaled folds have it in log_sizes
     edge: Callable   # (class values, segment quantity, out) -> edge values
 
 
