@@ -7,7 +7,9 @@ stored as the finite prefix where they may differ from all-ones (trailing
 1s trimmed).  Words act on the right: x . (gh) = (x . g) . h.
 
 Everything downstream of a word -- inverted orbit, loop erasure, branch
-marks -- follows the incremental law O(w g) = {x0 g} union O(w) g.
+marks -- follows the incremental law O(w g) = {x0 g} union O(w) g, on one
+frozenset of prefixes; the word search applies it to a whole beam at once,
+each orbit a row of a bool matrix over integer point ids.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from itertools import accumulate, product
 import numpy as np
 
 from . import rng
+from .generators import check_elements
 
 GENERATORS = "abcd"
 
@@ -185,9 +188,10 @@ def is_trivial(word: str) -> bool:
 
 X0 = ""  # canonical prefix of the all-ones ray point
 
-# Memo of act_point per generator: prefix -> image.  The action is pure and
-# a word search meets few distinct points (452 over search_word(512, 64)),
-# so each is computed once.  A point whose image raises DepthBudgetError is
+# Memo of act_point per generator: prefix -> image.  The action is pure, so
+# each image is computed once.  search_word acts only on the points of its
+# live orbits and x0, 452 entries in all over search_word(512, 64), and reads
+# them into its own id table.  A point whose image raises DepthBudgetError is
 # never stored and raises again on every call.
 _IMAGES: dict[str, dict[str, str]] = {ch: {} for ch in GENERATORS}
 
@@ -278,26 +282,54 @@ def search_word(n: int, beam: int = 256, seed: int = 0,
     nothing else), which makes the search exhaustive whenever the state
     count stays within the beam; n <= 12 falls back to a fully exhaustive
     pass unless force_beam is set.
+
+    Each point met gets an id; moves[k, i] is the id of point i under
+    generator k, read from _IMAGES for live points and x0 only.  States are
+    rows of a bool matrix over the live points.  One scatter extends them
+    all (row 4 s + k is state s then generator k), and repeated rows are
+    dropped keeping the first, the order a dict of orbit sets would keep.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     width = None if (n <= 12 and not force_beam) else beam
     gen = rng.stream_rng(seed, rng.SEARCH_STREAM)
-    states: dict[frozenset[str], str] = {frozenset({X0}): ""}
+    points, ids = [X0], {X0: 0}
+    moves = np.full((len(GENERATORS), 1), -1)
+    cols = np.zeros(1, dtype=np.int64)   # point id of each matrix column
+    orbits = np.ones((1, 1), dtype=bool)
+    words = [""]
     for _ in range(n):
-        nxt: dict[frozenset[str], str] = {}
-        for orbit, word in states.items():
-            for ch in GENERATORS:
-                no = _orbit_step(orbit, ch)
-                if no not in nxt:
-                    nxt[no] = word + ch
-        if width is not None and len(nxt) > width:
-            keys = list(nxt.keys())
-            order = gen.permutation(len(keys))
-            ranked = sorted(range(len(keys)), key=lambda i: (-len(keys[i]), order[i]))
-            nxt = {keys[i]: nxt[keys[i]] for i in ranked[:width]}
-        states = nxt
-    return max(states.items(), key=lambda kv: len(kv[0]))[1]
+        domain = np.concatenate([[0], cols[cols > 0]])   # live points and x0
+        if moves.shape[1] < len(points) + 4 * len(domain):
+            moves = np.pad(moves, ((0, 0), (0, len(points) + 4 * len(domain))),
+                           constant_values=-1)
+        ks, js = np.nonzero(moves[:, domain] < 0)
+        for k, i in zip(ks.tolist(), domain[js].tolist()):
+            ch, p = GENERATORS[k], points[i]
+            image = _IMAGES[ch]
+            q = image[p] if p in image else image.setdefault(p, act_point(ch, p))
+            moves[k, i] = ids.setdefault(q, len(points))
+            if moves[k, i] == len(points):
+                points.append(q)
+        new_cols, local = np.unique(np.concatenate([moves[:, cols].ravel(), moves[:, 0]]),
+                                    return_inverse=True)
+        S, C, P = len(words), len(cols), len(new_cols)
+        check_elements(4 * S * P, "the word search")
+        nxt = np.zeros((S, 4, P), dtype=bool)
+        nxt[:, np.arange(4)[:, None], local[:4 * C].reshape(4, C)] = orbits[:, None, :]
+        nxt[:, np.arange(4), local[4 * C:]] = True
+        nxt = nxt.reshape(4 * S, P)
+        packed = np.packbits(nxt, axis=1)
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        first = np.sort(np.unique(keys, return_index=True)[1])
+        if width is not None and len(first) > width:
+            order = gen.permutation(len(first))
+            sizes = np.count_nonzero(nxt[first], axis=1)
+            first = first[np.lexsort((order, -sizes))[:width]]
+        live = nxt[first].any(axis=0)
+        orbits, cols = nxt[np.ix_(first, live)], new_cols[live]
+        words = [words[r >> 2] + GENERATORS[r & 3] for r in first.tolist()]
+    return words[int(np.count_nonzero(orbits, axis=1).argmax())]
 
 
 # -- branch marks and the embedded spherically symmetric tree --------------------

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ibntrees
-from ibntrees import grigorchuk
+from ibntrees import grigorchuk, rng
 from ibntrees.generators import LOG2
 from ibntrees.trees import Tree
 
@@ -155,6 +155,36 @@ def act_point_word(word: str, prefix: str) -> str:
     for ch in word:
         prefix = grigorchuk.act_point(ch, prefix)
     return prefix
+
+
+def search_word_oracle(n: int, beam: int = 256, seed: int = 0,
+                       force_beam: bool = False) -> str:
+    """grigorchuk.search_word on a dict from orbit frozensets to words.
+
+    Each state is extended by each generator through grigorchuk._orbit_step
+    in insertion order, the first word reaching an orbit keeps it, and a
+    beam ranks by orbit size then by one permutation draw per step.  The
+    search must return this word and fill the same image tables.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    width = None if (n <= 12 and not force_beam) else beam
+    gen = rng.stream_rng(seed, rng.SEARCH_STREAM)
+    states: dict[frozenset[str], str] = {frozenset({grigorchuk.X0}): ""}
+    for _ in range(n):
+        nxt: dict[frozenset[str], str] = {}
+        for orbit, word in states.items():
+            for ch in grigorchuk.GENERATORS:
+                no = grigorchuk._orbit_step(orbit, ch)
+                if no not in nxt:
+                    nxt[no] = word + ch
+        if width is not None and len(nxt) > width:
+            keys = list(nxt.keys())
+            order = gen.permutation(len(keys))
+            ranked = sorted(range(len(keys)), key=lambda i: (-len(keys[i]), order[i]))
+            nxt = {keys[i]: nxt[keys[i]] for i in ranked[:width]}
+        states = nxt
+    return max(states.items(), key=lambda kv: len(kv[0]))[1]
 
 
 def doubling_word(levels: int, beam: int = 256, seed: int = 0) -> tuple[str, list[str]]:

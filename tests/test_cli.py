@@ -289,6 +289,15 @@ def _exits_1_naming_the_cap(argv, capsys):
     return err
 
 
+def test_grig_search_past_the_element_cap_exits_1(tmp_path, capsys, monkeypatch):
+    # the exhaustive n = 12 search holds 4732 orbit-matrix elements in its last step
+    monkeypatch.setattr(generators, "DEFAULT_VERTEX_CAP", 4000)
+    marks = tmp_path / "m.txt"
+    err = _exits_1_naming_the_cap(["grig", "--search", "12", "--emit-marks", str(marks)], capsys)
+    assert "the word search would hold 4732 elements" in err
+    assert not marks.exists()
+
+
 def test_walk_batch_past_the_element_cap_exits_1(tmp_path, capsys):
     out = tmp_path / "w.csv"
     err = _exits_1_naming_the_cap(

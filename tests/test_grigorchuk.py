@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import act_point_word, doubling_word
+from conftest import act_point_word, doubling_word, search_word_oracle
 from ibntrees import generators as gen
 from ibntrees import grigorchuk as gg
 from ibntrees.flowcut import DepthSchedule, ibn_estimate
@@ -128,6 +128,42 @@ def test_warm_tables_keep_the_exact_orbits(fresh_images):
             if l else frozenset({gg.X0})
         assert gg.inverted_orbit(w[:l]) == scratch, l
         assert sizes[l] == len(scratch), l
+
+
+# (n, beam, seed, force_beam): beam ties broken by the permutation draw,
+# the exhaustive n <= 12 pass, and the beam forced on a short word
+ORACLE_CASES = [(160, 64, 1, False), (160, 64, 2, False), (128, 64, 0, False),
+                (12, 256, 0, False), (12, 4, 3, True), (32, 32, 1, False),
+                (256, 32, 1, False), (64, 64, 5, False), (200, 16, 7, False)]
+
+
+@pytest.mark.parametrize("n, beam, seed, force_beam", ORACLE_CASES)
+def test_search_matches_the_frozenset_oracle(n, beam, seed, force_beam):
+    assert gg.search_word(n, beam, seed, force_beam) == \
+        search_word_oracle(n, beam, seed, force_beam)
+
+
+@pytest.mark.parametrize("n, beam, seed", [(160, 64, 1), (64, 64, 2)])
+def test_search_acts_on_the_oracles_points(fresh_images, monkeypatch, n, beam, seed):
+    word = gg.search_word(n, beam, seed)
+    oracle_tables = {ch: {} for ch in gg.GENERATORS}
+    monkeypatch.setattr(gg, "_IMAGES", oracle_tables)
+    assert search_word_oracle(n, beam, seed) == word
+    assert all(oracle_tables.values())
+    assert fresh_images == oracle_tables
+
+
+def test_search_stops_at_the_element_cap(monkeypatch):
+    # the exhaustive n = 12 pass extends 91 states over 13 points by 4
+    # generators in its last step; a beam of 64 at n = 64 peaks at 11776
+    monkeypatch.setattr(gen, "DEFAULT_VERTEX_CAP", 4731)
+    with pytest.raises(gen.MemoryCapError, match="the word search would hold 4732 elements"):
+        gg.search_word(12)
+    monkeypatch.setattr(gen, "DEFAULT_VERTEX_CAP", 4732)
+    assert len(gg.search_word(12)) == 12
+    monkeypatch.setattr(gen, "DEFAULT_VERTEX_CAP", 10000)
+    with pytest.raises(gen.MemoryCapError, match="the word search"):
+        gg.search_word(64, beam=64, seed=0)
 
 
 def test_battery_wreath_word_is_pinned():
