@@ -22,6 +22,7 @@ bracket they induce.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -148,22 +149,41 @@ def three_one_log_min_cut(lams: Sequence[float], ms: Sequence[int]) -> np.ndarra
 
 # -- growth estimate --------------------------------------------------------
 
+# depths per chunk of igr_estimate's tail window: its memory is bounded by
+# this, not by the schedule's depth
+_IGR_CHUNK = 8192
+
+
 @dataclass(frozen=True)
 class IgrEstimate:
     slope: float            # LS slope of log log #E_n against log n (tail window)
     estimate: float         # slope clamped to the grid range
     endpoint: float         # log log #E_N / log N
-    grid_sup: float | None  # largest grid lam with all tail level sums >= 1
+    grid_sup: float | None  # largest grid lam with all tail level sums >= 1, else None
+
+
+def _tail_chunks(lv: np.ndarray, lo: int, N: int):
+    """(n, ln #E_n) for depths n = lo..N, _IGR_CHUNK depths at a time."""
+    for a in range(lo, N + 1, _IGR_CHUNK):
+        b = min(a + _IGR_CHUNK, N + 1)
+        yield np.arange(a, b, dtype=float), lv[a:b] * LOG2
 
 
 def igr_estimate(level_log2_sizes: Sequence[float], N: int,
                  grid: Sequence[float] = tuple(np.arange(1, 20) * 0.05)) -> IgrEstimate:
     """Growth index of a truncation from its level sizes.
 
-    The headline number is the regression slope of log log #E_n on log n
-    over the tail window [N/8, N]; the level-sum test (is
-    #E_n * exp(-n**lam) >= 1 on the window) is reported alongside as
-    grid_sup, and the raw endpoint ratio as a diagnostic.
+    The headline number is the least-squares slope of log log #E_n on
+    log n over the depths of the tail window [N/8, N] with #E_n > e, in
+    closed form: one pass over the window takes the means, a second the
+    centered sums S_xy and S_xx, and slope = S_xy / S_xx.  Both passes read
+    the window _IGR_CHUNK depths at a time, so the memory used beyond the
+    input does not grow with N.  grid_sup is a diagnostic: the largest
+    grid lam whose level-sum test (#E_n * exp(-n**lam) >= 1 on the whole
+    window) holds, found by bisecting the sorted grid: n**lam grows with
+    lam for n >= 2, so the passing rates are a prefix of the grid.  Each
+    test stops at its first failing chunk; an empty window (N = 1) passes
+    no rate.  The endpoint ratio is a diagnostic too.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -172,20 +192,29 @@ def igr_estimate(level_log2_sizes: Sequence[float], N: int,
         raise ValueError("need level sizes up to depth N")
     grid = tuple(sorted(grid))
     lo = max(2, N // 8)
-    ns = np.arange(lo, N + 1)
-    loge = lv[lo:N + 1] * LOG2
-    usable = loge > 0
-    if usable.sum() >= 2:
-        x = np.log(ns[usable].astype(float))
-        y = np.log(loge[usable])
-        slope = float(np.polyfit(x, y, 1)[0]) if len(x) > 1 else 0.0
-    else:
-        slope = 0.0
+    count, sum_x, sum_y = 0, 0.0, 0.0
+    for n, loge in _tail_chunks(lv, lo, N):
+        usable = loge > 0
+        count += int(usable.sum())
+        sum_x += float(np.log(n[usable]).sum())
+        sum_y += float(np.log(loge[usable]).sum())
+    slope = 0.0
+    if count >= 2:
+        mean_x, mean_y = sum_x / count, sum_y / count
+        sxy = sxx = 0.0
+        for n, loge in _tail_chunks(lv, lo, N):
+            usable = loge > 0
+            dx = np.log(n[usable]) - mean_x
+            sxy += float((dx * (np.log(loge[usable]) - mean_y)).sum())
+            sxx += float((dx * dx).sum())
+        slope = sxy / sxx
     endpoint = float(math.log(lv[N] * LOG2) / math.log(N)) if lv[N] * LOG2 > 1.0 and N > 1 else 0.0
-    grid_sup = None
-    for lam in grid:
-        if (loge - np.power(ns.astype(float), lam) >= 0).all():
-            grid_sup = lam
+
+    def fails(lam: float) -> bool:
+        return not all((loge - np.power(n, lam) >= 0).all() for n, loge in _tail_chunks(lv, lo, N))
+
+    passing = bisect.bisect_left(grid, True, key=fails) if lo <= N else 0
+    grid_sup = grid[passing - 1] if passing else None
     estimate = min(max(slope, grid[0]), grid[-1])
     return IgrEstimate(slope=slope, estimate=estimate, endpoint=endpoint, grid_sup=grid_sup)
 

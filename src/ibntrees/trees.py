@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-_TEXT_CHUNK = 1 << 16  # rows formatted per string operation in to_text
+_TEXT_CHUNK = 1 << 12  # rows formatted per string operation in to_text
 
 
 def _nondecreasing(a: np.ndarray) -> bool:

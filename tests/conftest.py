@@ -238,6 +238,28 @@ def log_effective_conductance_symmetric(log2_levels, log_c) -> float:
     return -(hi + math.log(np.exp(terms - hi).sum()))
 
 
+def igr_estimate_oracle(level_log2_sizes, N: int, grid=tuple(np.arange(1, 20) * 0.05)):
+    """flowcut.igr_estimate on whole-window arrays: the slope by one
+    np.polyfit, and grid_sup by testing every grid rate."""
+    lv = np.asarray(level_log2_sizes, dtype=float)
+    grid = tuple(sorted(grid))
+    lo = max(2, N // 8)
+    ns = np.arange(lo, N + 1)
+    loge = lv[lo:N + 1] * LOG2
+    usable = loge > 0
+    slope = 0.0
+    if usable.sum() >= 2:
+        slope = float(np.polyfit(np.log(ns[usable].astype(float)), np.log(loge[usable]), 1)[0])
+    endpoint = float(math.log(lv[N] * LOG2) / math.log(N)) if lv[N] * LOG2 > 1.0 and N > 1 else 0.0
+    grid_sup = None
+    for lam in grid:
+        if (loge - np.power(ns.astype(float), lam) >= 0).all():
+            grid_sup = lam
+    estimate = min(max(slope, grid[0]), grid[-1])
+    return ibntrees.IgrEstimate(slope=slope, estimate=estimate, endpoint=endpoint,
+                                grid_sup=grid_sup)
+
+
 # -- the stretched 3-1 tree's classes ---------------------------------------------
 
 def three_one_lattice(n: int, M: int) -> list[int]:

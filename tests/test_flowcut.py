@@ -1,11 +1,13 @@
 import bisect
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import all_cutsets, cutset_weight, is_cutset, random_tree, three_one_lattice
+from conftest import (all_cutsets, cutset_weight, igr_estimate_oracle, is_cutset, random_tree,
+                      three_one_lattice)
 from ibntrees import classes
 from ibntrees import generators as gen
 from ibntrees import flowcut as fc
@@ -225,6 +227,44 @@ def test_igr_three_one_near_half():
     N = gen.triangular(512)
     est = fc.igr_estimate(gen.three_one_level_log2_sizes(N), N)
     assert abs(est.slope - 0.5) < 0.02
+
+
+def _window_depth(length: int) -> int:
+    """The least N whose tail window [max(2, N//8), N] holds length depths."""
+    return next(N for N in itertools.count(2) if N - max(2, N // 8) + 1 == length)
+
+
+SQUARE_MARKS = [math.isqrt(n) ** 2 == n for n in range(600)]
+IGR_CASES = [("seq", 20), ("seq", 1024), ("seq", 100000), ("three-one", 528),
+             ("three-one", 131328), ("marks", 500), ("binary", 300), ("path", 300)] + [
+    ("seq", _window_depth(fc._IGR_CHUNK + k)) for k in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("family,N", IGR_CASES)
+def test_igr_streamed_fit_matches_polyfit_oracle(family, N):
+    # the chunked centered fit sums in another order than polyfit's lstsq
+    lv = gen.family_by_name(family, SQUARE_MARKS).level_log2_sizes(N)
+    est, want = fc.igr_estimate(lv, N), igr_estimate_oracle(lv, N)
+    assert math.isclose(est.slope, want.slope, rel_tol=1e-12), (est.slope, want.slope)
+    assert math.isclose(est.estimate, want.estimate, rel_tol=1e-12)
+    assert (est.endpoint, est.grid_sup) == (want.endpoint, want.grid_sup)
+
+
+def test_igr_empty_window_has_no_grid_sup():
+    # N = 1: the window [2, 1] holds no depth, so no rate passes its test
+    assert fc.igr_estimate(np.arange(2, dtype=float), 1).grid_sup is None
+
+
+def test_igr_memory_does_not_grow_with_depth():
+    N = gen.triangular(512)
+    lv = gen.three_one_level_log2_sizes(N)
+    tracemalloc.start()
+    try:
+        fc.igr_estimate(lv, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_igr_rejects_shallow_input():

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import is_cutset, random_tree
-from ibntrees.trees import Tree, check_flow
+from ibntrees import generators as gen
+from ibntrees.trees import _TEXT_CHUNK, Tree, check_flow
 
 
 def test_constructor_depth_recurrence():
@@ -96,6 +97,14 @@ def test_serialization_round_trip():
     assert back.n_vertices == t.n_vertices
     assert back.to_text() == text
     assert text.splitlines()[0] == "0 - 0"
+
+
+def test_to_text_rows_span_chunks():
+    # 32766 rows below the root: seven full chunks, then a partial one
+    t = gen.binary_family().build(14)
+    assert 7 * _TEXT_CHUNK < t.n_vertices - 1 < 8 * _TEXT_CHUNK
+    want = "0 - 0\n" + "".join(f"{v} {t.parent(v)} {t.depth(v)}\n" for v in range(1, t.n_vertices))
+    assert t.to_text() == want
 
 
 def test_from_text_rejects_bad_ids():
