@@ -11,6 +11,7 @@ modules choose how it is evaluated.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -138,7 +139,7 @@ def _load_source(opts: dict):
     """Tree file, named family, or marks family, per the options."""
     if opts.get("tree"):
         with open(opts["tree"]) as fh:
-            return Tree.from_text(fh.read())
+            return Tree.read_text(fh)
     marks = None
     if opts.get("marks_file"):
         marks = _read_marks(opts["marks_file"])
@@ -176,7 +177,7 @@ def _run_generate(config: ExperimentConfig) -> dict:
     tree = generators.truncation(_load_source(opts), opts["depth"])
     out = _resolve(opts["out"])
     with open(out, "w") as fh:
-        fh.write(tree.to_text())
+        tree.write_text(fh)
     return {"vertices": tree.n_vertices, "height": tree.height(), "out": out}
 
 
@@ -271,7 +272,7 @@ def _run_nathanson(config: ExperimentConfig) -> dict:
     if opts.get("emit_tree"):
         path = _resolve(opts["emit_tree"])
         with open(path, "w") as fh:
-            fh.write(lt.tree.to_text())
+            lt.tree.write_text(fh)
         summary["tree_out"] = path
     if opts.get("emit_stats"):
         level = lt.tree.level_sizes()
@@ -378,6 +379,7 @@ def run(config: ExperimentConfig) -> int:
     return 0
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every main call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ibntrees",

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-_TEXT_CHUNK = 1 << 12  # rows formatted per string operation in to_text
+_TEXT_CHUNK = 1 << 12  # rows formatted per write in write_text
 
 
 def _nondecreasing(a: np.ndarray) -> bool:
@@ -177,38 +177,54 @@ class Tree:
 
     # -- serialization ----------------------------------------------------
 
+    def write_text(self, fh) -> None:
+        """Write one line per vertex, `<id> <parent-id|-> <depth>`, to the
+        open text file fh, _TEXT_CHUNK rows at a time."""
+        fh.write("0 - 0\n")
+        n = self.n_vertices
+        for i in range(1, n, _TEXT_CHUNK):  # bounds the rows and Python ints alive at once
+            j = min(i + _TEXT_CHUNK, n)
+            block = np.stack([np.arange(i, j), self._parent[i:j], self._depth[i:j]], axis=1)
+            fh.write(("%d %d %d\n" * (j - i)) % tuple(block.ravel().tolist()))
+
     def to_text(self) -> str:
-        """One line per vertex: `<id> <parent-id|-> <depth>`."""
-        rows = np.stack([np.arange(self.n_vertices), self._parent, self._depth], axis=1)[1:]
-        chunks = ["0 - 0\n"]
-        for i in range(0, len(rows), _TEXT_CHUNK):  # bounds the Python ints alive at once
-            block = rows[i:i + _TEXT_CHUNK].ravel().tolist()
-            chunks.append(("%d %d %d\n" * (len(block) // 3)) % tuple(block))
-        return "".join(chunks)
+        """write_text's lines as one string."""
+        buf = io.StringIO()
+        self.write_text(buf)
+        return buf.getvalue()
+
+    @classmethod
+    def read_text(cls, fh) -> "Tree":
+        """Parse write_text's format from the open text file fh, line by
+        line, so no string of the whole file is held; blank lines are
+        skipped."""
+        lines = iter(fh)
+        root = next((line for line in lines if line.strip()), "")
+        if root.split() != ["0", "-", "0"]:
+            raise ValueError("line 0 must be the root: '0 - 0'")
+        try:
+            with warnings.catch_warnings():
+                # numpy before 2.0 reads '1.5' as the integer 1 with this warning
+                warnings.simplefilter("error", DeprecationWarning)
+                # a root-only tree leaves no rows
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                rows = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
+        except (ValueError, DeprecationWarning) as exc:
+            raise ValueError(f"malformed tree file below the root line: {exc}") from None
+        if len(rows) == 0:
+            rows = rows.reshape(0, 3)
+        if rows.shape[1] != 3:
+            raise ValueError("tree file lines must be '<id> <parent-id|-> <depth>'")
+        bad = np.flatnonzero(rows[:, 0] != np.arange(1, len(rows) + 1))
+        if len(bad):
+            raise ValueError(f"vertex ids must be consecutive from 0: expected vertex id "
+                             f"{int(bad[0]) + 1}, got {rows[bad[0], 0]}")
+        return cls(np.concatenate(([-1], rows[:, 1])), np.concatenate(([0], rows[:, 2])))
 
     @classmethod
     def from_text(cls, text: str) -> "Tree":
-        """Parse to_text's format; blank lines are skipped."""
-        root, _, rest = text.lstrip().partition("\n")
-        if root.split() != ["0", "-", "0"]:
-            raise ValueError("line 0 must be the root: '0 - 0'")
-        rows = np.zeros((0, 3), dtype=np.int64)
-        if rest.strip():
-            try:
-                with warnings.catch_warnings():
-                    # numpy before 2.0 reads '1.5' as the integer 1 with this warning
-                    warnings.simplefilter("error", DeprecationWarning)
-                    rows = np.loadtxt(io.StringIO(rest, newline=None), dtype=np.int64,
-                                      comments=None, ndmin=2)
-            except (ValueError, DeprecationWarning) as exc:
-                raise ValueError(f"malformed tree file below the root line: {exc}") from None
-            if rows.shape[1] != 3:
-                raise ValueError("tree file lines must be '<id> <parent-id|-> <depth>'")
-        bad = np.flatnonzero(rows[:, 0] != np.arange(1, len(rows) + 1))
-        if len(bad):
-            raise ValueError(f"vertex ids must be consecutive from 0, got {rows[bad[0], 0]} "
-                             f"on line {int(bad[0]) + 1}")
-        return cls(np.concatenate(([-1], rows[:, 1])), np.concatenate(([0], rows[:, 2])))
+        """read_text on a string."""
+        return cls.read_text(io.StringIO(text, newline=None))
 
 
 @dataclass(frozen=True)

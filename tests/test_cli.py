@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -442,6 +443,49 @@ def test_malformed_tree_file_exits_1(text, tmp_path):
     assert r.stderr.startswith("error:"), r.stderr
     assert "Traceback" not in r.stderr
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_tree_file_load_memory_is_bounded(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text(generators.three_one_stretched(78).to_text())  # 90115 vertices, 1.3 MB
+    opts = {"tree": str(path)}
+    cli._load_source(opts)  # first calls set up numpy's parser
+    tracemalloc.start()
+    try:
+        tree = cli._load_source(opts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tree.n_vertices == 90115
+    assert peak < 7 << 20, peak  # 10 MB when the whole file was read into one string
+
+
+def test_main_in_one_process_matches_fresh_processes(tmp_path):
+    # main reuses one parser per process; a usage error between runs must
+    # not change what the next run writes
+    runs = [["generate", "--family", "three-one", "--depth", "10", "--out", "g.txt"],
+            ["generate", "--family", "seq", "--nope", "3"],
+            ["estimate-ibn", "--tree", "g.txt", "--grid", "0.3:0.7:0.1", "--schedule", "4,8,10",
+             "--out", "e.csv"]]
+    same, fresh = tmp_path / "same", tmp_path / "fresh"
+    same.mkdir()
+    fresh.mkdir()
+    cwd = os.getcwd()
+    os.chdir(same)
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            codes = []
+            for argv in runs:
+                try:
+                    codes.append(cli.main(argv))
+                except SystemExit as exc:
+                    codes.append(exc.code)
+    finally:
+        os.chdir(cwd)
+    assert codes == [0, 2, 0]
+    assert [run_cli(argv, fresh).returncode for argv in runs] == codes
+    for name in ("g.txt", "e.csv"):
+        assert (same / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 # -- the CLI contract: any argv exits 0 with outputs, 2 from argparse, or 1 ----

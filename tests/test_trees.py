@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,8 +109,42 @@ def test_to_text_rows_span_chunks():
 
 
 def test_from_text_rejects_bad_ids():
-    with pytest.raises(ValueError):
-        Tree.from_text("0 - 0\n2 0 1\n")
+    # the blank lines must not shift the id the message names
+    for text in ("0 - 0\n2 0 1\n", "0 - 0\n\n\n2 0 1\n"):
+        with pytest.raises(ValueError, match="expected vertex id 1, got 2"):
+            Tree.from_text(text)
+
+
+def test_write_text_file_round_trip(tmp_path):
+    t = gen.binary_family().build(13)  # 16382 rows below the root: four chunks
+    path = tmp_path / "t.txt"
+    with open(path, "w") as fh:
+        t.write_text(fh)
+    assert path.read_bytes() == t.to_text().encode()
+    with open(path) as fh:
+        back = Tree.read_text(fh)
+    assert np.array_equal(back.parent_array(), t.parent_array())
+    assert np.array_equal(back.depth_array(), t.depth_array())
+
+
+def test_read_text_file_with_crlf_and_blank_lines(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"\r\n0 - 0\r\n\r\n1 0 1\r\n  \r\n2 1 2\r\n\r\n")
+    with open(path) as fh:
+        t = Tree.read_text(fh)
+    assert t.to_text() == "0 - 0\n1 0 1\n2 1 2\n"
+
+
+def test_write_text_memory_is_bounded_by_the_chunk(tmp_path):
+    t = gen.three_one_stretched(78)  # 90115 vertices, 1.3 MB of text
+    with open(tmp_path / "t.txt", "w") as fh:
+        tracemalloc.start()
+        try:
+            t.write_text(fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1 << 20, peak  # 4.8 MB when the whole text was joined first
 
 
 @settings(max_examples=40, deadline=None)
