@@ -15,20 +15,28 @@ probabilities, resistance adds the sum of its edge resistances.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from operator import neg
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .generators import LOG2, TreeFamily, base_level_at_depth, check_elements, triangular
 
-# Lattice positions below this are placed by an int64 search; above it the
-# floors lie far enough apart for the closed-form child piece.
-EXACT_BELOW = 1 << 40
+# Lattice floors at or above this take the closed-form child piece, which
+# needs it to be at least 5 (see _three_one_gathers); the positions below
+# it are placed by np.searchsorted.
+EXACT_BELOW = 8
+_POW3 = np.array([1, 3, 9, 27])  # 3**4 > 4 * EXACT_BELOW: a floor below it vanishes by then
+_WIDTH = 4 * EXACT_BELOW + 1  # positions 0..4 * EXACT_BELOW in a table row
+_SMALL_CHUNK = 32  # levels whose small positions are tabled and placed together
+_LIMB_DIGITS = 39  # 3**39 < 2**63
+_LIMB = 3 ** _LIMB_DIGITS
+_R = np.arange(3)[:, None]
+# _STEP[r, t, e] = sign(3e + r - t) - e: the child row of F_k + e is at + e + _STEP
+_STEP = np.array([[[0, 0], [-1, 0], [-1, 0]], [[1, 0], [0, 0], [-1, 0]], [[1, 0], [1, 0], [0, 0]]])
 
 
 @dataclass(frozen=True)
@@ -84,52 +92,147 @@ def from_log2_levels(log2_levels: Sequence[float], N: int) -> ClassTable:
     return from_degrees(np.rint(np.exp2(np.diff(np.asarray(log2_levels, float)[:N + 1]))), (N,))
 
 
+def _three_one_small(s, g, lo, hi, kb, n0: int, n1: int):
+    """The small positions' gathers of base levels n0..n1-1, as
+    _three_one_gathers yields them.  Level n's floors below 4 *
+    EXACT_BELOW are s[a] // 3**(g[a] - n) for a in [lo[n], hi[n]), kb[n] -
+    lo[n] + n of them at or above EXACT_BELOW.  A [level, position] table
+    of the positions below 4 * EXACT_BELOW on levels n0..n1, read row by
+    row, gives their keys (n - n0) * _WIDTH + position in order, and one
+    search places each small position's children among its child level's.  Returns per level n0..n1-1 its count of small positions, and
+    the gathers [r, small positions of the levels in turn]: rows of the
+    child's first 4 * EXACT_BELOW + 1 positions, or of its thin class on
+    levels n with 2**n <= 3 * EXACT_BELOW + 2, so int8."""
+    M = len(s)
+    n = np.arange(n0, n1 + 1)
+    a = lo[n, None] + np.arange(int((hi[n] - lo[n]).max()))
+    past = a >= hi[n, None]  # a vanished floor
+    np.minimum(a, M - 1, out=a)
+    e = np.minimum(np.maximum(g[a] - n[:, None], 0), len(_POW3) - 1)  # kept in range when past
+    f = s[a] // _POW3[e]
+    f[past] = 0
+    level = np.arange(len(n))[:, None]
+    present = np.zeros((len(n), _WIDTH), dtype=bool)
+    present[:, :2] = True
+    present[level, f] = True
+    present[level, f + 1] = True
+    if n1 == M:
+        present[-1, 1:] = False  # the frontier's one position
+    present &= np.arange(_WIDTH) < 1 << np.minimum(n - 1, 62)[:, None]  # thick states s < 2**(n-1)
+    keys = np.flatnonzero(present)
+    count = present.sum(axis=1)
+    start = np.cumsum(count) - count
+    n_small = count - 2 * (kb[n] - lo[n] + n)
+    P = n_small + 2 * kb[n]
+
+    level = keys // _WIDTH
+    small = keys[(np.arange(len(keys)) - start[level] < n_small[level]) & (level < n1 - n0)]
+    level = small // _WIDTH
+    x = 3 * (small - level * _WIDTH) + _R
+    idx = np.searchsorted(keys, (level + 1) * _WIDTH + x, side="right") - 1 - start[level + 1]
+    thin = x >= 1 << np.minimum(level + n0, 62)  # a thin child, past 2**n
+    return n_small[:-1].astype(np.int8), np.where(thin, P[level + 1], idx).astype(np.int8)
+
+
+def _power_limbs(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """2**a in base 3**_LIMB_DIGITS, lowest limb first, enough limbs for
+    its first digits[a] base-3 digits: limb i of 2**a is table[first[a] +
+    i]."""
+    width = (digits + _LIMB_DIGITS - 1) // _LIMB_DIGITS
+    first = np.cumsum(width) - width
+    table = np.empty(int(width.sum()), dtype=np.int64)
+    for a, (at, w) in enumerate(zip(first, width)):
+        x, limbs = 1 << a, []
+        for _ in range(w):
+            x, r = divmod(x, _LIMB)
+            limbs.append(r)
+        table[at:at + w] = limbs
+    return table, first
+
+
 def _three_one_gathers(M: int):
     """Gather indices on the breakpoint lattice of the 3-1 tree's frontier M.
 
     Yields, for base levels n = M-1, ..., 1, an int64 array idx[r, p]: the
     row, among level n+1's positions followed by one thin row, of the piece
-    that holds the child 3s + r of level n's p-th position s.  A thick
-    vertex (n, s), s from the right edge of base level n, has children
-    (n+1, 3s+r), r < 3, thick iff 3s+r < 2**n; thin ones are rays.  Every
-    swept quantity is piecewise constant in s, with breakpoints on the
-    lattice {0, 1} and {F_k, F_k + 1 : k <= M - n} below 2**(n-1), F_k =
+    that holds the child 3s + r of level n's p-th position s; the last
+    column is the thin class's, its ray and two dead slots.  A thick vertex
+    (n, s), s from the right edge of base level n, has children (n+1,
+    3s+r), r < 3, thick iff 3s+r < 2**n; thin ones are rays.  Every swept
+    quantity is piecewise constant in s, with breakpoints on the lattice
+    {0, 1} and {F_k, F_k + 1 : k <= M - n} below 2**(n-1), F_k =
     floor(2**(n+k-1) / 3**k), which a shallower frontier shares in part.
     A level's positions are the small ones -- 0, 1 and F, F + 1 for its
-    floors below EXACT_BELOW, sorted, placed by np.searchsorted on exact
-    int64 values -- then F_k, F_k + 1 for its kb floors above, k = kb..1.
-    Those come from the child's floors by one divmod by 3, F'_{k-1} = 3 F_k
-    + t with t < 3 (F'_0 = 2**n), and the child of F_k + e is F'_{k-1} + o
-    with o = 3e + r - t in [-2, 5]: the child piece before, at or after
-    F'_{k-1} by the sign of o, with no big-integer search.
-    """
-    floors = ()  # the child level's nonzero floors, descending
-    kb, n_small, P = 0, 1, 1
-    low = np.zeros(1, dtype=np.int64)  # the child's positions below 4 * EXACT_BELOW
-    for n in range(M - 1, 0, -1):
-        child_small, child_kb, child_low, child_P = n_small, kb, low, P
-        floors, rems = zip(*map(divmod, [1 << n, *floors], repeat(3)))
-        floors = floors[:bisect_right(floors, -1, key=neg)]  # drop the zeros
-        kb = bisect_right(floors, -EXACT_BELOW, key=neg)
-        small = sorted({0, 1, *floors[kb:], *[f + 1 for f in floors[kb:]]})
-        del small[bisect_left(small, 1 << (n - 1)):]  # thick states s < 2**(n-1)
-        near = floors[bisect_right(floors, -4 * EXACT_BELOW, hi=kb, key=neg):kb]
-        low = np.array(small + [p for f in reversed(near) for p in (f, f + 1)], dtype=np.int64)
-        n_small = len(small)
-        P = n_small + 2 * kb
+    floors below EXACT_BELOW, sorted -- then F_k, F_k + 1 for its kb floors
+    at or above it, k = kb..1.
 
-        x = 3 * low[:n_small] + np.arange(3)[:, None]
-        idx_small = np.searchsorted(child_low, x, side="right") - 1
-        if n < 62:
-            idx_small[x >= 1 << n] = child_P  # a thin child
-        # F_k + e for k = kb..1: its child F'_{k-1} + o lies in the piece at
-        # row at[k], or the one before or after it by the sign of o
-        t = np.array(rems[:kb][::-1], dtype=np.int64)
-        o = 3 * np.arange(2) - t[:, None] + np.arange(3)[:, None, None]  # [r, k, e]
-        at = child_small + 2 * (child_kb + 1 - np.arange(kb, 0, -1))
-        idx_big = at[:, None] + np.sign(o)
-        np.minimum(idx_big, child_P, out=idx_big)  # past F'_0 = 2**n: a thin child
-        yield np.concatenate((idx_small, idx_big.reshape(3, -1)), axis=1)
+    Two exact facts replace a big-integer divmod of every floor by 3 on
+    every level.  Along a power, a = n+k-1, floor(2**a / 3**(k+1)) =
+    floor(2**a / 3**k) // 3: one big division per a gives its first floor
+    below 4 * EXACT_BELOW, on level a + 1 - k, and int64 division by 3 the
+    later ones, each a level up; so every level's small floors and its kb
+    come from M int64 values (_three_one_small).  And the child level's
+    floors are F'_{k-1} = 3 F_k + t (F'_0 = 2**n), where t =
+    floor(2**(n+k-1) / 3**(k-1)) mod 3 is base-3 digit k-1 of 2**(n+k-1):
+    the digits of each 2**a are read off a table of its base-3**39 limbs,
+    one digit per level.  The child of F_k + e is F'_{k-1} + o with o = 3e
+    + r - t in [-2, 5].  For F_k >= 5 the child's positions next to
+    F'_{k-1} and F'_{k-1} + 1 are at most F'_{k-1} - 2 and at least
+    F'_{k-1} + 6 (or 2**n, the thin ones), so the child is in the piece
+    before, at or after F'_{k-1} by the sign of o, with no search.
+    """
+    if M < 2:
+        return
+    levels = np.arange(M + 1)
+    # s[a] = floor(2**a / 3**k0[a]), the first floor of 2**a below
+    # 4 * EXACT_BELOW (k0 >= 1); it lies on level g[a] = a + 1 - k0[a]
+    s, k0, k, p = np.empty(M, dtype=np.int64), np.empty(M, dtype=np.int64), 1, 3
+    for a in range(M):
+        x = 1 << a
+        while x >= 4 * EXACT_BELOW * p:
+            k, p = k + 1, 3 * p
+        s[a], k0[a] = x // p, k
+    g = levels[:M] + 1 - k0  # nondecreasing: k0 grows by at most 1 per a
+    # kE[a] - 1 floors of 2**a are >= EXACT_BELOW; kb[n] counts the a in
+    # [n, M) whose floor on level n is one of them, those with gE[a] < n
+    kE = k0 + (s >= EXACT_BELOW) + (s >= 3 * EXACT_BELOW)
+    kb = np.searchsorted(levels[:M] + 1 - kE, levels) - levels
+    lo, hi = np.searchsorted(g, levels), np.searchsorted(g, levels + len(_POW3))
+    chunks = [_three_one_small(s, g, lo, hi, kb, n0, min(n0 + _SMALL_CHUNK, M))
+              for n0 in range(1, M, _SMALL_CHUNK)]
+    n_small = np.concatenate([c[0] for c in chunks])  # n_small[n - 1] for level n
+    small = np.concatenate([c[1] for c in chunks], axis=1)
+    del levels, s, k0, g, lo, hi, chunks
+    table, first = _power_limbs(kE - 1)  # the digits of the floors >= EXACT_BELOW
+    del kE
+    cur = np.zeros(M, dtype=np.int64)  # per a, the limb being read, shifted down to digit a - n
+    ramp = np.arange(2 * int(kb.max()) + EXACT_BELOW + 3)  # P <= EXACT_BELOW + 1 + 2 kb
+
+    child_small, child_kb, child_P, at_small = 1, 0, 1, small.shape[1]
+    for n in range(M - 1, 0, -1):
+        ns, nb = int(n_small[n - 1]), int(kb[n])
+        P = ns + 2 * nb
+        idx = np.empty((3, P + 1), dtype=np.int64)
+        at_small -= ns
+        idx[:, :ns] = small[:, at_small:at_small + ns]
+        if nb:
+            # digit a - n of 2**a for a = n..n+kb-1; a limb's read starts
+            # on the level where a - n is a multiple of _LIMB_DIGITS
+            a, starts = slice(n, n + nb), slice(n, n + nb, _LIMB_DIGITS)
+            cur[starts] = table[first[starts] + ramp[:(nb + _LIMB_DIGITS - 1) // _LIMB_DIGITS]]
+            t = cur[a] % 3  # for k = 1..kb
+            cur[a] //= 3
+            # F_k + e for k = kb..1: its child F'_{k-1} + o lies in the piece
+            # at row at = child_small + 2 (child_kb + 1 - k), or the one
+            # before or after it by the sign of o
+            at = child_small + 2 * (child_kb + 1 - nb)
+            _STEP.take(t[::-1], axis=1, out=idx[:, ns:P].reshape(3, nb, 2), mode="clip")
+            idx[:, ns:P] += ramp[at:at + 2 * nb]
+            np.minimum(idx[:, P - 2:P], child_P, out=idx[:, P - 2:P])  # past F'_0 = 2**n: thin
+        idx[0, P] = child_P
+        idx[1:, P] = -1
+        yield idx
+        child_small, child_kb, child_P = ns, nb, P
 
 
 def three_one(frontiers: Sequence[int]) -> ClassTable:
@@ -151,9 +254,9 @@ def three_one(frontiers: Sequence[int]) -> ClassTable:
             if n == 0:
                 yield np.array([[rows - 1], [0]])  # the root: a ray and position 0
             else:
-                idx = next(gathers)  # then the thin class: its ray and two dead slots
-                yield np.concatenate((idx, [[rows - 1], [-1], [-1]]), axis=1)
-                rows = idx.shape[1] + 1
+                idx = next(gathers)
+                yield idx
+                rows = idx.shape[1]
             child = at
 
     return ClassTable(tuple(depths), frontiers, np.ones(len(depths) - 1), levels)

@@ -21,10 +21,12 @@ import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, islice
 
 import numpy as np
 
 _TEXT_CHUNK = 1 << 12  # rows formatted per write in write_text
+_READ_CHUNK = 1 << 13  # lines parsed per np.loadtxt call in read_text
 
 
 def _nondecreasing(a: np.ndarray) -> bool:
@@ -34,6 +36,29 @@ def _nondecreasing(a: np.ndarray) -> bool:
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _parse_rows(lines) -> np.ndarray:
+    """The [row, 3] int64 array of at most _READ_CHUNK lines `<id>
+    <parent-id> <depth>`; blank lines are skipped."""
+    try:
+        with warnings.catch_warnings():
+            # numpy before 2.0 reads '1.5' as the integer 1 with this warning
+            warnings.simplefilter("error", DeprecationWarning)
+            # a chunk of blank lines leaves no rows
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            # max_rows, at least the rows of a chunk, lets loadtxt size its
+            # buffer once: growing it chunk after chunk scattered the heap;
+            # that it counts rows, not the blank lines, cannot matter here
+            warnings.filterwarnings("ignore", "Input line [0-9]+ contained no data", UserWarning)
+            rows = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2, max_rows=_READ_CHUNK)
+    except (ValueError, DeprecationWarning) as exc:
+        raise ValueError(f"malformed tree file below the root line: {exc}") from None
+    if len(rows) == 0:
+        rows = rows.reshape(0, 3)
+    if rows.shape[1] != 3:
+        raise ValueError("tree file lines must be '<id> <parent-id|-> <depth>'")
+    return rows
 
 
 class Tree:
@@ -195,31 +220,28 @@ class Tree:
 
     @classmethod
     def read_text(cls, fh) -> "Tree":
-        """Parse write_text's format from the open text file fh, line by
-        line, so no string of the whole file is held; blank lines are
-        skipped."""
+        """Parse write_text's format from the open text file fh, _READ_CHUNK
+        lines at a time, into parent and depth arrays grown in place, so
+        neither the whole file's text nor all its rows are held at once;
+        blank lines are skipped."""
         lines = iter(fh)
         root = next((line for line in lines if line.strip()), "")
         if root.split() != ["0", "-", "0"]:
             raise ValueError("line 0 must be the root: '0 - 0'")
-        try:
-            with warnings.catch_warnings():
-                # numpy before 2.0 reads '1.5' as the integer 1 with this warning
-                warnings.simplefilter("error", DeprecationWarning)
-                # a root-only tree leaves no rows
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                rows = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
-        except (ValueError, DeprecationWarning) as exc:
-            raise ValueError(f"malformed tree file below the root line: {exc}") from None
-        if len(rows) == 0:
-            rows = rows.reshape(0, 3)
-        if rows.shape[1] != 3:
-            raise ValueError("tree file lines must be '<id> <parent-id|-> <depth>'")
-        bad = np.flatnonzero(rows[:, 0] != np.arange(1, len(rows) + 1))
-        if len(bad):
-            raise ValueError(f"vertex ids must be consecutive from 0: expected vertex id "
-                             f"{int(bad[0]) + 1}, got {rows[bad[0], 0]}")
-        return cls(np.concatenate(([-1], rows[:, 1])), np.concatenate(([0], rows[:, 2])))
+        parent, depth, n = np.array([-1], dtype=np.int64), np.array([0], dtype=np.int64), 1
+        # a chunk ends after _READ_CHUNK lines, blank ones too, or at the end of fh
+        while (first := next(lines, None)) is not None:
+            rows = _parse_rows(chain((first,), islice(lines, _READ_CHUNK - 1)))
+            bad = np.flatnonzero(rows[:, 0] != np.arange(n, n + len(rows)))
+            if len(bad):
+                raise ValueError(f"vertex ids must be consecutive from 0: expected vertex id "
+                                 f"{n + int(bad[0])}, got {rows[bad[0], 0]}")
+            end = n + len(rows)
+            if end > len(parent):  # grown by realloc
+                parent.resize(2 * end, refcheck=False)
+                depth.resize(2 * end, refcheck=False)
+            parent[n:end], depth[n:end], n = rows[:, 1], rows[:, 2], end
+        return cls(parent[:n], depth[:n])  # copied, so the spare capacity goes with these
 
     @classmethod
     def from_text(cls, text: str) -> "Tree":

@@ -46,10 +46,14 @@ def sample_conductance_logs(n: int, lam: float, seed: int) -> np.ndarray:
     """
     if not 0 < lam < 1:
         raise ValueError("lam must be in (0, 1)")
-    u = rng.uniforms(seed, rng.EDGE_STREAM, n)
-    log_t = -np.log(u) / (1.0 - lam)
+    log_c = rng.uniforms(seed, rng.EDGE_STREAM, n)  # u, turned into log C in place
+    np.log(log_c, out=log_c)
+    np.negative(log_c, out=log_c)
+    log_c /= 1.0 - lam  # log t
+    log_c *= lam
     with np.errstate(over="ignore"):  # checked below
-        log_c = -np.exp(lam * log_t)
+        np.exp(log_c, out=log_c)
+    np.negative(log_c, out=log_c)
     if not np.isfinite(log_c).all():
         raise ValueError("sampled conductance exponent overflowed")
     return log_c

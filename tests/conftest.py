@@ -6,6 +6,9 @@ import math
 import os
 import subprocess
 import sys
+from bisect import bisect_left, bisect_right
+from itertools import repeat
+from operator import neg
 from pathlib import Path
 
 import numpy as np
@@ -280,3 +283,42 @@ def hash_cons(t: Tree) -> np.ndarray:
         key = (t.depth(v), *sorted(cls[t.children(v)].tolist()))
         cls[v] = ids.setdefault(key, len(ids))
     return cls
+
+
+ORACLE_EXACT_BELOW = 1 << 40
+
+
+def three_one_gathers_oracle(M: int):
+    """classes._three_one_gathers without its thin-class column, by the
+    per-floor big-integer route: for base levels n = M-1, ..., 1 the floors
+    F_k = floor(2**(n+k-1) / 3**k) come from the child level's floors by one
+    divmod by 3 each, F'_{k-1} = 3 F_k + t (F'_0 = 2**n).  The small
+    positions -- 0, 1 and F, F + 1 for floors below EXACT_BELOW -- are
+    sorted and placed by np.searchsorted; for F_k above it, k = kb..1, the
+    child of F_k + e is F'_{k-1} + o with o = 3e + r - t, the child piece
+    before, at or after F'_{k-1} by the sign of o."""
+    floors = ()  # the child level's nonzero floors, descending
+    kb, n_small, P = 0, 1, 1
+    low = np.zeros(1, dtype=np.int64)  # the child's positions below 4 * EXACT_BELOW
+    for n in range(M - 1, 0, -1):
+        child_small, child_kb, child_low, child_P = n_small, kb, low, P
+        floors, rems = zip(*map(divmod, [1 << n, *floors], repeat(3)))
+        floors = floors[:bisect_right(floors, -1, key=neg)]  # drop the zeros
+        kb = bisect_right(floors, -ORACLE_EXACT_BELOW, key=neg)
+        small = sorted({0, 1, *floors[kb:], *[f + 1 for f in floors[kb:]]})
+        del small[bisect_left(small, 1 << (n - 1)):]  # thick states s < 2**(n-1)
+        near = floors[bisect_right(floors, -4 * ORACLE_EXACT_BELOW, hi=kb, key=neg):kb]
+        low = np.array(small + [p for f in reversed(near) for p in (f, f + 1)], dtype=np.int64)
+        n_small = len(small)
+        P = n_small + 2 * kb
+
+        x = 3 * low[:n_small] + np.arange(3)[:, None]
+        idx_small = np.searchsorted(child_low, x, side="right") - 1
+        if n < 62:
+            idx_small[x >= 1 << n] = child_P  # a thin child
+        t = np.array(rems[:kb][::-1], dtype=np.int64)
+        o = 3 * np.arange(2) - t[:, None] + np.arange(3)[:, None, None]  # [r, k, e]
+        at = child_small + 2 * (child_kb + 1 - np.arange(kb, 0, -1))
+        idx_big = at[:, None] + np.sign(o)
+        np.minimum(idx_big, child_P, out=idx_big)  # past F'_0 = 2**n: a thin child
+        yield np.concatenate((idx_small, idx_big.reshape(3, -1)), axis=1)

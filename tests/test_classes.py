@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (hash_cons, log_effective_conductance_symmetric, min_cut_symmetric,
-                      survival_symmetric, three_one_lattice)
+                      survival_symmetric, three_one_gathers_oracle, three_one_lattice)
 from ibntrees import classes
 from ibntrees import flowcut as fc
 from ibntrees import generators as gen
@@ -76,6 +76,22 @@ def test_columns_are_independent_of_the_others():
     for j, N in enumerate(depths):
         alone = np.stack(sweeps(classes.three_one((N,)), N))
         assert np.array_equal(together[:, :, j], alone[:, :, 0]), N
+
+
+@pytest.mark.parametrize("Ms", [range(2, 101), (127, 200, 333), (512,), (700,), (1024,)],
+                         ids=["2-100", "127-333", "512", "700", "1024"])
+def test_three_one_gathers_match_the_divmod_oracle(Ms):
+    # past the oracle's 2**40 switch near n = 41 and its n < 62 thin-child
+    # guard; each level adds the thin class's column, its ray and two dead slots
+    for M in Ms:
+        got = list(classes._three_one_gathers(M))
+        assert len(got) == M - 1, M
+        child_P = 1
+        for n, idx, want in zip(range(M - 1, 0, -1), got, three_one_gathers_oracle(M), strict=True):
+            want = np.concatenate((want, [[child_P], [-1], [-1]]), axis=1)
+            assert idx.dtype == np.int64 and idx.shape == want.shape, (M, n)
+            assert np.array_equal(idx, want), (M, n)
+            child_P = want.shape[1] - 1
 
 
 @pytest.mark.parametrize("M", [2, 5, 8, 10])

@@ -159,7 +159,8 @@ def test_three_one_gathers_find_the_child_piece():
         child = three_one_lattice(n + 1, M)
         expect = [[len(child) if 3 * s + r >= 2 ** n else bisect.bisect_right(child, 3 * s + r) - 1
                    for s in three_one_lattice(n, M)] for r in range(3)]
-        assert idx.tolist() == expect, n
+        assert idx[:, :-1].tolist() == expect, n
+        assert idx[:, -1].tolist() == [len(child), -1, -1], n  # the thin class's ray, dead slots
 
 
 def test_three_one_dp_matches_oracle():

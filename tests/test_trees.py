@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import is_cutset, random_tree
 from ibntrees import generators as gen
-from ibntrees.trees import _TEXT_CHUNK, Tree, check_flow
+from ibntrees.trees import _READ_CHUNK, _TEXT_CHUNK, Tree, check_flow
 
 
 def test_constructor_depth_recurrence():
@@ -133,6 +133,18 @@ def test_read_text_file_with_crlf_and_blank_lines(tmp_path):
     with open(path) as fh:
         t = Tree.read_text(fh)
     assert t.to_text() == "0 - 0\n1 0 1\n2 1 2\n"
+
+
+def test_read_text_past_a_chunk_of_blank_lines(tmp_path):
+    # a chunk of blank lines parses to no rows; the tree goes on after it,
+    # and an id error past the first chunk names its own vertex id
+    path = tmp_path / "t.txt"
+    path.write_text("0 - 0\n1 0 1\n" + "\n" * (2 * _READ_CHUNK + 5) + "2 1 2\n")
+    with open(path) as fh:
+        assert Tree.read_text(fh).to_text() == "0 - 0\n1 0 1\n2 1 2\n"
+    rows = "".join(f"{v} {v - 1} {v}\n" for v in range(1, _READ_CHUNK + 9))
+    with pytest.raises(ValueError, match=f"expected vertex id {_READ_CHUNK + 9}, got 7"):
+        Tree.from_text("0 - 0\n" + rows + "7 0 1\n")
 
 
 def test_write_text_memory_is_bounded_by_the_chunk(tmp_path):

@@ -103,6 +103,17 @@ def test_sampler_boundary_value():
     assert walks.conductance_cdf(np.array([math.exp(-1.0)]), lam)[0] == 1.0
 
 
+@pytest.mark.parametrize("lam", [0.1, 0.4, 0.75, 0.95])
+@pytest.mark.parametrize("seed", [0, 7, 12345])
+def test_sampler_matches_its_formula_bit_for_bit(seed, lam):
+    # the sampler turns the uniforms into log C in place, by the same IEEE
+    # operations in the same order as the written-out formula
+    u = rng.uniforms(seed, rng.EDGE_STREAM, 5000)
+    want = -np.exp(lam * (-np.log(u) / (1.0 - lam)))
+    got = walks.sample_conductance_logs(5000, lam, seed)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_sampler_rejects_bad_lambda():
     with pytest.raises(ValueError):
         walks.sample_conductance_logs(10, 1.2, seed=0)
