@@ -17,11 +17,13 @@ concurrent readers.  Every exact level recursion runs through sweep_down
 from __future__ import annotations
 
 import io
+import re
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, compress, islice, repeat
+from operator import length_hint
 
 import numpy as np
 
@@ -38,27 +40,56 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _parse_rows(lines) -> np.ndarray:
-    """The [row, 3] int64 array of at most _READ_CHUNK lines `<id>
-    <parent-id> <depth>`; blank lines are skipped."""
+def _parse_rows(first: str, lines, line: int) -> np.ndarray:
+    """The [row, 3] int64 array of the chunk of _READ_CHUNK lines `<id>
+    <parent-id> <depth>` that starts with first, file line `line`, and goes
+    on in lines (fewer at the file's end); blank lines are skipped."""
+    left = repeat(True, _READ_CHUNK - 1)  # counts down as numpy takes lines
     try:
         with warnings.catch_warnings():
             # numpy before 2.0 reads '1.5' as the integer 1 with this warning
             warnings.simplefilter("error", DeprecationWarning)
-            # a chunk of blank lines leaves no rows
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             # max_rows, at least the rows of a chunk, lets loadtxt size its
             # buffer once: growing it chunk after chunk scattered the heap;
             # that it counts rows, not the blank lines, cannot matter here
             warnings.filterwarnings("ignore", "Input line [0-9]+ contained no data", UserWarning)
-            rows = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2, max_rows=_READ_CHUNK)
+            # the lead row makes every line with other than three fields an error
+            rows = np.loadtxt(chain(("0 0 0\n", first), compress(islice(lines, _READ_CHUNK - 1), left)),
+                              dtype=np.int64, comments=None, ndmin=2, max_rows=_READ_CHUNK + 1)
     except (ValueError, DeprecationWarning) as exc:
-        raise ValueError(f"malformed tree file below the root line: {exc}") from None
-    if len(rows) == 0:
-        rows = rows.reshape(0, 3)
-    if rows.shape[1] != 3:
-        raise ValueError("tree file lines must be '<id> <parent-id|-> <depth>'")
-    return rows
+        # numpy takes one line at a time and stops on the bad one; its
+        # row counts neither blank lines nor earlier chunks
+        bad = line + _READ_CHUNK - 1 - length_hint(left)
+        msg, found = re.subn(r"at row [0-9]+", f"at line {bad}", str(exc).partition(";")[0])
+        raise ValueError("malformed tree file below the root line: "
+                         + (msg if found else f"{msg} at line {bad}")) from None
+    return rows[1:]
+
+
+def _text_rows(ids: np.ndarray, parent: np.ndarray, depth: np.ndarray) -> str:
+    """The lines `<id> <parent> <depth>` of three columns of nonnegative
+    int64.  Every number gets a row of one uint8 matrix, its digits right
+    aligned in the width of the largest number and its separator after
+    them; the digits are written least significant first, one column per
+    pass, and one boolean mask drops the leading zeros."""
+    x = np.stack([ids, parent, depth], axis=1).ravel()  # the numbers in file order
+    w = len(str(int(x.max())))
+    if w < 10:
+        x = x.astype(np.uint32)  # numpy divides uint32 several times faster than int64
+    digits = np.empty((len(x), w + 1), dtype=np.uint8)
+    keep = np.empty((len(x), w + 1), dtype=bool)
+    digits[:, w] = ord(" ")
+    digits[2::3, w] = ord("\n")
+    keep[:, w - 1:] = True  # the last digit, 0 too, and the separator
+    for k in range(w - 1, -1, -1):
+        q = x // 10
+        x -= 10 * q
+        x += ord("0")
+        digits[:, k] = x
+        x = q
+        if k:
+            np.greater(x, 0, out=keep[:, k - 1])  # the number has a digit left of k
+    return digits[keep].tobytes().decode("ascii")
 
 
 class Tree:
@@ -204,13 +235,13 @@ class Tree:
 
     def write_text(self, fh) -> None:
         """Write one line per vertex, `<id> <parent-id|-> <depth>`, to the
-        open text file fh, _TEXT_CHUNK rows at a time."""
+        open text file fh: each chunk of _TEXT_CHUNK rows is formatted by
+        numpy in one uint8 buffer, decoded once and written with one call."""
         fh.write("0 - 0\n")
         n = self.n_vertices
-        for i in range(1, n, _TEXT_CHUNK):  # bounds the rows and Python ints alive at once
+        for i in range(1, n, _TEXT_CHUNK):  # bounds the buffers alive at once
             j = min(i + _TEXT_CHUNK, n)
-            block = np.stack([np.arange(i, j), self._parent[i:j], self._depth[i:j]], axis=1)
-            fh.write(("%d %d %d\n" * (j - i)) % tuple(block.ravel().tolist()))
+            fh.write(_text_rows(np.arange(i, j), self._parent[i:j], self._depth[i:j]))
 
     def to_text(self) -> str:
         """write_text's lines as one string."""
@@ -223,15 +254,17 @@ class Tree:
         """Parse write_text's format from the open text file fh, _READ_CHUNK
         lines at a time, into parent and depth arrays grown in place, so
         neither the whole file's text nor all its rows are held at once;
-        blank lines are skipped."""
+        blank lines are skipped, and counted in the line number a malformed
+        line's error names."""
         lines = iter(fh)
-        root = next((line for line in lines if line.strip()), "")
+        line, root = next(((i, s) for i, s in enumerate(lines, 1) if s.strip()), (0, ""))
         if root.split() != ["0", "-", "0"]:
             raise ValueError("line 0 must be the root: '0 - 0'")
         parent, depth, n = np.array([-1], dtype=np.int64), np.array([0], dtype=np.int64), 1
         # a chunk ends after _READ_CHUNK lines, blank ones too, or at the end of fh
         while (first := next(lines, None)) is not None:
-            rows = _parse_rows(chain((first,), islice(lines, _READ_CHUNK - 1)))
+            rows = _parse_rows(first, lines, line + 1)
+            line += _READ_CHUNK
             bad = np.flatnonzero(rows[:, 0] != np.arange(n, n + len(rows)))
             if len(bad):
                 raise ValueError(f"vertex ids must be consecutive from 0: expected vertex id "

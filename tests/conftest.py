@@ -96,6 +96,19 @@ def all_cutsets(t: Tree, N: int) -> list[list[int]]:
     return combos
 
 
+def text_rows_oracle(ids, parent, depth) -> str:
+    """The lines `<id> <parent> <depth>` by `%` formatting, as the tree-file
+    writer made them before it built bytes in numpy."""
+    block = np.stack([np.asarray(ids), np.asarray(parent), np.asarray(depth)], axis=1)
+    return ("%d %d %d\n" * len(block)) % tuple(block.ravel().tolist())
+
+
+def tree_text_oracle(t: Tree) -> str:
+    """Tree.to_text by text_rows_oracle."""
+    n = t.n_vertices
+    return "0 - 0\n" + text_rows_oracle(np.arange(1, n), t.parent_array()[1:], t.depth_array()[1:])
+
+
 def is_cutset(t: Tree, edges, frontier_depth: int) -> bool:
     """True iff every path from the root to a depth-`frontier_depth` vertex
     contains exactly one edge of `edges` (edges given as child endpoints)."""

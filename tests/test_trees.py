@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import is_cutset, random_tree
+from conftest import is_cutset, random_tree, text_rows_oracle, tree_text_oracle
 from ibntrees import generators as gen
-from ibntrees.trees import _READ_CHUNK, _TEXT_CHUNK, Tree, check_flow
+from ibntrees.trees import _READ_CHUNK, _TEXT_CHUNK, Tree, _text_rows, check_flow
 
 
 def test_constructor_depth_recurrence():
@@ -168,6 +168,36 @@ def test_text_round_trip_keeps_arrays(seed, max_depth, extra):
     assert np.array_equal(back.depth_array(), t.depth_array())
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), max_depth=st.integers(1, 12), extra=st.integers(0, 200))
+def test_to_text_matches_the_percent_oracle(seed, max_depth, extra):
+    t = random_tree(seed, max_depth, extra, ensure_depth=seed % 2 == 0)
+    assert t.to_text() == tree_text_oracle(t)
+
+
+def test_text_rows_cross_every_digit_boundary():
+    edges = [0, 1, 9]
+    for k in range(1, 19):
+        edges += [10 ** k - 1, 10 ** k, 10 ** k + 1]
+    edges += [2 ** 63 - 2, 2 ** 63 - 1]
+    x = np.array(edges, dtype=np.int64)
+    # every value in every column, next to numbers of other widths
+    for cols in ((x, np.roll(x, 1), np.roll(x, 7)), (x[::-1], x, np.zeros_like(x))):
+        assert _text_rows(*cols) == text_rows_oracle(*cols)
+    # each width alone in a chunk, the uint32 path up to 9 digits and int64 past it
+    for v in edges:
+        col = np.full(5, v, dtype=np.int64)
+        assert _text_rows(col, col, col) == f"{v} {v} {v}\n" * 5
+
+
+@pytest.mark.parametrize("rows", [_TEXT_CHUNK - 1, _TEXT_CHUNK, _TEXT_CHUNK + 1])
+def test_to_text_at_the_chunk_edges(rows):
+    n = rows + 1
+    path = Tree(np.arange(-1, n - 1), np.arange(n))
+    assert path.to_text() == tree_text_oracle(path)
+    assert path.to_text().count("\n") == n
+
+
 def test_levels_and_sibling_groups_out_of_id_order():
     # level 2 is 3, 4, 5 with parents 2, 1, 2: siblings are not contiguous in id order
     t = Tree([-1, 0, 0, 2, 1, 2, 4, 3, 5, 3], [0, 1, 1, 2, 2, 2, 3, 3, 3, 3])
@@ -220,6 +250,28 @@ def test_sweep_kernels_match_per_vertex_loops():
 def test_from_text_rejects_malformed(text):
     with pytest.raises(ValueError):
         Tree.from_text(text)
+
+
+def test_malformed_line_error_names_the_file_line(tmp_path):
+    # line 9001 lies in the second read chunk; the blank lines before it count
+    lines = ["0 - 0\n", "\n", "\n"] + [f"{v} {v - 1} {v}\n" for v in range(1, 10001)]
+    assert 9001 > _READ_CHUNK
+    for bad, want in (("x", "could not convert string 'x' to int64 at line 9001, column 3"),
+                      ("", "the number of columns changed from 3 to 2 at line 9001")):
+        lines[9000] = f"8998 8997 {bad}\n"
+        path = tmp_path / "t.txt"
+        path.write_text("".join(lines))
+        with open(path) as fh, pytest.raises(ValueError, match=want + r"\b") as err:
+            Tree.read_text(fh)
+        assert "usecols" not in str(err.value)
+    # the last line of the first chunk, then the first line of the second
+    for good in (_READ_CHUNK - 1, _READ_CHUNK):
+        rows = "".join(f"{v} {v - 1} {v}\n" for v in range(1, good + 1))
+        with pytest.raises(ValueError, match=f"at line {good + 2}\\b"):
+            Tree.from_text("0 - 0\n" + rows + "1 2\n")
+    # after blank lines of a last, short chunk
+    with pytest.raises(ValueError, match="at line 5\\b"):
+        Tree.from_text("0 - 0\n1 0 1\n\n\n2 1 2.5\n3 2 3\n")
 
 
 def test_from_text_unknown_parent():
