@@ -21,7 +21,7 @@ import numpy as np
 
 from . import classes
 from .flowcut import BracketResult, DepthSchedule, ibn_log_weights, min_cut
-from .generators import TreeFamily, level_sizes, route, truncation
+from .generators import TreeFamily, level_sizes, truncation
 from .trees import Tree
 
 LOG_MAXSIZE = math.log(sys.maxsize)
@@ -180,7 +180,7 @@ def _count_rule(gamma: float, N: int, k: int, budgets: BudgetSchedule,
 
 def _symmetric(source: TreeFamily | Tree) -> bool:
     """A family with a degree array: its min-cut is a whole level."""
-    return route(source) == "classes" and source.degrees is not None
+    return isinstance(source, TreeFamily) and source.degrees is not None
 
 
 def attempt_containment(source: TreeFamily | Tree, k: int, gamma: float, K: float,

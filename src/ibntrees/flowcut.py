@@ -14,10 +14,9 @@ feed the same classifier:
   every (rate, depth) pair of a bracket at once, far beyond any
   materializable truncation.
 
-generators.route decides which route a source takes; the level sweeps
-run on an explicit Tree, each scheduled depth on the one tree.  Every
-estimator reports a BracketResult: per-value classifications and the
-bracket they induce.
+A family takes the class-table route and an explicit Tree the level
+sweeps, each scheduled depth on the one tree.  Every estimator reports a
+BracketResult: per-value classifications and the bracket they induce.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from . import classes
-from .generators import LOG2, TreeFamily, route, triangular
+from .generators import LOG2, TreeFamily, triangular
 from .trees import Tree
 
 NEG_INF = float("-inf")
@@ -314,14 +313,14 @@ def ibn_estimate(source: TreeFamily | Tree, schedule: DepthSchedule,
                  grid: Sequence[float] = DEFAULT_GRID) -> BracketResult:
     """Bracket the branching number by classifying min-cut trajectories.
 
-    The route follows generators.route: a family sweeps its class table
-    once for every (rate, depth), and an explicit Tree is swept per depth on
-    the tree itself (it must reach the deepest scheduled depth).
+    A family sweeps its class table once for every (rate, depth), and an
+    explicit Tree is swept per depth on the tree itself (it must reach the
+    deepest scheduled depth).
     """
     grid = tuple(sorted(grid))
     if any(not 0 < g < 1 for g in grid):
         raise ValueError("grid must lie inside (0, 1)")
-    if route(source) == "classes":
+    if isinstance(source, TreeFamily):
         table = classes.log_min_cut(classes.of_family(source, schedule.depths), grid)
         return trajectory_bracket(grid, schedule, dict(zip(grid, map(tuple, table.tolist()))))
     trajectories = {}

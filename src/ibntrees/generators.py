@@ -10,10 +10,10 @@ the tree near the root -- which is why they appear among the examples, but
 sub-periodicity itself is never computed here.
 
 A family is a name plus its degree array (None for the stretched 3-1 tree);
-it builds truncations and gives the cheap level-size arithmetic.  route()
-and truncation() are the one place that decides how a source -- an
-explicit Tree or a family, whose class table (classes.py) stands in for a
-truncation too large to materialize -- is evaluated.
+it builds truncations and gives the cheap level-size arithmetic.  A
+source is an explicit Tree or a family, whose class table (classes.py)
+stands in for a truncation too large to materialize; the estimators test
+which one they were given, and truncation() materializes either.
 """
 
 from __future__ import annotations
@@ -237,20 +237,7 @@ def family_by_name(name: str, marks: Sequence[bool] | None = None) -> TreeFamily
     return table[name]()
 
 
-# -- evaluation routes -----------------------------------------------------
-
-def route(source: TreeFamily | Tree) -> str:
-    """How the estimators evaluate a source.
-
-    "classes": a family, whose deterministic quantities -- min-cut,
-    survival, effective conductance -- sweep its class table (classes.py);
-    its random fields, Monte Carlo and walks on a tree sweep truncations.
-    "tree": an explicit Tree, swept level by level.  Only the depth-chain
-    walker and the symmetric containment counts also ask whether a family
-    has a degree array.
-    """
-    return "tree" if isinstance(source, Tree) else "classes"
-
+# -- truncations ----------------------------------------------------------
 
 def truncation(source: TreeFamily | Tree, N: int) -> Tree:
     """The depth-N truncation of a family; an explicit Tree as it is.

@@ -36,32 +36,31 @@ class DepthBudgetError(RuntimeError):
 
 # -- action on finite strings (exhaustive checks) ----------------------------
 
-def act_on_string(letter: str, s: str, sections=None) -> str:
+def act_on_string(letter: str, s: str) -> str:
     """Image of the depth-len(s) string s under one generator."""
-    sections = SECTIONS if sections is None else sections
     if letter == "a":
         return ("1" if s[0] == "0" else "0") + s[1:] if s else s
     g, i = letter, 0
     s = list(s)
     while g is not None and g != "a" and i < len(s):
         if s[i] == "0":
-            g = sections[g][0]
+            g = SECTIONS[g][0]
             if g == "a" and i + 1 < len(s):
                 s[i + 1] = "1" if s[i + 1] == "0" else "0"
             g = None
         else:
-            g = sections[g][1]
+            g = SECTIONS[g][1]
             i += 1
     return "".join(s)
 
 
-def act_word_on_string(word: str, s: str, sections=None) -> str:
+def act_word_on_string(word: str, s: str) -> str:
     for ch in word:
-        s = act_on_string(ch, s, sections)
+        s = act_on_string(ch, s)
     return s
 
 
-def verify_relations(depth: int, sections=None) -> bool:
+def verify_relations(depth: int) -> bool:
     """Check a^2=b^2=c^2=d^2=1 and bc=cb=d, bd=db=c, cd=dc=b as
     permutations of {0,1}^depth."""
     if depth < 1:
@@ -69,7 +68,7 @@ def verify_relations(depth: int, sections=None) -> bool:
     strings = ["".join(bits) for bits in product("01", repeat=depth)]
 
     def image(word: str) -> list[str]:
-        return [act_word_on_string(word, s, sections) for s in strings]
+        return [act_word_on_string(word, s) for s in strings]
 
     ident = list(strings)
     for g in GENERATORS:

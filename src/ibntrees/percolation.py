@@ -5,11 +5,11 @@ survive through branching but shallow thin stretches kill clusters; the
 survival recursion is evaluated with log1p/expm1 to keep tiny
 probabilities meaningful.  The conductance bound's comparison network is
 per-depth (one log conductance per depth, from one cumsum) and is reduced
-in log space.  _exact is the one place that picks, by generators.route,
-how a source's survival and bound are evaluated: a family, three-one
-included, by one sweep of its class table for every (rate, depth), an
-explicit Tree by one Tree.sweep_up per (rate, depth).  Monte Carlo is one
-Tree.sweep_down per chunk of trials.
+in log space.  survival_table is the one place that picks how a source's
+survival and bound are evaluated: a family, three-one included, by one
+sweep of its class table for every (rate, depth), an explicit Tree by one
+Tree.sweep_up per (rate, depth); theta_estimate reads its survival.  Monte
+Carlo is one Tree.sweep_down per chunk of trials.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import classes, rng, walks
 from .flowcut import BracketResult, DepthSchedule, trajectory_bracket
-from .generators import TreeFamily, route, truncation
+from .generators import TreeFamily, truncation
 from .trees import Tree
 
 LOG_FLOOR = -744.0  # log of the smallest positive double, used as a clamp
@@ -111,32 +111,23 @@ def mc_survival(tree: Tree, law: PercolationLaw, N: int, trials: int,
     return est, stderr
 
 
-def _exact(source: TreeFamily | Tree, grid: Sequence[float], depths: Sequence[int],
-           bound: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """Exact survival and, if bound is set, the conductance bound for every
-    (lam, N) of grid x depths, arrays [lam, N], by the route
-    generators.route picks: a family sweeps its class table once for all
-    of them, an explicit Tree is swept per (lam, N)."""
-    laws = [PercolationLaw(lam) for lam in grid]
-    if route(source) == "tree":
-        return (np.array([[exact_survival(source, law, N) for N in depths] for law in laws]),
-                np.array([[conductance_bound(source, law, N) for N in depths] for law in laws])
-                if bound else None)
-    table = classes.of_family(source, depths)
-    D = table.depths[-1]
-    survival = classes.survival(table, (law.log_p(np.arange(1, D + 1)) for law in laws))
-    if not bound:
-        return survival, None
-    return survival, _bound(classes.log_conductance(
-        table, (_comparison_log_conductances(law, D) for law in laws)))
-
-
 def survival_table(source: TreeFamily | Tree, grid: Sequence[float], depths: Sequence[int],
                    mc_trials: int = 0, seed: int = 0) -> dict[tuple[float, int], tuple]:
     """(exact survival, Monte Carlo estimate, its standard error, conductance
     bound) for every (lam, N) of grid x depths; nan for the Monte Carlo pair
-    when mc_trials is 0.  Monte Carlo draws on the depth-N truncation."""
-    survival, bound = _exact(source, grid, depths)
+    when mc_trials is 0.  A family sweeps its class table once for every
+    exact pair, an explicit Tree is swept per (lam, N); Monte Carlo draws on
+    the depth-N truncation."""
+    laws = [PercolationLaw(lam) for lam in grid]
+    if isinstance(source, Tree):
+        survival = np.array([[exact_survival(source, law, N) for N in depths] for law in laws])
+        bound = np.array([[conductance_bound(source, law, N) for N in depths] for law in laws])
+    else:
+        class_table = classes.of_family(source, depths)
+        D = class_table.depths[-1]
+        survival = classes.survival(class_table, (law.log_p(np.arange(1, D + 1)) for law in laws))
+        bound = _bound(classes.log_conductance(
+            class_table, (_comparison_log_conductances(law, D) for law in laws)))
     table = {}
     for j, N in enumerate(depths):
         tree = truncation(source, N) if mc_trials else None
@@ -154,8 +145,9 @@ def theta_estimate(source: TreeFamily | Tree, schedule: DepthSchedule,
     grid = tuple(sorted(grid))
     if any(not 0 < g < 1 for g in grid):
         raise ValueError("grid must lie inside (0, 1)")
-    survival, _ = _exact(source, grid, schedule.depths, bound=False)
-    return theta_from_survival(schedule, dict(zip(grid, survival.tolist())))
+    table = survival_table(source, grid, schedule.depths)
+    return theta_from_survival(schedule, {lam: [table[lam, N][0] for N in schedule.depths]
+                                          for lam in grid})
 
 
 def theta_from_survival(schedule: DepthSchedule,

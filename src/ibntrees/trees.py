@@ -257,9 +257,11 @@ class Tree:
         blank lines are skipped, and counted in the line number a malformed
         line's error names."""
         lines = iter(fh)
-        line, root = next(((i, s) for i, s in enumerate(lines, 1) if s.strip()), (0, ""))
+        line, root = next(((i, s) for i, s in enumerate(lines, 1) if s.strip()), (0, None))
+        if root is None:
+            raise ValueError("the tree file is empty: it has no root line '0 - 0'")
         if root.split() != ["0", "-", "0"]:
-            raise ValueError("line 0 must be the root: '0 - 0'")
+            raise ValueError(f"line {line} must be the root: '0 - 0'")
         parent, depth, n = np.array([-1], dtype=np.int64), np.array([0], dtype=np.int64), 1
         # a chunk ends after _READ_CHUNK lines, blank ones too, or at the end of fh
         while (first := next(lines, None)) is not None:

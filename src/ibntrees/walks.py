@@ -18,7 +18,7 @@ from the single (seed, WALK_STREAM) Philox stream; since Philox continues
 one sequence across calls, every walker reads the uniform it would read
 from one draw per step, and the outputs are the same bit for bit.
 return_probability_symmetric is the exact counterpart of the depth chain.
-root_walks picks a walker for a source by generators.route.
+root_walks picks a walker by the source: a depth chain or a truncation.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 from . import classes, rng
 from .flowcut import BracketResult, DepthSchedule, min_cut, trajectory_bracket
 from .flowcut import ibn_log_weights as deterministic_conductances
-from .generators import TreeFamily, check_elements, route, truncation
+from .generators import TreeFamily, check_elements, truncation
 from .trees import Tree
 
 NEG_INF = float("-inf")
@@ -268,7 +268,7 @@ def root_walks(source: TreeFamily | Tree, lam: float, N: int, trials: int,
     A family with a degree array walks its depth chain (depth_walk_batch),
     any other source its truncation (simulate_walk).
     """
-    if route(source) == "classes" and source.degrees is not None:
+    if isinstance(source, TreeFamily) and source.degrees is not None:
         return depth_walk_batch(source.degrees(N), lam, N, trials, step_cap, seed)
     tree = truncation(source, N)
     return simulate_walk(tree, deterministic_conductances(tree, lam), N, trials, step_cap, seed)

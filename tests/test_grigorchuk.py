@@ -32,11 +32,11 @@ def test_act_point_matches_finite_action():
             assert got == expected, (letter, prefix)
 
 
-def test_relations_hold_and_corruption_detected():
+def test_relations_hold_and_corruption_detected(monkeypatch):
     for depth in (1, 4, 8):
         assert gg.verify_relations(depth)
-    corrupt = {"b": ("a", "c"), "c": ("a", "d"), "d": (None, "c")}
-    assert not gg.verify_relations(8, corrupt)
+    monkeypatch.setattr(gg, "SECTIONS", {"b": ("a", "c"), "c": ("a", "d"), "d": (None, "c")})
+    assert not gg.verify_relations(8)
 
 
 def test_reduce_word():

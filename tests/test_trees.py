@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from conftest import is_cutset, random_tree, text_rows_oracle, tree_text_oracle
@@ -159,7 +159,12 @@ def test_write_text_memory_is_bounded_by_the_chunk(tmp_path):
     assert peak < 1 << 20, peak  # 4.8 MB when the whole text was joined first
 
 
-@settings(max_examples=40, deadline=None)
+# Shrinking a random tree's seed finds no simpler tree, only spends minutes
+# before the failure is reported; these two tests skip that phase.
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
+
+
+@settings(max_examples=40, deadline=None, phases=NO_SHRINK)
 @given(seed=st.integers(0, 10 ** 6), max_depth=st.integers(1, 7), extra=st.integers(0, 30))
 def test_text_round_trip_keeps_arrays(seed, max_depth, extra):
     t = random_tree(seed, max_depth, extra)
@@ -168,7 +173,7 @@ def test_text_round_trip_keeps_arrays(seed, max_depth, extra):
     assert np.array_equal(back.depth_array(), t.depth_array())
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, phases=NO_SHRINK)
 @given(seed=st.integers(0, 10 ** 6), max_depth=st.integers(1, 12), extra=st.integers(0, 200))
 def test_to_text_matches_the_percent_oracle(seed, max_depth, extra):
     t = random_tree(seed, max_depth, extra, ensure_depth=seed % 2 == 0)
@@ -272,6 +277,14 @@ def test_malformed_line_error_names_the_file_line(tmp_path):
     # after blank lines of a last, short chunk
     with pytest.raises(ValueError, match="at line 5\\b"):
         Tree.from_text("0 - 0\n1 0 1\n\n\n2 1 2.5\n3 2 3\n")
+
+
+def test_root_line_error_names_the_file_line():
+    with pytest.raises(ValueError, match=r"^line 3 must be the root: '0 - 0'$"):
+        Tree.from_text("\n\n1 - 0\n")
+    for text in ("", "\n \n\t\n"):
+        with pytest.raises(ValueError, match="^the tree file is empty"):
+            Tree.from_text(text)
 
 
 def test_from_text_unknown_parent():
