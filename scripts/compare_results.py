@@ -5,7 +5,8 @@ two runs of reproduce_all.py): the behaviour check for a refactor.
 Every data file must have the same bytes in both directories, and every
 manifest the same `config` and `summary`; manifest timestamps (and any
 other field) are ignored.  Prints each file that differs or exists on one
-side only and exits 1 if there is any, else exits 0.  For a CSV whose
+side only and exits 1 if there is any, else exits 0.  A base directory
+with no file is a usage error (exit 2): it compares nothing.  For a CSV whose
 bytes differ it also prints how many cells differ, the largest relative
 difference among the float cells, whether any text or integer cell
 differs, and each differing cell with both values (at most MAX_LISTED).
@@ -87,10 +88,12 @@ def main() -> int:
     for d in (args.base, args.new):
         if not d.is_dir():
             ap.error(f"{d} is not a directory")
+    n = sum(1 for p in args.base.iterdir() if p.is_file())
+    if not n:
+        ap.error(f"{args.base} holds no file to compare")
     found = differences(args.base, args.new)
     for line in found:
         print(line)
-    n = sum(1 for _ in args.base.iterdir())
     print(f"{len(found)} difference(s) across {n} file(s) in {args.base}", file=sys.stderr)
     return 1 if found else 0
 

@@ -1,11 +1,14 @@
 """Command-line front end: experiment orchestration with manifested outputs.
 
-Every run writes its data file plus a JSON manifest (config echo, package
-version, seed, timestamp) next to it; identical (config, seed) pairs
-reproduce data files byte for byte.  CSV uses a header row, '.' decimals
-and repr-round-trip floats.  Exit codes: 0 success, 1 runtime failure,
-2 usage error.  Handlers pass a source to the library, whose estimator
-modules choose how it is evaluated.
+`run` owns every output: it resolves each output option named in OUTPUTS
+against IBNTREES_OUTDIR, hands the handler its options with those paths in
+place, records each path in the summary under its OUTPUTS key, and writes
+one JSON manifest (config echo, package version, seed, summary, timestamp)
+next to each data file.  Handlers take only their options.  Identical
+(config, seed) pairs reproduce data files byte for byte.  CSV uses a
+header row, '.' decimals and repr-round-trip floats.  Exit codes: 0
+success, 1 runtime failure, 2 usage error.  Handlers pass a source to the
+library, whose estimator modules choose how it is evaluated.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
@@ -25,27 +27,20 @@ from . import __version__, firefighter, flowcut, generators, grigorchuk, nathans
 from .trees import Tree
 
 
-@dataclass
-class ExperimentConfig:
-    """Everything that determines a run."""
-
-    subcommand: str
-    options: dict = field(default_factory=dict)
-
-
-def _outdir() -> str:
-    return os.environ.get("IBNTREES_OUTDIR", ".")
+# output option -> the summary key that records its resolved path
+OUTPUTS = {"out": "out", "emit_tree": "tree_out", "emit_stats": "stats_out",
+           "emit_marks": "marks_out"}
 
 
 def _resolve(path: str) -> str:
-    return path if os.path.isabs(path) else os.path.join(_outdir(), path)
+    return os.path.join(os.environ.get("IBNTREES_OUTDIR", "."), path)
 
 
-def _write_manifest(data_path: str, config: ExperimentConfig, summary: dict) -> None:
+def _write_manifest(data_path: str, subcommand: str, options: dict, summary: dict) -> None:
     manifest = {
-        "config": asdict(config),
+        "config": {"subcommand": subcommand, "options": options},
         "version": __version__,
-        "seed": config.options.get("seed"),
+        "seed": options.get("seed"),
         "summary": summary,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
@@ -172,25 +167,21 @@ def _trajectory_rows(grid: tuple[float, ...], res: flowcut.BracketResult) -> lis
 # -- subcommand handlers -------------------------------------------------------
 
 
-def _run_generate(config: ExperimentConfig) -> dict:
-    opts = config.options
+def _run_generate(opts: dict) -> dict:
     tree = generators.truncation(_load_source(opts), opts["depth"])
-    out = _resolve(opts["out"])
-    with open(out, "w") as fh:
+    with open(opts["out"], "w") as fh:
         tree.write_text(fh)
-    return {"vertices": tree.n_vertices, "height": tree.height(), "out": out}
+    return {"vertices": tree.n_vertices, "height": tree.height()}
 
 
-def _run_estimate_ibn(config: ExperimentConfig) -> dict:
-    opts = config.options
+def _run_estimate_ibn(opts: dict) -> dict:
     source = _load_source(opts)
     schedule = _schedule(opts)
     grid = _parse_grid(opts["grid"])
     res = flowcut.ibn_estimate(source, schedule, grid)
-    out = _resolve(opts["out"])
-    _write_csv(out, ["lambda", "depth", "mincut", "classification"], _trajectory_rows(grid, res))
-    summary = {"ibn_lower": res.lower, "ibn_upper": res.upper,
-               "family": opts.get("family"), "out": out}
+    _write_csv(opts["out"], ["lambda", "depth", "mincut", "classification"],
+               _trajectory_rows(grid, res))
+    summary = {"ibn_lower": res.lower, "ibn_upper": res.upper, "family": opts.get("family")}
     if opts.get("family"):
         N = schedule.depths[-1]
         est = flowcut.igr_estimate(source.level_log2_sizes(N), N)
@@ -198,19 +189,16 @@ def _run_estimate_ibn(config: ExperimentConfig) -> dict:
     return summary
 
 
-def _run_walk(config: ExperimentConfig) -> dict:
-    opts = config.options
+def _run_walk(opts: dict) -> dict:
     trials = opts["trials"]
     returned, steps, maxd = walks.root_walks(_load_source(opts), opts["lam"], opts["depth"],
                                              trials, opts["cap"], opts["seed"])
     rows = [[t, int(returned[t]), int(steps[t]), int(maxd[t])] for t in range(trials)]
-    out = _resolve(opts["out"])
-    _write_csv(out, ["trial", "returned", "steps", "maxdepth"], rows)
-    return {"return_frequency": float(returned.mean()), "trials": trials, "out": out}
+    _write_csv(opts["out"], ["trial", "returned", "steps", "maxdepth"], rows)
+    return {"return_frequency": float(returned.mean()), "trials": trials}
 
 
-def _run_rwrc(config: ExperimentConfig) -> dict:
-    opts = config.options
+def _run_rwrc(opts: dict) -> dict:
     source = _load_source(opts)
     schedule = _schedule(opts)
     grid = _parse_grid(opts["gamma_grid"])
@@ -219,25 +207,21 @@ def _run_rwrc(config: ExperimentConfig) -> dict:
     field = walks.sample_conductances(tree, opts["lam"], opts["seed"])
     psi = walks.psi_field(tree, field, N)
     res = walks.rt_estimate(psi, grid, schedule)
-    out = _resolve(opts["out"])
-    _write_csv(out, ["gamma", "depth", "rtvalue", "class"], _trajectory_rows(grid, res))
+    _write_csv(opts["out"], ["gamma", "depth", "rtvalue", "class"], _trajectory_rows(grid, res))
     tag = f"rt@{opts['lam']:g}"
-    return {f"{tag}_lower": res.lower, f"{tag}_upper": res.upper,
-            "lam": opts["lam"], "out": out}
+    return {f"{tag}_lower": res.lower, f"{tag}_upper": res.upper, "lam": opts["lam"]}
 
 
-def _run_percolate(config: ExperimentConfig) -> dict:
+def _run_percolate(opts: dict) -> dict:
     """Survival, Monte Carlo and conductance bound per (lambda, depth); with
     --grid the theta bracket is read off the exact survival column."""
-    opts = config.options
     depths = _parse_depths(opts["depths"])
     grid = _parse_grid(opts["grid"]) if opts.get("grid") else (opts["lam"],)
     table = percolation.survival_table(_load_source(opts), grid, depths,
                                        opts["mc"], opts["seed"])
-    out = _resolve(opts["out"])
-    _write_csv(out, ["lambda", "depth", "exact", "mc", "stderr", "bound"],
+    _write_csv(opts["out"], ["lambda", "depth", "exact", "mc", "stderr", "bound"],
                [[lam, N, *table[lam, N]] for lam in grid for N in depths])
-    summary = {"out": out, "family": opts.get("family")}
+    summary = {"family": opts.get("family")}
     if opts.get("grid"):
         res = percolation.theta_from_survival(
             flowcut.DepthSchedule(depths), {lam: [table[lam, N][0] for N in depths] for lam in grid})
@@ -245,35 +229,28 @@ def _run_percolate(config: ExperimentConfig) -> dict:
     return summary
 
 
-def _run_firefight(config: ExperimentConfig) -> dict:
-    opts = config.options
+def _run_firefight(opts: dict) -> dict:
     source = _load_source(opts)
     grid = _parse_grid(opts["gamma_grid"])
-    schedule = flowcut.DepthSchedule(_parse_depths(opts["schedule"]))
     res, attempts = firefighter.lambda_c_estimate(source, opts["k"], grid, opts["K"],
-                                                  schedule)
+                                                  _schedule(opts))
     rows = []
     for g in grid:
         a = attempts[g]
-        rows.append([g, opts.get("horizon", schedule.depths[-1]), int(a.contained),
-                     a.fire_size, a.protected_size])
-    out = _resolve(opts["out"])
-    _write_csv(out, ["gamma", "horizon", "contained", "fire_size", "protected_size"], rows)
+        rows.append([g, opts["horizon"], int(a.contained), a.fire_size, a.protected_size])
+    _write_csv(opts["out"], ["gamma", "horizon", "contained", "fire_size", "protected_size"], rows)
     return {"lambdac_lower": res.lower, "lambdac_upper": res.upper,
-            "family": opts.get("family"), "out": out,
+            "family": opts.get("family"),
             "reasons": {str(g): attempts[g].reason for g in grid}}
 
 
-def _run_nathanson(config: ExperimentConfig) -> dict:
-    opts = config.options
+def _run_nathanson(opts: dict) -> dict:
     n = opts["depth"]
     lt = nathanson.lex_tree(n)
     summary: dict = {"vertices": lt.tree.n_vertices}
     if opts.get("emit_tree"):
-        path = _resolve(opts["emit_tree"])
-        with open(path, "w") as fh:
+        with open(opts["emit_tree"], "w") as fh:
             lt.tree.write_text(fh)
-        summary["tree_out"] = path
     if opts.get("emit_stats"):
         level = lt.tree.level_sizes()
         ball = np.cumsum(level) - 1  # the ball excludes the identity root
@@ -282,15 +259,12 @@ def _run_nathanson(config: ExperimentConfig) -> dict:
             ratio = (math.log(math.log(float(ball[m]))) / math.log(m)
                      if ball[m] > 2 and m > 1 else 0.0)
             rows.append([m, int(ball[m]), int(level[m]), ratio])
-        path = _resolve(opts["emit_stats"])
-        _write_csv(path, ["n", "ball", "level", "loglog_ratio"], rows)
-        summary["stats_out"] = path
+        _write_csv(opts["emit_stats"], ["n", "ball", "level", "loglog_ratio"], rows)
         summary["igr_endpoint"] = rows[-1][3]
     return summary
 
 
-def _run_grig(config: ExperimentConfig) -> dict:
-    opts = config.options
+def _run_grig(opts: dict) -> dict:
     n, beam, seed = opts["search"], opts["beam"], opts["seed"]
     word = grigorchuk.search_word(n, beam, seed)
     erased = grigorchuk.loop_erase(word)
@@ -298,19 +272,16 @@ def _run_grig(config: ExperimentConfig) -> dict:
     summary = {"word_length": len(word), "erased_length": len(erased),
                "orbit": int(bm.sizes[-1])}
     if opts.get("emit_marks"):
-        path = _resolve(opts["emit_marks"])
         depth = bm.max_tree_depth()
         tm = bm.tree_marks(depth)
-        with open(path, "w") as fh:
+        with open(opts["emit_marks"], "w") as fh:
             fh.write(f"# word={erased} orbit={int(bm.sizes[-1])} depth={depth}\n")
             for v in tm:
                 fh.write("1\n" if v else "0\n")
-        summary["marks_out"] = path
     return summary
 
 
-def _run_report(config: ExperimentConfig) -> dict:
-    opts = config.options
+def _run_report(opts: dict) -> dict:
     directory = opts["results_dir"]
     fixed = ("igr", "ibn_lower", "ibn_upper", "theta_lower", "theta_upper",
              "lambdac_lower", "lambdac_upper")
@@ -345,11 +316,9 @@ def _run_report(config: ExperimentConfig) -> dict:
     print(",".join(header))
     for row in table:
         print(",".join(str(x) for x in row))
-    summary = {"rows": len(table), "skipped": len(skipped)}
     if opts.get("out"):
-        summary["out"] = _resolve(opts["out"])
-        _write_csv(summary["out"], header, table)
-    return summary
+        _write_csv(opts["out"], header, table)
+    return {"rows": len(table), "skipped": len(skipped)}
 
 
 _HANDLERS = {
@@ -365,17 +334,18 @@ _HANDLERS = {
 }
 
 
-def run(config: ExperimentConfig) -> int:
-    """Dispatch a config; write outputs and a manifest per data file."""
+def run(subcommand: str, options: dict) -> int:
+    """Run one subcommand: resolve its output paths, call its handler, and
+    write a manifest next to each data file, echoing the options as given."""
+    resolved = {k: _resolve(v) for k, v in options.items() if k in OUTPUTS and v}
     try:
-        summary = _HANDLERS[config.subcommand](config)
-    except (ValueError, KeyError, OSError, OverflowError, generators.MemoryCapError,
-            nathanson.BallCapError) as exc:
+        summary = _HANDLERS[subcommand](options | resolved)
+    except (ValueError, KeyError, OSError, OverflowError, generators.MemoryCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for key in ("out", "tree_out", "stats_out", "marks_out"):
-        if summary.get(key):
-            _write_manifest(summary[key], config, summary)
+    summary |= {OUTPUTS[k]: path for k, path in resolved.items()}
+    for path in resolved.values():
+        _write_manifest(path, subcommand, options, summary)
     return 0
 
 
@@ -476,7 +446,7 @@ def main(argv=None) -> int:
             parser.error(f"--k must be below the deepest --schedule depth minus 1 ({deepest - 1})")
     sub = args.pop("subcommand")
     options = {k: v for k, v in args.items() if v is not None}
-    return run(ExperimentConfig(sub, options))
+    return run(sub, options)
 
 
 if __name__ == "__main__":

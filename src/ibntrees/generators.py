@@ -34,7 +34,8 @@ LOG2 = math.log(2.0)
 
 
 class MemoryCapError(RuntimeError):
-    """Raised when a requested truncation or array would exceed the cap."""
+    """Raised when a requested truncation, array or semigroup ball would
+    exceed its cap."""
 
 
 def check_elements(n: int, what: str) -> None:

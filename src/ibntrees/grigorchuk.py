@@ -273,14 +273,12 @@ def loop_erase(word: str) -> str:
 
 # -- word search -----------------------------------------------------------------
 
-def search_word(n: int, beam: int = 256, seed: int = 0,
-                force_beam: bool = False) -> str:
+def search_word(n: int, beam: int = 256, seed: int = 0) -> str:
     """A length-n word with large inverted orbit.
 
     States are deduplicated by their orbit set (the future depends on
     nothing else), which makes the search exhaustive whenever the state
-    count stays within the beam; n <= 12 falls back to a fully exhaustive
-    pass unless force_beam is set.
+    count stays within the beam.
 
     Each point met gets an id; moves[k, i] is the id of point i under
     generator k, read from _IMAGES for live points and x0 only.  States are
@@ -290,7 +288,6 @@ def search_word(n: int, beam: int = 256, seed: int = 0,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    width = None if (n <= 12 and not force_beam) else beam
     gen = rng.stream_rng(seed, rng.SEARCH_STREAM)
     points, ids = [X0], {X0: 0}
     moves = np.full((len(GENERATORS), 1), -1)
@@ -321,10 +318,10 @@ def search_word(n: int, beam: int = 256, seed: int = 0,
         packed = np.packbits(nxt, axis=1)
         keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
         first = np.sort(np.unique(keys, return_index=True)[1])
-        if width is not None and len(first) > width:
+        if len(first) > beam:
             order = gen.permutation(len(first))
             sizes = np.count_nonzero(nxt[first], axis=1)
-            first = first[np.lexsort((order, -sizes))[:width]]
+            first = first[np.lexsort((order, -sizes))[:beam]]
         live = nxt[first].any(axis=0)
         orbits, cols = nxt[np.ix_(first, live)], new_cols[live]
         words = [words[r >> 2] + GENERATORS[r & 3] for r in first.tolist()]

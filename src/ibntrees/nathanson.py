@@ -39,6 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .generators import MemoryCapError
 from .trees import Tree
 
 Mat2 = tuple[int, int, int, int]  # row-major (m00, m01, m10, m11)
@@ -47,10 +48,6 @@ MAT_ID: Mat2 = (1, 0, 0, 1)
 MAT_A: Mat2 = (1, 1, 0, 1)
 MAT_B: Mat2 = (1, 0, 1, 0)
 GEN = {"a": MAT_A, "b": MAT_B}
-
-
-class BallCapError(RuntimeError):
-    """Raised when a requested ball exceeds the element cap."""
 
 
 def mat_mul(x: Mat2, y: Mat2) -> Mat2:
@@ -98,7 +95,7 @@ def _ball(n: int, max_elements: int) -> tuple[dict[Mat2, int], array, bytearray,
                     letters.append(letter)
                     nxt.append(m2)
             if len(parent) > max_elements:
-                raise BallCapError(f"ball exceeds {max_elements} elements")
+                raise MemoryCapError(f"ball exceeds {max_elements} elements")
         frontier = nxt
         level_ends.append(len(parent))
     return ids, parent, letters, level_ends
@@ -156,7 +153,7 @@ def lex_tree(n: int, max_elements: int = 2_000_000) -> LexTree:
         size = int(counts.sum())
         total += size
         if total > max_elements:
-            raise BallCapError(f"ball exceeds {max_elements} elements")
+            raise MemoryCapError(f"ball exceeds {max_elements} elements")
         is_b = np.zeros(size, dtype=bool)
         is_b[np.cumsum(counts)[has_b] - 2] = True
         parents.append(np.repeat(np.arange(first, first + len(run)), counts))

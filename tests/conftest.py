@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import ibntrees
-from ibntrees import grigorchuk, rng
+from ibntrees import flowcut, grigorchuk, rng
 from ibntrees.generators import LOG2
 from ibntrees.trees import Tree
 
@@ -173,8 +173,7 @@ def act_point_word(word: str, prefix: str) -> str:
     return prefix
 
 
-def search_word_oracle(n: int, beam: int = 256, seed: int = 0,
-                       force_beam: bool = False) -> str:
+def search_word_oracle(n: int, beam: int = 256, seed: int = 0) -> str:
     """grigorchuk.search_word on a dict from orbit frozensets to words.
 
     Each state is extended by each generator through grigorchuk._orbit_step
@@ -184,7 +183,6 @@ def search_word_oracle(n: int, beam: int = 256, seed: int = 0,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    width = None if (n <= 12 and not force_beam) else beam
     gen = rng.stream_rng(seed, rng.SEARCH_STREAM)
     states: dict[frozenset[str], str] = {frozenset({grigorchuk.X0}): ""}
     for _ in range(n):
@@ -194,11 +192,11 @@ def search_word_oracle(n: int, beam: int = 256, seed: int = 0,
                 no = grigorchuk._orbit_step(orbit, ch)
                 if no not in nxt:
                     nxt[no] = word + ch
-        if width is not None and len(nxt) > width:
+        if len(nxt) > beam:
             keys = list(nxt.keys())
             order = gen.permutation(len(keys))
             ranked = sorted(range(len(keys)), key=lambda i: (-len(keys[i]), order[i]))
-            nxt = {keys[i]: nxt[keys[i]] for i in ranked[:width]}
+            nxt = {keys[i]: nxt[keys[i]] for i in ranked[:beam]}
         states = nxt
     return max(states.items(), key=lambda kv: len(kv[0]))[1]
 
@@ -272,8 +270,8 @@ def igr_estimate_oracle(level_log2_sizes, N: int, grid=tuple(np.arange(1, 20) * 
         if (loge - np.power(ns.astype(float), lam) >= 0).all():
             grid_sup = lam
     estimate = min(max(slope, grid[0]), grid[-1])
-    return ibntrees.IgrEstimate(slope=slope, estimate=estimate, endpoint=endpoint,
-                                grid_sup=grid_sup)
+    return flowcut.IgrEstimate(slope=slope, estimate=estimate, endpoint=endpoint,
+                               grid_sup=grid_sup)
 
 
 # -- the stretched 3-1 tree's classes ---------------------------------------------

@@ -120,6 +120,46 @@ def test_outdir_env_var(tmp_path):
     assert (sub / "p.txt").exists()
 
 
+def _manifest(path) -> dict:
+    return json.loads(Path(f"{path}.manifest.json").read_text())
+
+
+def test_run_records_every_output_path(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["nathanson", "--depth", "6", "--emit-tree", "a", "--emit-stats", "b"]) == 0
+    for name in ("a", "b"):  # one manifest per data file, each naming both
+        manifest = _manifest(tmp_path / name)
+        assert manifest["summary"]["tree_out"] == os.path.join(".", "a")
+        assert manifest["summary"]["stats_out"] == os.path.join(".", "b")
+        assert manifest["config"] == {"subcommand": "nathanson", "options": {
+            "seed": 0, "depth": 6, "emit_tree": "a", "emit_stats": "b"}}
+    assert cli.main(["grig", "--search", "8", "--emit-marks", "m.txt"]) == 0
+    assert _manifest(tmp_path / "m.txt")["summary"]["marks_out"] == os.path.join(".", "m.txt")
+    before = sorted(os.listdir(tmp_path))
+    assert cli.main(["report", "."]) == 0  # no --out, no data file, no manifest
+    assert sorted(os.listdir(tmp_path)) == before
+
+    sub = tmp_path / "results"
+    sub.mkdir()
+    monkeypatch.setenv("IBNTREES_OUTDIR", str(sub))
+    absolute = tmp_path / "abs.txt"
+    for out in ("rel.txt", str(absolute)):
+        assert cli.main(["generate", "--family", "path", "--depth", "4", "--out", out]) == 0
+    assert _manifest(sub / "rel.txt")["summary"]["out"] == str(sub / "rel.txt")
+    assert _manifest(absolute)["summary"]["out"] == str(absolute)
+    assert sorted(os.listdir(sub)) == ["rel.txt", "rel.txt.manifest.json"]
+
+
+def test_grig_beam_applies_to_a_short_search(tmp_path):
+    orbits = []
+    for beam in ("1", "256"):
+        marks = tmp_path / f"m{beam}.txt"
+        assert cli.main(["grig", "--search", "12", "--beam", beam,
+                         "--emit-marks", str(marks)]) == 0
+        orbits.append(_manifest(marks)["summary"]["orbit"])
+    assert orbits[0] < 7 == orbits[1]
+
+
 def test_report_merges_and_skips(tmp_path):
     r = run_cli(["estimate-ibn", "--family", "seq", "--grid", "0.4:0.6:0.1",
                  "--schedule", "16,64", "--seed", "3", "--out", "i.csv"], tmp_path)
@@ -291,7 +331,7 @@ def _exits_1_naming_the_cap(argv, capsys):
 
 
 def test_grig_search_past_the_element_cap_exits_1(tmp_path, capsys, monkeypatch):
-    # the exhaustive n = 12 search holds 4732 orbit-matrix elements in its last step
+    # the n = 12 search at the default beam holds 4732 orbit-matrix elements in its last step
     monkeypatch.setattr(generators, "DEFAULT_VERTEX_CAP", 4000)
     marks = tmp_path / "m.txt"
     err = _exits_1_naming_the_cap(["grig", "--search", "12", "--emit-marks", str(marks)], capsys)

@@ -52,3 +52,11 @@ def test_compare_results_reports_csv_cells(tmp_path):
 
     write(tmp_path / "e", header + "1.0,32,0.1366325670307524,below\n", {})
     assert "  shapes differ" in compare(tmp_path / "a", tmp_path / "e").stdout.splitlines()
+
+
+def test_compare_results_refuses_an_empty_base(tmp_path):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    empty = compare(tmp_path / "a", tmp_path / "b")
+    assert empty.returncode == 2
+    assert "holds no file to compare" in empty.stderr

@@ -130,17 +130,15 @@ def test_warm_tables_keep_the_exact_orbits(fresh_images):
         assert sizes[l] == len(scratch), l
 
 
-# (n, beam, seed, force_beam): beam ties broken by the permutation draw,
-# the exhaustive n <= 12 pass, and the beam forced on a short word
-ORACLE_CASES = [(160, 64, 1, False), (160, 64, 2, False), (128, 64, 0, False),
-                (12, 256, 0, False), (12, 4, 3, True), (32, 32, 1, False),
-                (256, 32, 1, False), (64, 64, 5, False), (200, 16, 7, False)]
+# (n, beam, seed): beam ties broken by the permutation draw, a short word
+# whose states never outgrow the beam, and a narrow beam on a short word
+ORACLE_CASES = [(160, 64, 1), (160, 64, 2), (128, 64, 0), (12, 256, 0), (12, 4, 3),
+                (32, 32, 1), (256, 32, 1), (64, 64, 5), (200, 16, 7)]
 
 
-@pytest.mark.parametrize("n, beam, seed, force_beam", ORACLE_CASES)
-def test_search_matches_the_frozenset_oracle(n, beam, seed, force_beam):
-    assert gg.search_word(n, beam, seed, force_beam) == \
-        search_word_oracle(n, beam, seed, force_beam)
+@pytest.mark.parametrize("n, beam, seed", ORACLE_CASES)
+def test_search_matches_the_frozenset_oracle(n, beam, seed):
+    assert gg.search_word(n, beam, seed) == search_word_oracle(n, beam, seed)
 
 
 @pytest.mark.parametrize("n, beam, seed", [(160, 64, 1), (64, 64, 2)])
@@ -154,8 +152,9 @@ def test_search_acts_on_the_oracles_points(fresh_images, monkeypatch, n, beam, s
 
 
 def test_search_stops_at_the_element_cap(monkeypatch):
-    # the exhaustive n = 12 pass extends 91 states over 13 points by 4
-    # generators in its last step; a beam of 64 at n = 64 peaks at 11776
+    # the n = 12 search, never over its beam of 256, extends 91 states over
+    # 13 points by 4 generators in its last step; a beam of 64 at n = 64
+    # peaks at 11776
     monkeypatch.setattr(gen, "DEFAULT_VERTEX_CAP", 4731)
     with pytest.raises(gen.MemoryCapError, match="the word search would hold 4732 elements"):
         gg.search_word(12)
@@ -207,12 +206,14 @@ def test_loop_erase_preserves_prefix_orbit_counts():
 
 
 def test_search_word_exhaustive_small():
+    # within the default beam the search is exhaustive: it reaches the
+    # largest orbit over all 4**n words
     w = gg.search_word(1)
     assert len(w) == 1 and len(gg.inverted_orbit(w)) == 1
-    for n in (6, 9, 12):
-        exhaustive = len(gg.inverted_orbit(gg.search_word(n)))
-        beam = len(gg.inverted_orbit(gg.search_word(n, beam=256, force_beam=True, seed=3)))
-        assert beam == exhaustive, n
+    for n, largest in ((4, 3), (6, 4), (8, 5)):
+        words = map("".join, itertools.product(gg.GENERATORS, repeat=n))
+        assert max(len(gg.inverted_orbit(w)) for w in words) == largest
+        assert len(gg.inverted_orbit(gg.search_word(n))) == largest, n
 
 
 def test_doubling_word_carries_block_orbits():

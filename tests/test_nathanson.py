@@ -8,6 +8,7 @@ import pytest
 from conftest import fitted_lower_constant
 from ibntrees import nathanson as na
 from ibntrees.flowcut import DepthSchedule, ibn_estimate, ibn_log_weights, min_cut
+from ibntrees.generators import MemoryCapError
 from ibntrees.trees import check_flow
 
 
@@ -149,7 +150,7 @@ def test_level_counts_agree(n):
 
 
 def test_ball_cap():
-    with pytest.raises(na.BallCapError):
+    with pytest.raises(MemoryCapError, match="ball exceeds"):
         na.bfs_ball(40, max_elements=100)
 
 
@@ -157,9 +158,9 @@ def test_ball_cap():
 def test_ball_cap_same_for_every_view(view):
     size = len(na.bfs_ball(10))  # identity included
     view(10, max_elements=size)
-    with pytest.raises(na.BallCapError):
+    with pytest.raises(MemoryCapError, match="ball exceeds"):
         view(10, max_elements=size - 1)
-    with pytest.raises(na.BallCapError):
+    with pytest.raises(MemoryCapError, match="ball exceeds"):
         view(40, max_elements=100)
 
 
