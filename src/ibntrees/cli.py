@@ -295,8 +295,8 @@ def _run_report(opts: dict) -> dict:
             with open(path) as fh:
                 manifest = json.load(fh)
             summary, cfg = manifest["summary"], manifest["config"]
-            key = (summary.get("family") or cfg["options"].get("family") or cfg["subcommand"],
-                   cfg["options"].get("seed"))
+            key = (summary.get("family") or cfg["options"].get("family")
+                   or cfg["options"].get("tree") or cfg["subcommand"], cfg["options"].get("seed"))
             row = rows.setdefault(key, {})
         except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
             skipped.append(f"{name}: {exc}")

@@ -1,10 +1,11 @@
 """The first Grigorchuk group: action, word problem, inverted orbits.
 
 The four generators act on binary strings through the wreath recursion
-a = swap<1,1>, b = <a,c>, c = <a,d>, d = <1,b>; on the all-ones tail the
-b/c/d descent acts trivially, so points of the orbit of 1^infinity are
-stored as the finite prefix where they may differ from all-ones (trailing
-1s trimmed).  Words act on the right: x . (gh) = (x . g) . h.
+a = swap<1,1>, b = <a,c>, c = <a,d>, d = <1,b>, written once in
+act_on_string.  Points of the orbit of 1^infinity are stored as the finite
+prefix where they may differ from all-ones (trailing 1s trimmed); a point
+acts as the string prefix + "1", since b, c and d fix the all-ones tail.
+Words act on the right: x . (gh) = (x . g) . h.
 
 Everything downstream of a word -- inverted orbit, loop erasure, branch
 marks -- follows the incremental law O(w g) = {x0 g} union O(w) g, on one
@@ -22,16 +23,12 @@ from itertools import accumulate, product
 import numpy as np
 
 from . import rng
-from .generators import check_elements
+from .generators import MemoryCapError, check_elements
 
 GENERATORS = "abcd"
 
 # sections (on 0, on 1) of the non-rotating generators; None = identity
 SECTIONS = {"b": ("a", "c"), "c": ("a", "d"), "d": (None, "b")}
-
-
-class DepthBudgetError(RuntimeError):
-    """Raised when a ray point outgrows its prefix budget."""
 
 
 # -- action on finite strings (exhaustive checks) ----------------------------
@@ -85,35 +82,15 @@ def verify_relations(depth: int) -> bool:
 def act_point(letter: str, prefix: str, budget: int = 4096) -> str:
     """Image of the point prefix·111... under one generator, canonical form.
 
-    The prefix can grow by at most one letter (an `a` flipping the first
-    tail 1 to 0); beyond the budget the call fails loudly rather than
-    truncating.
+    The image is act_on_string on prefix + "1" with trailing 1s trimmed; it
+    is at most one letter longer than the prefix (the first tail 1 flipped
+    to 0).  An image longer than budget + 1 letters raises
+    MemoryCapError rather than being truncated.
     """
-    if letter == "a":
-        bits = prefix if prefix else "1"
-        flipped = ("1" if bits[0] == "0" else "0") + bits[1:]
-        return _trim(flipped)
-    g, i = letter, 0
-    while g is not None and g != "a":
-        if i >= len(prefix):
-            return prefix  # all-ones tail: b, c, d act trivially
-        if prefix[i] == "0":
-            g = SECTIONS[g][0]
-            if g == "a":
-                j = i + 1
-                if j > budget:
-                    raise DepthBudgetError(f"prefix budget {budget} exhausted")
-                bits = prefix + "1" * (j + 1 - len(prefix)) if j >= len(prefix) else prefix
-                flipped = bits[:j] + ("1" if bits[j] == "0" else "0") + bits[j + 1:]
-                return _trim(flipped)
-            return prefix
-        g = SECTIONS[g][1]
-        i += 1
-    return prefix
-
-
-def _trim(bits: str) -> str:
-    return bits.rstrip("1")
+    image = act_on_string(letter, prefix + "1").rstrip("1")
+    if len(image) > budget + 1:
+        raise MemoryCapError(f"point prefix exceeds {budget + 1} letters")
+    return image
 
 
 # -- word problem -------------------------------------------------------------
@@ -187,26 +164,25 @@ def is_trivial(word: str) -> bool:
 
 X0 = ""  # canonical prefix of the all-ones ray point
 
-# Memo of act_point per generator: prefix -> image.  The action is pure, so
-# each image is computed once.  search_word acts only on the points of its
-# live orbits and x0, 452 entries in all over search_word(512, 64), and reads
-# them into its own id table.  A point whose image raises DepthBudgetError is
-# never stored and raises again on every call.
+# Memo of act_point per generator, prefix -> image, read and filled through
+# _image: each image is computed once.  search_word acts only on the points
+# of its live orbits and x0, 452 entries in all over search_word(512, 64).
+# A point whose image raises MemoryCapError is never stored and raises
+# again on every call.
 _IMAGES: dict[str, dict[str, str]] = {ch: {} for ch in GENERATORS}
+
+
+def _image(ch: str, p: str) -> str:
+    """act_point(ch, p) through the memo."""
+    image = _IMAGES[ch]
+    if p not in image:
+        image[p] = act_point(ch, p)
+    return image[p]
 
 
 def _orbit_step(orbit: frozenset[str], ch: str) -> frozenset[str]:
     """O(w ch) = {x0 ch} union O(w) ch, from O(w)."""
-    image = _IMAGES[ch]
-    try:
-        pts = set(map(image.__getitem__, orbit))
-        pts.add(image[X0])
-    except KeyError:
-        for p in (orbit | {X0}) - image.keys():
-            image[p] = act_point(ch, p)
-        pts = set(map(image.__getitem__, orbit))
-        pts.add(image[X0])
-    return frozenset(pts)
+    return frozenset(_image(ch, p) for p in orbit | {X0})
 
 
 def inverted_orbit(word: str) -> frozenset[str]:
@@ -224,35 +200,24 @@ def orbit_sizes(word: str) -> np.ndarray:
 # -- loop erasure ---------------------------------------------------------------
 
 def _erase_pass(word: str) -> str:
-    """One left-to-right pass deleting maximal trivial segments over which
-    the inverted-orbit size stays flat."""
-    sizes = orbit_sizes(word)
-    n = len(word)
-    keep = [True] * n
-    start = 1  # 1-indexed candidate for the next loop start
-    while start <= n:
-        found = None
-        for L in range(start, n + 1):
-            base = sizes[L - 1]
-            if sizes[L] != base:
-                continue
-            # orbit sizes are nondecreasing: the flat stretch is contiguous
-            end = L
-            while end + 1 <= n and sizes[end + 1] == base:
-                end += 1
-            for U in range(end, L, -1):
-                if is_trivial(word[L - 1:U]):
-                    found = (L, U)
-                    break
-            if found:
-                break
-        if not found:
-            break
-        L, U = found
-        for i in range(L - 1, U):
-            keep[i] = False
-        start = U + 1
-    return "".join(ch for ch, k in zip(word, keep) if k)
+    """One left-to-right pass: at each letter, delete the longest trivial
+    segment starting there over which the inverted-orbit size stays flat
+    and go on after it; a letter that starts no such segment is kept."""
+    sizes = orbit_sizes(word).tolist()
+    out = []
+    i = 0   # segment word[i:j] spans the orbit sizes sizes[i..j]
+    while i < len(word):
+        # orbit sizes are nondecreasing: the flat stretch is contiguous
+        end = i
+        while end < len(word) and sizes[end + 1] == sizes[i]:
+            end += 1
+        j = next((j for j in range(end, i + 1, -1) if is_trivial(word[i:j])), None)
+        if j is None:
+            out.append(word[i])
+            i += 1
+        else:
+            i = j
+    return "".join(out)
 
 
 def loop_erase(word: str) -> str:
@@ -281,7 +246,7 @@ def search_word(n: int, beam: int = 256, seed: int = 0) -> str:
     count stays within the beam.
 
     Each point met gets an id; moves[k, i] is the id of point i under
-    generator k, read from _IMAGES for live points and x0 only.  States are
+    generator k, read through _image for live points and x0 only.  States are
     rows of a bool matrix over the live points.  One scatter extends them
     all (row 4 s + k is state s then generator k), and repeated rows are
     dropped keeping the first, the order a dict of orbit sets would keep.
@@ -301,9 +266,7 @@ def search_word(n: int, beam: int = 256, seed: int = 0) -> str:
                            constant_values=-1)
         ks, js = np.nonzero(moves[:, domain] < 0)
         for k, i in zip(ks.tolist(), domain[js].tolist()):
-            ch, p = GENERATORS[k], points[i]
-            image = _IMAGES[ch]
-            q = image[p] if p in image else image.setdefault(p, act_point(ch, p))
+            q = _image(GENERATORS[k], points[i])
             moves[k, i] = ids.setdefault(q, len(points))
             if moves[k, i] == len(points):
                 points.append(q)

@@ -116,8 +116,8 @@ def survival_table(source: TreeFamily | Tree, grid: Sequence[float], depths: Seq
     """(exact survival, Monte Carlo estimate, its standard error, conductance
     bound) for every (lam, N) of grid x depths; nan for the Monte Carlo pair
     when mc_trials is 0.  A family sweeps its class table once for every
-    exact pair, an explicit Tree is swept per (lam, N); Monte Carlo draws on
-    the depth-N truncation."""
+    exact pair, an explicit Tree is swept per (lam, N); Monte Carlo draws
+    every depth on one truncation, at the deepest N."""
     laws = [PercolationLaw(lam) for lam in grid]
     if isinstance(source, Tree):
         survival = np.array([[exact_survival(source, law, N) for N in depths] for law in laws])
@@ -128,11 +128,12 @@ def survival_table(source: TreeFamily | Tree, grid: Sequence[float], depths: Seq
         survival = classes.survival(class_table, (law.log_p(np.arange(1, D + 1)) for law in laws))
         bound = _bound(classes.log_conductance(
             class_table, (_comparison_log_conductances(law, D) for law in laws)))
+    # levels <= N of a deeper truncation list the same vertices in the same
+    # order, so every depth draws as on its own truncation
+    tree = truncation(source, max(depths)) if mc_trials else None
     table = {}
     for j, N in enumerate(depths):
-        tree = truncation(source, N) if mc_trials else None
-        for i, lam in enumerate(grid):
-            law = PercolationLaw(lam)
+        for i, (lam, law) in enumerate(zip(grid, laws)):
             mc = mc_survival(tree, law, N, mc_trials, seed) if mc_trials else (math.nan,) * 2
             table[lam, N] = (float(survival[i, j]), *mc, float(bound[i, j]))
     return table

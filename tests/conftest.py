@@ -165,6 +165,30 @@ def brute_force_fire(tree: Tree, k: int, protections: dict[int, list[int]],
     return burning, set(protected_round)
 
 
+def act_point_oracle(letter: str, prefix: str) -> str:
+    """grigorchuk.act_point by its own walk down the sections: an `a` flips
+    the first letter of prefix.111..., and b, c, d descend through the 1s
+    until a 0 dispatches to a section, which flips the next letter if it is
+    `a`; past the prefix the all-ones tail is fixed."""
+    if letter == "a":
+        bits = prefix if prefix else "1"
+        return (("1" if bits[0] == "0" else "0") + bits[1:]).rstrip("1")
+    g, i = letter, 0
+    while g is not None and g != "a":
+        if i >= len(prefix):
+            return prefix  # all-ones tail: b, c, d act trivially
+        if prefix[i] == "0":
+            g = grigorchuk.SECTIONS[g][0]
+            if g == "a":
+                j = i + 1
+                bits = prefix + "1" * (j + 1 - len(prefix)) if j >= len(prefix) else prefix
+                return (bits[:j] + ("1" if bits[j] == "0" else "0") + bits[j + 1:]).rstrip("1")
+            return prefix
+        g = grigorchuk.SECTIONS[g][1]
+        i += 1
+    return prefix
+
+
 def act_point_word(word: str, prefix: str) -> str:
     """A word's action on one point of the orbit of 1^infinity, letter by
     letter through grigorchuk.act_point."""
@@ -199,6 +223,39 @@ def search_word_oracle(n: int, beam: int = 256, seed: int = 0) -> str:
             nxt = {keys[i]: nxt[keys[i]] for i in ranked[:beam]}
         states = nxt
     return max(states.items(), key=lambda kv: len(kv[0]))[1]
+
+
+def erase_pass_oracle(word: str) -> str:
+    """grigorchuk._erase_pass with a keep mask: from each start, the first
+    letter L over which the orbit size stays flat and that begins a trivial
+    segment inside its flat stretch loses the longest such segment, and the
+    next start is the letter after it."""
+    sizes = grigorchuk.orbit_sizes(word)
+    n = len(word)
+    keep = [True] * n
+    start = 1  # 1-indexed candidate for the next loop start
+    while start <= n:
+        found = None
+        for L in range(start, n + 1):
+            base = sizes[L - 1]
+            if sizes[L] != base:
+                continue
+            end = L
+            while end + 1 <= n and sizes[end + 1] == base:
+                end += 1
+            for U in range(end, L, -1):
+                if grigorchuk.is_trivial(word[L - 1:U]):
+                    found = (L, U)
+                    break
+            if found:
+                break
+        if not found:
+            break
+        L, U = found
+        for i in range(L - 1, U):
+            keep[i] = False
+        start = U + 1
+    return "".join(ch for ch, k in zip(word, keep) if k)
 
 
 def doubling_word(levels: int, beam: int = 256, seed: int = 0) -> tuple[str, list[str]]:

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import math
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import run_cli
-from ibntrees import cli, flowcut, generators, percolation
+from ibntrees import cli, flowcut, generators, grigorchuk, percolation
 
 
 def test_generate_and_round_trip(tmp_path):
@@ -179,6 +180,25 @@ def test_report_merges_and_skips(tmp_path):
     assert fields["ibn_lower"] != "" and fields["lambdac_upper"] != ""
 
 
+def test_report_keys_tree_runs_by_their_file(tmp_path, monkeypatch):
+    # runs without a family get one row per --tree value, whichever subcommand wrote them
+    monkeypatch.chdir(tmp_path)
+    for argv in (["generate", "--family", "three-one", "--depth", "28", "--out", "t31.txt"],
+                 ["nathanson", "--depth", "14", "--emit-tree", "n14.txt"],
+                 ["estimate-ibn", "--tree", "t31.txt", "--schedule", "14,28", "--out", "a.csv"],
+                 ["estimate-ibn", "--tree", "n14.txt", "--schedule", "7,14", "--out", "b.csv"],
+                 ["percolate", "--tree", "n14.txt", "--grid", "0.3,0.7", "--depths", "7,14",
+                  "--out", "c.csv"]):
+        assert cli.main(argv) == 0, argv
+    assert cli.main(["report", ".", "--out", "summary.csv"]) == 0
+    header, *lines = (tmp_path / "summary.csv").read_text().splitlines()
+    rows = {line.split(",")[0]: dict(zip(header.split(","), line.split(","))) for line in lines}
+    assert sorted(rows) == ["n14.txt", "t31.txt"]
+    for out, tree in (("a.csv", "t31.txt"), ("b.csv", "n14.txt")):
+        assert rows[tree]["ibn_lower"] == str(_manifest(tmp_path / out)["summary"]["ibn_lower"])
+    assert rows["n14.txt"]["theta_lower"] != "" and rows["t31.txt"]["theta_lower"] == ""
+
+
 def test_report_skips_manifests_of_the_wrong_shape(tmp_path, capsys):
     out = tmp_path / "f.csv"
     assert cli.main(["firefight", "--family", "seq", "--gamma-grid", "0.6,0.8",
@@ -336,6 +356,18 @@ def test_grig_search_past_the_element_cap_exits_1(tmp_path, capsys, monkeypatch)
     marks = tmp_path / "m.txt"
     err = _exits_1_naming_the_cap(["grig", "--search", "12", "--emit-marks", str(marks)], capsys)
     assert "the word search would hold 4732 elements" in err
+    assert not marks.exists()
+
+
+def test_grig_point_past_the_prefix_budget_exits_1(tmp_path, capsys, monkeypatch):
+    # at a budget of 1 the search meets a point whose image has 3 letters
+    monkeypatch.setattr(grigorchuk, "act_point",
+                        functools.partial(grigorchuk.act_point, budget=1))
+    monkeypatch.setattr(grigorchuk, "_IMAGES", {ch: {} for ch in grigorchuk.GENERATORS})
+    marks = tmp_path / "m.txt"
+    capsys.readouterr()
+    assert cli.main(["grig", "--search", "40", "--beam", "8", "--emit-marks", str(marks)]) == 1
+    assert capsys.readouterr().err == "error: point prefix exceeds 2 letters\n"
     assert not marks.exists()
 
 

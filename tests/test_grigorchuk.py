@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import act_point_word, doubling_word, search_word_oracle
+from conftest import (act_point_oracle, act_point_word, doubling_word, erase_pass_oracle,
+                      search_word_oracle)
 from ibntrees import generators as gen
 from ibntrees import grigorchuk as gg
 from ibntrees.flowcut import DepthSchedule, ibn_estimate
@@ -30,6 +31,15 @@ def test_act_point_matches_finite_action():
             expected = gg.act_word_on_string(letter, s)
             got = (gg.act_point(letter, prefix) + "1" * 10)[:10]
             assert got == expected, (letter, prefix)
+
+
+def test_act_point_matches_the_section_walk_oracle():
+    # every canonical prefix (no trailing 1) of length <= 12: 4096 of them
+    prefixes = [""] + ["".join(bits) + "0" for k in range(12)
+                       for bits in itertools.product("01", repeat=k)]
+    assert len(prefixes) == 4096
+    for letter, prefix in itertools.product(gg.GENERATORS, prefixes):
+        assert gg.act_point(letter, prefix) == act_point_oracle(letter, prefix), (letter, prefix)
 
 
 def test_relations_hold_and_corruption_detected(monkeypatch):
@@ -205,6 +215,23 @@ def test_loop_erase_preserves_prefix_orbit_counts():
         assert len(gg.inverted_orbit(q)) == gg.orbit_sizes(q)[-1]
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="abcd", max_size=60))
+def test_erase_pass_matches_the_keep_mask_oracle(w):
+    assert gg._erase_pass(w) == erase_pass_oracle(w)
+
+
+@pytest.mark.parametrize("n, beam, seed", [(160, 64, 1), (128, 64, 0), (512, 64, 0),
+                                           (256, 32, 1), (64, 8, 3)])
+def test_loop_erase_of_searched_words_matches_the_keep_mask_oracle(n, beam, seed):
+    w = gg.search_word(n, beam, seed)
+    assert gg._erase_pass(w) == erase_pass_oracle(w)
+    q = w
+    while (erased := erase_pass_oracle(q)) != q:
+        q = erased
+    assert gg.loop_erase(w) == q
+
+
 def test_search_word_exhaustive_small():
     # within the default beam the search is exhaustive: it reaches the
     # largest orbit over all 4**n words
@@ -292,7 +319,7 @@ def test_orbit_exponent_estimate_reports_slope():
 
 
 def test_depth_budget_error():
-    # flipping position 1 needs budget >= 1
-    with pytest.raises(gg.DepthBudgetError):
+    # the image 00 of b on 0 needs budget >= 1
+    with pytest.raises(gen.MemoryCapError, match="point prefix exceeds 1 letters"):
         gg.act_point("b", "0", budget=0)
     assert gg.act_point("b", "0", budget=1) == "00"

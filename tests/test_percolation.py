@@ -218,6 +218,22 @@ def test_survival_table_builds_no_three_one_truncation(monkeypatch):
     pc.theta_estimate(gen.three_one_family(), DepthSchedule(depths), (0.3, 0.7))
 
 
+@pytest.mark.parametrize("family", [gen.sequence_family(), gen.three_one_family(),
+                                    gen.marks_family([1, 0, 1, 1, 0, 0, 1])],
+                         ids=["seq", "three-one", "marks"])
+def test_survival_table_draws_every_depth_on_one_truncation(family, monkeypatch):
+    built = []
+    real = pc.truncation
+    monkeypatch.setattr(pc, "truncation", lambda source, N: built.append(N) or real(source, N))
+    depths = (3, 6, 10, 12, 15)  # 12 lies inside a path of the 3-1 base tree
+    table = pc.survival_table(family, (0.3, 0.7), depths, mc_trials=700, seed=5)
+    assert built == [15]
+    for N in depths:
+        own = real(family, N)
+        for lam in (0.3, 0.7):
+            assert table[lam, N][1:3] == pc.mc_survival(own, pc.PercolationLaw(lam), N, 700, 5)
+
+
 def test_three_one_schedule_past_the_cap_fails_before_any_depth(monkeypatch):
     # the lattice of base level M holds M**2 elements: about 2e12 at depth 10**12
     monkeypatch.setattr(pc.classes, "_sweep", lambda *a: pytest.fail("a depth was evaluated"))
