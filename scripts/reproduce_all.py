@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Run the full experiment battery into a results directory and print the
-summary table (one row per family: growth index, branching-number bracket,
-percolation bracket, containment bracket, walk classifier brackets).  The
-`marks` row is the wreath-product tree of a searched Grigorchuk word, of
-length 128 (--quick) or 512.  Each command runs in this process, in outdir,
+summary table (one row per family or marks file: growth index,
+branching-number bracket, percolation bracket, containment bracket, walk
+classifier brackets).  The `grig_marks.txt` row is the wreath-product tree
+of a searched Grigorchuk word, of length 128 (--quick) or 512.  Each command runs in this process, in outdir,
 as ibntrees.cli.main(argv) from the src/ next to this script, after a
 `+ <argv>` line: `python -m ibntrees.cli <argv>` there replays it."""
 

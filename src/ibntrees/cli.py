@@ -84,12 +84,9 @@ def _grid_type(upper: float):
 
     def check(text: str) -> str:
         try:
-            values = _parse_grid(text)
+            flowcut.rate_grid(_parse_grid(text), upper)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"invalid grid {text!r}: {exc}") from None
-        if not all(0 < v < upper for v in values):
-            raise argparse.ArgumentTypeError(
-                f"invalid grid {text!r}: values must lie in (0, {upper:g})")
         return text
 
     return check
@@ -295,8 +292,11 @@ def _run_report(opts: dict) -> dict:
             with open(path) as fh:
                 manifest = json.load(fh)
             summary, cfg = manifest["summary"], manifest["config"]
-            key = (summary.get("family") or cfg["options"].get("family")
-                   or cfg["options"].get("tree") or cfg["subcommand"], cfg["options"].get("seed"))
+            given = cfg["options"]
+            family = summary.get("family") or given.get("family")
+            if family == "marks":  # one row per marks file, named as given
+                family = given.get("marks_file", family)
+            key = (family or given.get("tree") or cfg["subcommand"], given.get("seed"))
             row = rows.setdefault(key, {})
         except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
             skipped.append(f"{name}: {exc}")

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import classes
-from .flowcut import BracketResult, DepthSchedule, ibn_log_weights, min_cut
+from .flowcut import BracketResult, DepthSchedule, ibn_log_weights, min_cut, rate_grid
 from .generators import TreeFamily, level_sizes, truncation
 from .trees import Tree
 
@@ -233,9 +233,7 @@ def lambda_c_estimate(source: TreeFamily | Tree, k: int, gamma_grid: Sequence[fl
     """Bracket the containment threshold over a gamma grid, with the attempt
     made at each gamma: a contained fire classifies gamma 'above' the
     threshold, an uncontained one 'below'."""
-    gamma_grid = tuple(sorted(gamma_grid))
-    if any(not 0 < g < 1 for g in gamma_grid):
-        raise ValueError("gamma grid must lie inside (0, 1)")
+    gamma_grid = rate_grid(gamma_grid)
     if not _symmetric(source):
         source = truncation(source, schedule.depths[-1])
     attempts = {g: attempt_containment(source, k, g, K, schedule)

@@ -73,13 +73,8 @@ def _cut_table(tree: Tree, logw: np.ndarray, N: int) -> np.ndarray:
     the log cut of each vertex's children; m = minimum(logw, msum).  Each
     level folds its siblings by one np.logaddexp.reduceat, which gives -inf
     on a segment that is all -inf (dead branches, zero-weight edges)."""
-    if tree.n_vertices < 2:
-        raise ValueError("empty tree")
-    if N < 1 or tree.height() < N:
-        raise ValueError(f"tree must reach depth N={N}")
-    msum = np.full(tree.n_vertices, NEG_INF)
-    msum[tree.level(N)] = np.inf  # frontier: the edge itself is the only option
-    return tree.sweep_up(msum, N, lambda vals, ids, starts:
+    # msum is +inf at the frontier: the edge itself is the only option
+    return tree.sweep_up(N, NEG_INF, np.inf, lambda vals, ids, starts:
                          np.logaddexp.reduceat(np.minimum(logw[ids], vals), starts))
 
 
@@ -99,9 +94,8 @@ def min_cut(tree: Tree, logw: np.ndarray, N: int, want_cut: bool = True) -> MinC
         # from the root down: a live vertex (at or above a depth-N one) cuts
         # its own edge when that is no dearer than its children's cuts, and
         # otherwise passes the search on
-        live = np.zeros(tree.n_vertices, dtype=bool)
-        live[tree.level(N)] = True  # not m > -inf: a zero-weight cut gives that too
-        tree.sweep_up(live, N, lambda vals, ids, starts: np.logical_or.reduceat(vals, starts))
+        live = tree.sweep_up(N, False, True,  # not m > -inf: a zero-weight cut gives that too
+                             lambda vals, ids, starts: np.logical_or.reduceat(vals, starts))
         take = logw <= msum
         searched = np.zeros(tree.n_vertices, dtype=bool)
         searched[0] = True
@@ -151,6 +145,8 @@ def three_one_log_min_cut(lams: Sequence[float], ms: Sequence[int]) -> np.ndarra
 # depths per chunk of igr_estimate's tail window: its memory is bounded by
 # this, not by the schedule's depth
 _IGR_CHUNK = 8192
+# the rates, ascending, that igr_estimate reads grid_sup on and clamps to
+_IGR_GRID = tuple(np.arange(1, 20) * 0.05)
 
 
 @dataclass(frozen=True)
@@ -168,8 +164,7 @@ def _tail_chunks(lv: np.ndarray, lo: int, N: int):
         yield np.arange(a, b, dtype=float), lv[a:b] * LOG2
 
 
-def igr_estimate(level_log2_sizes: Sequence[float], N: int,
-                 grid: Sequence[float] = tuple(np.arange(1, 20) * 0.05)) -> IgrEstimate:
+def igr_estimate(level_log2_sizes: Sequence[float], N: int) -> IgrEstimate:
     """Growth index of a truncation from its level sizes.
 
     The headline number is the least-squares slope of log log #E_n on
@@ -178,9 +173,9 @@ def igr_estimate(level_log2_sizes: Sequence[float], N: int,
     centered sums S_xy and S_xx, and slope = S_xy / S_xx.  Both passes read
     the window _IGR_CHUNK depths at a time, so the memory used beyond the
     input does not grow with N.  grid_sup is a diagnostic: the largest
-    grid lam whose level-sum test (#E_n * exp(-n**lam) >= 1 on the whole
-    window) holds, found by bisecting the sorted grid: n**lam grows with
-    lam for n >= 2, so the passing rates are a prefix of the grid.  Each
+    _IGR_GRID lam whose level-sum test (#E_n * exp(-n**lam) >= 1 on the whole
+    window) holds, found by bisecting the grid: n**lam grows with lam
+    for n >= 2, so the passing rates are a prefix of the grid.  Each
     test stops at its first failing chunk; an empty window (N = 1) passes
     no rate.  The endpoint ratio is a diagnostic too.
     """
@@ -189,7 +184,6 @@ def igr_estimate(level_log2_sizes: Sequence[float], N: int,
     lv = np.asarray(level_log2_sizes, dtype=float)
     if len(lv) < N + 1:
         raise ValueError("need level sizes up to depth N")
-    grid = tuple(sorted(grid))
     lo = max(2, N // 8)
     count, sum_x, sum_y = 0, 0.0, 0.0
     for n, loge in _tail_chunks(lv, lo, N):
@@ -212,9 +206,9 @@ def igr_estimate(level_log2_sizes: Sequence[float], N: int,
     def fails(lam: float) -> bool:
         return not all((loge - np.power(n, lam) >= 0).all() for n, loge in _tail_chunks(lv, lo, N))
 
-    passing = bisect.bisect_left(grid, True, key=fails) if lo <= N else 0
-    grid_sup = grid[passing - 1] if passing else None
-    estimate = min(max(slope, grid[0]), grid[-1])
+    passing = bisect.bisect_left(_IGR_GRID, True, key=fails) if lo <= N else 0
+    grid_sup = _IGR_GRID[passing - 1] if passing else None
+    estimate = min(max(slope, _IGR_GRID[0]), _IGR_GRID[-1])
     return IgrEstimate(slope=slope, estimate=estimate, endpoint=endpoint, grid_sup=grid_sup)
 
 
@@ -309,6 +303,14 @@ def trajectory_bracket(grid: tuple[float, ...], schedule: DepthSchedule,
 DEFAULT_GRID = tuple(round(0.05 * k, 2) for k in range(1, 20))
 
 
+def rate_grid(grid: Sequence[float], upper: float = 1.0) -> tuple[float, ...]:
+    """The grid sorted; ValueError unless every value lies in (0, upper)."""
+    grid = tuple(sorted(grid))
+    if not all(0 < g < upper for g in grid):
+        raise ValueError(f"values must lie in (0, {upper:g})")
+    return grid
+
+
 def ibn_estimate(source: TreeFamily | Tree, schedule: DepthSchedule,
                  grid: Sequence[float] = DEFAULT_GRID) -> BracketResult:
     """Bracket the branching number by classifying min-cut trajectories.
@@ -317,9 +319,7 @@ def ibn_estimate(source: TreeFamily | Tree, schedule: DepthSchedule,
     explicit Tree is swept per depth on the tree itself (it must reach the
     deepest scheduled depth).
     """
-    grid = tuple(sorted(grid))
-    if any(not 0 < g < 1 for g in grid):
-        raise ValueError("grid must lie inside (0, 1)")
+    grid = rate_grid(grid)
     if isinstance(source, TreeFamily):
         table = classes.log_min_cut(classes.of_family(source, schedule.depths), grid)
         return trajectory_bracket(grid, schedule, dict(zip(grid, map(tuple, table.tolist()))))

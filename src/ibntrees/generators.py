@@ -28,7 +28,7 @@ import numpy as np
 
 from .trees import Tree
 
-DEFAULT_VERTEX_CAP = 5_000_000
+DEFAULT_VERTEX_CAP = 5_000_000  # vertices and array elements, read by each check when it runs
 
 LOG2 = math.log(2.0)
 
@@ -65,8 +65,7 @@ def level_sizes(degrees: np.ndarray) -> list[int]:
     return list(accumulate(np.asarray(degrees).tolist(), operator.mul, initial=1))
 
 
-def spherically_symmetric(degrees: np.ndarray, N: int,
-                          max_vertices: int = DEFAULT_VERTEX_CAP) -> Tree:
+def spherically_symmetric(degrees: np.ndarray, N: int) -> Tree:
     """Tree where every depth-n vertex has degrees[n] children, to depth N."""
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -78,10 +77,10 @@ def spherically_symmetric(degrees: np.ndarray, N: int,
         raise ValueError(f"degree {degrees[n]} < 1 at depth {n}")
     # float widths are exact integers up to the first total above the cap
     total = 1.0 + np.cumsum(np.cumprod(degrees.astype(float)))
-    if total[-1] > max_vertices:
-        n = int(np.argmax(total > max_vertices))
-        raise MemoryCapError(
-            f"truncation needs ~{int(total[n])} vertices at depth {n + 1} (cap {max_vertices})")
+    if total[-1] > DEFAULT_VERTEX_CAP:
+        n = int(np.argmax(total > DEFAULT_VERTEX_CAP))
+        raise MemoryCapError(f"truncation needs ~{int(total[n])} vertices at depth {n + 1} "
+                             f"(cap {DEFAULT_VERTEX_CAP})")
     # ids run level by level; the i-th vertex of level k hangs below the
     # (i // degrees[k-1])-th vertex of level k-1
     widths = np.cumprod(np.concatenate(([1], degrees)))
@@ -109,7 +108,7 @@ def base_level_at_depth(d: int) -> int:
     return j
 
 
-def three_one_stretched(N: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Tree:
+def three_one_stretched(N: int) -> Tree:
     """Stretched 3-1 tree truncated at depth N.
 
     Base tree: level n holds 2**n vertices indexed left to right; vertex i
@@ -122,9 +121,9 @@ def three_one_stretched(N: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Tree:
         raise ValueError("N must be >= 1")
     J = base_level_at_depth(N)
     est = (J - 1) * 2 ** (J + 1) + 2  # sum of j * 2**j over j = 1..J
-    if est > max_vertices:  # est may have too many digits to print
+    if est > DEFAULT_VERTEX_CAP:  # est may have too many digits to print
         raise MemoryCapError(f"stretched truncation to depth {N} needs ~2**{math.log2(est):.1f} "
-                             f"vertices (cap {max_vertices})")
+                             f"vertices (cap {DEFAULT_VERTEX_CAP})")
 
     # Paths into base level j leave base level j-1 (depth D(j-1)) in order,
     # fanout[i] of them from its i-th vertex; each path's vertices take
@@ -206,7 +205,7 @@ def path_family() -> TreeFamily:
     return TreeFamily("path", lambda N: np.ones(N, dtype=np.int64))
 
 
-def marks_family(marks: Sequence[bool], name: str = "marks") -> TreeFamily:
+def marks_family(marks: Sequence[bool]) -> TreeFamily:
     """Depth-n vertices have 2 children iff marks[n]; 1 past the marks."""
     marks = np.asarray(marks, dtype=bool)
 
@@ -215,7 +214,7 @@ def marks_family(marks: Sequence[bool], name: str = "marks") -> TreeFamily:
         out[:len(marks)] += marks[:N]
         return out
 
-    return TreeFamily(name, degrees)
+    return TreeFamily("marks", degrees)
 
 
 def three_one_family() -> TreeFamily:
@@ -243,8 +242,8 @@ def family_by_name(name: str, marks: Sequence[bool] | None = None) -> TreeFamily
 def truncation(source: TreeFamily | Tree, N: int) -> Tree:
     """The depth-N truncation of a family; an explicit Tree as it is.
 
-    An explicit Tree is not checked against N here: every level sweep
-    raises on a tree shallower than its depth.
+    An explicit Tree is not checked against N here: Tree.sweep_down and
+    Tree.sweep_up raise on a tree shallower than their depth.
     """
     if isinstance(source, Tree):
         return source

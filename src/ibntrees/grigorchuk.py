@@ -27,6 +27,8 @@ from .generators import MemoryCapError, check_elements
 
 GENERATORS = "abcd"
 
+POINT_BUDGET = 4096  # point prefix letters, read by act_point when it runs
+
 # sections (on 0, on 1) of the non-rotating generators; None = identity
 SECTIONS = {"b": ("a", "c"), "c": ("a", "d"), "d": (None, "b")}
 
@@ -79,17 +81,17 @@ def verify_relations(depth: int) -> bool:
 
 # -- action on ray points -----------------------------------------------------
 
-def act_point(letter: str, prefix: str, budget: int = 4096) -> str:
+def act_point(letter: str, prefix: str) -> str:
     """Image of the point prefix·111... under one generator, canonical form.
 
     The image is act_on_string on prefix + "1" with trailing 1s trimmed; it
     is at most one letter longer than the prefix (the first tail 1 flipped
-    to 0).  An image longer than budget + 1 letters raises
+    to 0).  An image longer than POINT_BUDGET + 1 letters raises
     MemoryCapError rather than being truncated.
     """
     image = act_on_string(letter, prefix + "1").rstrip("1")
-    if len(image) > budget + 1:
-        raise MemoryCapError(f"point prefix exceeds {budget + 1} letters")
+    if len(image) > POINT_BUDGET + 1:
+        raise MemoryCapError(f"point prefix exceeds {POINT_BUDGET + 1} letters")
     return image
 
 

@@ -49,6 +49,8 @@ MAT_A: Mat2 = (1, 1, 0, 1)
 MAT_B: Mat2 = (1, 0, 1, 0)
 GEN = {"a": MAT_A, "b": MAT_B}
 
+BALL_CAP = 2_000_000  # elements of a ball or tree, read by each check when it runs
+
 
 def mat_mul(x: Mat2, y: Mat2) -> Mat2:
     return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
@@ -62,7 +64,7 @@ def mat_of_word(word: str) -> Mat2:
     return m
 
 
-def _ball(n: int, max_elements: int) -> tuple[dict[Mat2, int], array, bytearray, list[int]]:
+def _ball(n: int) -> tuple[dict[Mat2, int], array, bytearray, list[int]]:
     """One BFS of the ball of radius n: (ids, parent, letters, level_ends).
 
     Vertex ids are discovery order.  The frontier stays in lexicographic
@@ -94,8 +96,8 @@ def _ball(n: int, max_elements: int) -> tuple[dict[Mat2, int], array, bytearray,
                     parent.append(v)
                     letters.append(letter)
                     nxt.append(m2)
-            if len(parent) > max_elements:
-                raise MemoryCapError(f"ball exceeds {max_elements} elements")
+            if len(parent) > BALL_CAP:
+                raise MemoryCapError(f"ball exceeds {BALL_CAP} elements")
         frontier = nxt
         level_ends.append(len(parent))
     return ids, parent, letters, level_ends
@@ -110,11 +112,11 @@ def _words(parent: Sequence[int], letters: bytes) -> tuple[str, ...]:
     return tuple(words)
 
 
-def bfs_ball(n: int, max_elements: int = 2_000_000) -> dict[Mat2, str]:
+def bfs_ball(n: int) -> dict[Mat2, str]:
     """All semigroup elements of word length <= n with their minimal words
     (length first, then lexicographic with b < a).  Includes the identity
     as the empty word."""
-    ids, parent, letters, _ = _ball(n, max_elements)
+    ids, parent, letters, _ = _ball(n)
     words = _words(parent, letters)
     return {m: words[v] for m, v in ids.items()}
 
@@ -130,7 +132,7 @@ class LexTree:
         return _words(self.tree.parent_array().tolist(), self.letters)
 
 
-def lex_tree(n: int, max_elements: int = 2_000_000) -> LexTree:
+def lex_tree(n: int) -> LexTree:
     """Spanning tree of the ball: parent of a word is its one-shorter prefix,
     and vertex ids are in length-then-lex order of the minimal words.
 
@@ -152,8 +154,8 @@ def lex_tree(n: int, max_elements: int = 2_000_000) -> LexTree:
         counts = 1 + has_b
         size = int(counts.sum())
         total += size
-        if total > max_elements:
-            raise MemoryCapError(f"ball exceeds {max_elements} elements")
+        if total > BALL_CAP:
+            raise MemoryCapError(f"ball exceeds {BALL_CAP} elements")
         is_b = np.zeros(size, dtype=bool)
         is_b[np.cumsum(counts)[has_b] - 2] = True
         parents.append(np.repeat(np.arange(first, first + len(run)), counts))
@@ -219,14 +221,14 @@ def prime_flow(lt: LexTree, c: float) -> np.ndarray:
                         t.height(), start=2)
 
 
-def ball_sizes(n: int, max_elements: int = 2_000_000) -> tuple[np.ndarray, np.ndarray]:
+def ball_sizes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(#B(m), #E_m) for m = 0..n.
 
     The ball counts semigroup elements (nonempty products), so the
     identity root of the spanning tree is excluded; with it, the radius-1
     ball would already overshoot the 2 m**(2 sqrt(m) + 2) bound.
     """
-    level_ends = _ball(n, max_elements)[3]
+    level_ends = _ball(n)[3]
     level = np.diff(np.asarray(level_ends, dtype=np.int64), prepend=0)
     return np.cumsum(level) - 1, level
 

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import classes, rng, walks
-from .flowcut import BracketResult, DepthSchedule, trajectory_bracket
+from .flowcut import BracketResult, DepthSchedule, rate_grid, trajectory_bracket
 from .generators import TreeFamily, truncation
 from .trees import Tree
 
@@ -59,19 +59,16 @@ def exact_survival(tree: Tree, law: PercolationLaw, N: int) -> float:
     s(v) = 1 - prod over children (1 - p(e_child) s(child)), s = 1 on the
     frontier.  Branches that die out before depth N contribute nothing.
     """
-    if N < 1 or tree.height() < N:
-        raise ValueError(f"tree must reach depth N={N}")
     d = tree.depth_array()
-    neg_p = [0.0, *(-law.p(np.arange(1, N + 1))).tolist()]  # neg_p[n] = -p(n); no edge at 0
+    # neg_p[n] = -p(n), no edge at 0; sized by the tree, which sweep_up checks against N
+    neg_p = [0.0, *(-law.p(np.arange(1, min(N, tree.height()) + 1))).tolist()]
 
     def fold(s, ids, starts):  # one open probability per level: p <= 1 and s <= 1
         log_miss = np.log1p(s * neg_p[d[ids[0]]])
         return 0.0 - np.expm1(np.add.reduceat(log_miss, starts))  # 0.0, never -0.0
 
-    s = np.zeros(tree.n_vertices)
-    s[tree.level(N)] = 1.0
     with np.errstate(divide="ignore"):  # an always-open edge: log1p(-1) = -inf
-        return float(tree.sweep_up(s, N, fold)[0])
+        return float(tree.sweep_up(N, 0.0, 1.0, fold)[0])
 
 
 def survival_symmetric(degrees: np.ndarray, law: PercolationLaw, N: int) -> float:
@@ -86,14 +83,10 @@ def mc_survival(tree: Tree, law: PercolationLaw, N: int, trials: int,
     standard error; trials are chunked into independent substreams."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if N < 1:
-        raise ValueError(f"tree must reach depth N={N}")
     d = tree.depth_array()
     p_edge = np.ones(tree.n_vertices)
     p_edge[1:] = law.p(d[1:].astype(float))
     frontier = tree.level(N)
-    if len(frontier) == 0:
-        raise ValueError(f"tree must reach depth N={N}")
     hits = 0
     done = 0
     index = 0
@@ -143,9 +136,7 @@ def theta_estimate(source: TreeFamily | Tree, schedule: DepthSchedule,
                    grid: Sequence[float]) -> BracketResult:
     """Bracket the percolation threshold by classifying the exact survival
     trajectories over the schedule (supercritical side = 'below')."""
-    grid = tuple(sorted(grid))
-    if any(not 0 < g < 1 for g in grid):
-        raise ValueError("grid must lie inside (0, 1)")
+    grid = rate_grid(grid)
     table = survival_table(source, grid, schedule.depths)
     return theta_from_survival(schedule, {lam: [table[lam, N][0] for N in schedule.depths]
                                           for lam in grid})
@@ -174,8 +165,10 @@ def _bound(log_C):  # C/(1+C) = 1/(1+R)
 
 def percolation_conductances(tree: Tree, law: PercolationLaw, N: int) -> np.ndarray:
     """Log conductances of the comparison network
-    c(e(x)) = P[root <-> x] / (1 - p(e(x))), nan at the root and below depth N."""
-    per_depth = np.full(max(tree.height(), N) + 1, np.nan)
+    c(e(x)) = P[root <-> x] / (1 - p(e(x))), nan at the root and below depth N.
+    Raises ValueError unless the tree reaches depth N."""
+    tree.check_depth(N)
+    per_depth = np.full(tree.height() + 1, np.nan)
     per_depth[1:N + 1] = _comparison_log_conductances(law, N)
     return per_depth[tree.depth_array()]
 

@@ -11,7 +11,8 @@ builder emits in bulk, and never changes afterwards.  The views the level
 sweeps read -- height, per-level id arrays, sibling groups and CSR
 children -- are computed once, on first use, and can be shared across
 concurrent readers.  Every exact level recursion runs through sweep_down
-(from the root) or sweep_up (towards it).
+(from the root) or sweep_up (towards it), and each sweep checks that the
+tree reaches its depth N, so its callers do not.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 
 _TEXT_CHUNK = 1 << 12  # rows formatted per write in write_text
 _READ_CHUNK = 1 << 13  # lines parsed per np.loadtxt call in read_text
+_FLOW_TOL = 1e-9  # relative tolerance of every check_flow test
 
 
 def _nondecreasing(a: np.ndarray) -> bool:
@@ -211,21 +213,29 @@ class Tree:
 
     # -- level sweeps ----------------------------------------------------
 
+    def check_depth(self, N: int) -> None:
+        """ValueError unless 1 <= N <= height(), which every sweep checks."""
+        if not 1 <= N <= self.height():
+            raise ValueError(f"tree must reach depth N={N}")
+
     def sweep_down(self, ufunc, out: np.ndarray, values: np.ndarray, N: int,
                    start: int = 1) -> np.ndarray:
         """out[v] = ufunc(out[parent(v)], values[v]) at depths start..N,
         top down and in place; every other entry stays.  Returns out."""
+        self.check_depth(N)
         par = self._parent
         for k in range(start, N + 1):
             lv = self.level(k)
             out[lv] = ufunc(out[par[lv]], values[lv])
         return out
 
-    def sweep_up(self, out: np.ndarray, N: int, fold) -> np.ndarray:
-        """out[parents] = fold(out[ids], ids, starts) over siblings(k) for
-        k = N..1, in place: fold reduces each parent's children to one
-        value.  The caller seeds depth N; only vertices above it with
-        children are written.  Returns out."""
+    def sweep_up(self, N: int, dead, frontier, fold) -> np.ndarray:
+        """out = frontier at depth N and dead elsewhere, then out[parents] =
+        fold(out[ids], ids, starts) over siblings(k) for k = N..1: fold
+        reduces each parent's children to one value.  Returns out."""
+        self.check_depth(N)
+        out = np.full(self.n_vertices, dead)
+        out[self.level(N)] = frontier
         for k in range(N, 0, -1):
             ids, starts, parents = self.siblings(k)
             out[parents] = fold(out[ids], ids, starts)
@@ -291,8 +301,7 @@ class FlowCheck:
     reason: str | None = None
 
 
-def check_flow(tree: Tree, theta: np.ndarray, cap: np.ndarray | None = None,
-               rel_tol: float = 1e-9) -> FlowCheck:
+def check_flow(tree: Tree, theta: np.ndarray, cap: np.ndarray | None = None) -> FlowCheck:
     """Validate Kirchhoff conservation and (optionally) capacities.
 
     theta[v] is the flow on the edge into v (theta[0] is ignored).  At
@@ -310,18 +319,18 @@ def check_flow(tree: Tree, theta: np.ndarray, cap: np.ndarray | None = None,
     np.add.at(outflow, par[1:], theta[1:])
     strength = float(outflow[0])
 
-    if (theta[1:] < -rel_tol).any():
+    if (theta[1:] < -_FLOW_TOL).any():
         return FlowCheck(False, strength, "negative flow")
     internal = tree.n_children_array() > 0
     internal[0] = False
     err = np.abs(theta[internal] - outflow[internal])
-    bound = rel_tol * np.maximum(1.0, np.abs(theta[internal]))
+    bound = _FLOW_TOL * np.maximum(1.0, np.abs(theta[internal]))
     if (err > bound).any():
         v = int(np.flatnonzero(internal)[np.argmax(err - bound)])
         return FlowCheck(False, strength, f"conservation violated at vertex {v}")
     if cap is not None:
         cap = np.asarray(cap, dtype=float)
-        over = theta[1:] > cap[1:] + rel_tol * np.maximum(1.0, cap[1:])
+        over = theta[1:] > cap[1:] + _FLOW_TOL * np.maximum(1.0, cap[1:])
         if over.any():
             v = int(np.flatnonzero(over)[0]) + 1
             return FlowCheck(False, strength, f"capacity exceeded on edge into {v}")

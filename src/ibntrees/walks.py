@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from . import classes, rng
-from .flowcut import BracketResult, DepthSchedule, min_cut, trajectory_bracket
+from .flowcut import BracketResult, DepthSchedule, min_cut, rate_grid, trajectory_bracket
 from .flowcut import ibn_log_weights as deterministic_conductances
 from .generators import TreeFamily, check_elements, truncation
 from .trees import Tree
@@ -85,13 +85,9 @@ def log_effective_conductance(tree: Tree, log_c: np.ndarray, N: int) -> float:
     series and parallel in log space: C(v) is +inf on the frontier, -inf where
     a branch dies out above it, else the sum over children of
     1/(1/c(e_child) + 1/C(child))."""
-    if N < 1 or tree.height() < N:
-        raise ValueError(f"tree must reach depth N={N}")
     neg_log_c = -log_c
-    log_C = np.full(tree.n_vertices, NEG_INF)
-    log_C[tree.level(N)] = np.inf
-    tree.sweep_up(log_C, N, lambda log_C, ids, starts:  # each child's branch, in parallel
-                  np.logaddexp.reduceat(-np.logaddexp(neg_log_c[ids], -log_C), starts))
+    log_C = tree.sweep_up(N, NEG_INF, np.inf, lambda log_C, ids, starts:  # branches in parallel
+                          np.logaddexp.reduceat(-np.logaddexp(neg_log_c[ids], -log_C), starts))
     return float(log_C[0])
 
 
@@ -181,8 +177,7 @@ def simulate_walk(tree: Tree, log_c: np.ndarray, N: int, trials: int, step_cap: 
     row's largest, so a step is one searchsorted for all live walkers; the
     walker's state is its vertex id.
     """
-    if N < 1 or tree.height() < N:
-        raise ValueError(f"tree must reach depth N={N}")
+    tree.check_depth(N)
     d, par = tree.depth_array(), tree.parent_array()
     kids = np.arange(1, tree.n_vertices)
     order = np.argsort(np.concatenate([kids, par[1:]]), kind="stable")
@@ -293,8 +288,6 @@ class PsiField:
 
 
 def psi_field(tree: Tree, log_c: np.ndarray, N: int) -> PsiField:
-    if N < 1 or tree.height() < N:
-        raise ValueError(f"tree must reach depth N={N}")
     log_S = np.full(tree.n_vertices, np.nan)
     log_S[0] = NEG_INF  # the empty sum
     tree.sweep_down(np.logaddexp, log_S, -log_c, N)
@@ -313,9 +306,7 @@ def rt_estimate(psi: PsiField, gamma_grid: Sequence[float],
                 schedule: DepthSchedule) -> BracketResult:
     """Bracket the recurrence/transience exponent: classify, per gamma, the
     min-cut trajectory on psi.tree under weights Psi(e)**gamma."""
-    gamma_grid = tuple(sorted(gamma_grid))
-    if any(g <= 0 for g in gamma_grid):
-        raise ValueError("gamma grid must be positive")
+    gamma_grid = rate_grid(gamma_grid, upper=math.inf)
     if psi.N < schedule.depths[-1]:
         raise ValueError("psi field shallower than the schedule")
     trajectories = {}
@@ -339,8 +330,6 @@ def coupled_percolation(tree: Tree, log_c: np.ndarray, lam: float, N: int):
     sampling law (1 at depth 1).
     """
     d = tree.depth_array()
-    if N < 1 or tree.height() < N:
-        raise ValueError(f"tree must reach depth N={N}")
     ok = np.zeros(tree.n_vertices, dtype=bool)
     sel = d >= 2
     ok[sel] = -log_c[sel] <= np.power(d[sel].astype(float), lam)

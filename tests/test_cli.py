@@ -1,5 +1,4 @@
 import contextlib
-import functools
 import io
 import json
 import math
@@ -199,6 +198,24 @@ def test_report_keys_tree_runs_by_their_file(tmp_path, monkeypatch):
     assert rows["n14.txt"]["theta_lower"] != "" and rows["t31.txt"]["theta_lower"] == ""
 
 
+def test_report_keys_marks_runs_by_their_marks_file(tmp_path, monkeypatch):
+    # all marks 1 give the binary tree, all marks 0 the path: two brackets, two rows
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m1.txt").write_text("1\n" * 64)
+    (tmp_path / "m2.txt").write_text("0\n" * 64)
+    for marks, out in (("m1.txt", "a.csv"), ("m2.txt", "b.csv")):
+        assert cli.main(["estimate-ibn", "--family", "marks", "--marks-file", marks,
+                         "--schedule", "16,32,64", "--out", out]) == 0
+    assert cli.main(["report", ".", "--out", "summary.csv"]) == 0
+    header, *lines = (tmp_path / "summary.csv").read_text().splitlines()
+    rows = {line.split(",")[0]: dict(zip(header.split(","), line.split(","))) for line in lines}
+    assert sorted(rows) == ["m1.txt", "m2.txt"]
+    for out, marks in (("a.csv", "m1.txt"), ("b.csv", "m2.txt")):
+        assert rows[marks]["ibn_lower"] == str(_manifest(tmp_path / out)["summary"]["ibn_lower"])
+    assert [rows["m1.txt"]["ibn_lower"], rows["m1.txt"]["ibn_upper"]] == ["0.9", ""]
+    assert [rows["m2.txt"]["ibn_lower"], rows["m2.txt"]["ibn_upper"]] == ["0.45", "0.65"]
+
+
 def test_report_skips_manifests_of_the_wrong_shape(tmp_path, capsys):
     out = tmp_path / "f.csv"
     assert cli.main(["firefight", "--family", "seq", "--gamma-grid", "0.6,0.8",
@@ -361,8 +378,7 @@ def test_grig_search_past_the_element_cap_exits_1(tmp_path, capsys, monkeypatch)
 
 def test_grig_point_past_the_prefix_budget_exits_1(tmp_path, capsys, monkeypatch):
     # at a budget of 1 the search meets a point whose image has 3 letters
-    monkeypatch.setattr(grigorchuk, "act_point",
-                        functools.partial(grigorchuk.act_point, budget=1))
+    monkeypatch.setattr(grigorchuk, "POINT_BUDGET", 1)
     monkeypatch.setattr(grigorchuk, "_IMAGES", {ch: {} for ch in grigorchuk.GENERATORS})
     marks = tmp_path / "m.txt"
     capsys.readouterr()

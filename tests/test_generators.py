@@ -56,11 +56,12 @@ def test_spherically_symmetric_counts():
     assert t.height() == 6
 
 
-def test_spherically_symmetric_errors():
+def test_spherically_symmetric_errors(monkeypatch):
     with pytest.raises(ValueError, match="degree 0 < 1 at depth 1"):
         gen.spherically_symmetric(np.array([2, 0, 1]), 3)
-    with pytest.raises(gen.MemoryCapError):
-        gen.spherically_symmetric(np.full(30, 3), 30, max_vertices=10 ** 4)
+    with monkeypatch.context() as m, pytest.raises(gen.MemoryCapError):
+        m.setattr(gen, "DEFAULT_VERTEX_CAP", 10 ** 4)
+        gen.spherically_symmetric(np.full(30, 3), 30)
     with pytest.raises(gen.MemoryCapError):  # 2**70 vertices: the width overflows int64
         gen.spherically_symmetric(np.full(70, 2), 70)
     with pytest.raises(ValueError):
@@ -71,11 +72,24 @@ def test_spherically_symmetric_errors():
         gen.spherically_symmetric(np.array([2]), 0)
 
 
-def test_spherically_symmetric_cap_is_exact():
+def test_spherically_symmetric_cap_is_exact(monkeypatch):
     # 1 + 2 + ... + 2**10 = 2047 vertices
-    assert gen.spherically_symmetric(np.full(10, 2), 10, max_vertices=2047).n_vertices == 2047
+    monkeypatch.setattr(gen, "DEFAULT_VERTEX_CAP", 2047)
+    assert gen.spherically_symmetric(np.full(10, 2), 10).n_vertices == 2047
+    monkeypatch.setattr(gen, "DEFAULT_VERTEX_CAP", 2046)
     with pytest.raises(gen.MemoryCapError, match="2047 vertices at depth 10"):
-        gen.spherically_symmetric(np.full(10, 2), 10, max_vertices=2046)
+        gen.spherically_symmetric(np.full(10, 2), 10)
+
+
+def test_family_builders_read_the_vertex_cap_when_they_run(monkeypatch):
+    # 1023 and 8195 vertices at the default cap, refused at a cap of 100
+    assert gen.binary_family().build(9).n_vertices == 1023
+    assert gen.three_one_family().build(45).n_vertices == 8195
+    monkeypatch.setattr(gen, "DEFAULT_VERTEX_CAP", 100)
+    with pytest.raises(gen.MemoryCapError, match=r"\(cap 100\)"):
+        gen.binary_family().build(9)
+    with pytest.raises(gen.MemoryCapError, match=r"\(cap 100\)"):
+        gen.three_one_family().build(45)
 
 
 @settings(max_examples=25, deadline=None)
@@ -148,9 +162,10 @@ def test_three_one_level_profile_matches_materialized():
         assert lv[d] == 2 ** int(prof[d])
 
 
-def test_three_one_memory_cap():
-    with pytest.raises(gen.MemoryCapError):
-        gen.three_one_stretched(5000, max_vertices=10 ** 5)
+def test_three_one_memory_cap(monkeypatch):
+    with monkeypatch.context() as m, pytest.raises(gen.MemoryCapError):
+        m.setattr(gen, "DEFAULT_VERTEX_CAP", 10 ** 5)
+        gen.three_one_stretched(5000)
     # the estimate is a closed form: 2**1414235 vertices are refused at once
     with pytest.raises(gen.MemoryCapError, match=r"needs ~2\*\*1414235\.4 vertices"):
         gen.three_one_stretched(10 ** 12)

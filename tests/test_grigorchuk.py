@@ -318,8 +318,10 @@ def test_orbit_exponent_estimate_reports_slope():
         gg.orbit_exponent_estimate((16, 32), beam=8, seed=0)
 
 
-def test_depth_budget_error():
+def test_depth_budget_error(monkeypatch):
     # the image 00 of b on 0 needs budget >= 1
+    monkeypatch.setattr(gg, "POINT_BUDGET", 0)
     with pytest.raises(gen.MemoryCapError, match="point prefix exceeds 1 letters"):
-        gg.act_point("b", "0", budget=0)
-    assert gg.act_point("b", "0", budget=1) == "00"
+        gg.act_point("b", "0")
+    monkeypatch.setattr(gg, "POINT_BUDGET", 1)
+    assert gg.act_point("b", "0") == "00"

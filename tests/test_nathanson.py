@@ -67,7 +67,7 @@ def word_index(lt):
 def test_lex_tree_matches_the_matrix_bfs():
     # the automaton against the BFS over the matrices, vertex for vertex
     for n in range(41):
-        _, parent, letters, level_ends = na._ball(n, 2_000_000)
+        _, parent, letters, level_ends = na._ball(n)
         lt = na.lex_tree(n)
         assert lt.tree.parent_array().tolist() == parent.tolist(), n
         depth = np.repeat(np.arange(n + 1), np.diff(level_ends, prepend=0))
@@ -149,19 +149,23 @@ def test_level_counts_agree(n):
     assert ball.tolist() == (np.cumsum(level) - 1).tolist()
 
 
-def test_ball_cap():
+def test_ball_cap(monkeypatch):
+    monkeypatch.setattr(na, "BALL_CAP", 100)
     with pytest.raises(MemoryCapError, match="ball exceeds"):
-        na.bfs_ball(40, max_elements=100)
+        na.bfs_ball(40)
 
 
 @pytest.mark.parametrize("view", [na.bfs_ball, na.lex_tree, na.ball_sizes])
-def test_ball_cap_same_for_every_view(view):
+def test_ball_cap_same_for_every_view(view, monkeypatch):
     size = len(na.bfs_ball(10))  # identity included
-    view(10, max_elements=size)
+    monkeypatch.setattr(na, "BALL_CAP", size)
+    view(10)
+    monkeypatch.setattr(na, "BALL_CAP", size - 1)
     with pytest.raises(MemoryCapError, match="ball exceeds"):
-        view(10, max_elements=size - 1)
+        view(10)
+    monkeypatch.setattr(na, "BALL_CAP", 100)
     with pytest.raises(MemoryCapError, match="ball exceeds"):
-        view(40, max_elements=100)
+        view(40)
 
 
 def test_theorem_bound_holds_to_40():

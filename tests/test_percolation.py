@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,22 @@ def test_mc_always_open_and_single_edge():
     for survival in (pc.exact_survival, lambda *a: pc.mc_survival(*a, 10, seed=1)):
         with pytest.raises(ValueError, match="N=0"):
             survival(t1, pc.PercolationLaw(0.5), 0)
+
+
+def test_exact_sweeps_check_depth_before_sizing_by_it():
+    t = gen.binary_family().build(4)  # 31 vertices
+    law = pc.PercolationLaw(0.5)
+    for survival in (pc.exact_survival, pc.conductance_bound):
+        survival(t, law, 4)  # first calls set up numpy
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="tree must reach depth N=10000000"):
+                survival(t, law, 10 ** 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a per-depth table sized by N takes 80 MB
+        assert peak < 1 << 20, (survival, peak)
 
 
 def test_mc_matches_exact():

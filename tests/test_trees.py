@@ -233,20 +233,28 @@ def test_sweep_kernels_match_per_vertex_loops():
         np.testing.assert_array_equal(out, ref)
 
     for N in (3, 2):
-        out = values.copy()
-        ref = out.tolist()
+        ref = np.where(d == N, 7.0, -2.0).tolist()  # frontier 7 at depth N, dead -2 elsewhere
         for v in reversed(range(10)):
             if d[v] < N and t.children(v):
                 ref[v] = sum(ref[c] for c in t.children(v)) + 0.5
         depths = []
 
-        def fold(vals, ids, starts):
+        def fold(vals, ids, starts):  # the children's values are final when they fold
             depths.append(int(d[ids[0]]))
-            assert np.array_equal(vals, out[ids])
+            assert np.array_equal(vals, np.array(ref)[ids])
             return np.add.reduceat(vals, starts) + 0.5
 
-        assert t.sweep_up(out, N, fold) is out
+        out = t.sweep_up(N, -2.0, 7.0, fold)
         assert out.tolist() == ref and depths == list(range(N, 0, -1))
+
+
+def test_sweeps_check_their_depth():
+    t = Tree([-1, 0, 0, 2, 1, 2, 4, 3, 5, 3], [0, 1, 1, 2, 2, 2, 3, 3, 3, 3])
+    for N in (0, t.height() + 1):
+        with pytest.raises(ValueError, match=f"^tree must reach depth N={N}$"):
+            t.sweep_down(np.add, np.zeros(10), np.ones(10), N)
+        with pytest.raises(ValueError, match=f"^tree must reach depth N={N}$"):
+            t.sweep_up(N, 0.0, 1.0, lambda vals, ids, starts: np.add.reduceat(vals, starts))
 
 
 @pytest.mark.parametrize("text", ["", "\n \n", "1 - 0\n", "0 - 0\n1 0\n", "0 - 0\n1 0 1 1\n",
