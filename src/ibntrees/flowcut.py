@@ -304,8 +304,11 @@ DEFAULT_GRID = tuple(round(0.05 * k, 2) for k in range(1, 20))
 
 
 def rate_grid(grid: Sequence[float], upper: float = 1.0) -> tuple[float, ...]:
-    """The grid sorted; ValueError unless every value lies in (0, upper)."""
+    """The grid sorted; ValueError if it is empty or a value lies outside
+    (0, upper)."""
     grid = tuple(sorted(grid))
+    if not grid:
+        raise ValueError("the grid is empty")
     if not all(0 < g < upper for g in grid):
         raise ValueError(f"values must lie in (0, {upper:g})")
     return grid

@@ -4,14 +4,18 @@ Every stochastic routine takes an explicit 64-bit seed.  Streams are keyed
 by (seed, stream id, index), so draws never depend on traversal or
 scheduling order.  Edge conductances read one EDGE_STREAM stream in edge-id
 order; a walk batch reads one WALK_STREAM stream, one uniform per live
-walker per step, drawn ahead in blocks; mc_survival reads one PERC_STREAM
+walker per step, drawn ahead into one buffer that is refilled in place and
+read a chunk of steps at a time, each chunk as long as the walkers' depths
+allow no walker to stop inside it; mc_survival reads one PERC_STREAM
 substream per 256-trial chunk; the word search reads one SEARCH_STREAM
 stream.
 
 A Philox generator's random(a) then random(b) returns the same values as
 random(a + b): each double takes one 64-bit word, and words left over in
-the generator's 4-word buffer carry to the next call.  So how a consumer
-splits its draws into calls never changes the values it reads.
+the generator's 4-word buffer carry to the next call.  random(out=view)
+fills a view with the values random(len(view)) would return.  So how a
+consumer splits its draws into calls, or into which array it draws them,
+never changes the values it reads.
 """
 
 from __future__ import annotations

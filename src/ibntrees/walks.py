@@ -9,16 +9,22 @@ Tree.sweep_down passes.
 
 Both walkers run on one loop, _walk_batch: all trials of a batch at once,
 one uniform per live walker per step.  A walker is a state in a next-state
-table, so a step is a few whole-array numpy calls: depth_walk_batch walks
-the depth chain of a spherically symmetric tree (state 2n is depth n, and
-the uniform picks one of two table entries), simulate_walk a materialized
-truncation (the state is a vertex id, picked by one searchsorted in a CSR
-table of cumulative conductances).  The uniforms are drawn ahead in blocks
-from the single (seed, WALK_STREAM) Philox stream; since Philox continues
-one sequence across calls, every walker reads the uniform it would read
-from one draw per step, and the outputs are the same bit for bit.
-return_probability_symmetric is the exact counterpart of the depth chain.
-root_walks picks a walker by the source: a depth chain or a truncation.
+table, ordered so that depth never decreases with the state, and a step is
+a few whole-array numpy calls: depth_walk_batch walks the depth chain of a
+spherically symmetric tree (state 2n is depth n, and the uniform picks one
+of two table entries), simulate_walk a materialized truncation (the state
+is a vertex's rank in level order, picked by one searchsorted in a CSR
+table of cumulative conductances).  The walkers advance in chunks of steps
+that no walker can end early: a walker at depth d needs d steps to reach
+the root, so a chunk is at most the least live depth long (and no longer
+than stop_depth or step_cap allow), and the stop test runs once per chunk.
+The uniforms are drawn ahead into one buffer from the single (seed,
+WALK_STREAM) Philox stream; since Philox continues one sequence across
+calls and no walker stops inside a chunk, every walker reads the uniform
+it would read from one draw per step, and the outputs are the same bit for
+bit.  return_probability_symmetric is the exact counterpart of the depth
+chain.  root_walks picks a walker by the source: a depth chain or a
+truncation.
 """
 
 from __future__ import annotations
@@ -106,23 +112,36 @@ def effective_conductance_symmetric(log2_levels: Sequence[float], lam: float, N:
 
 # -- walkers -----------------------------------------------------------------
 
-_BLOCK = 1 << 16  # uniforms per refill of the walk's draw buffer (512 KB)
+_BLOCK = 1 << 16  # doubles in the walk's draw buffer, or trials if more (512 KB)
 
 
 def _walk_batch(move, depth_of: np.ndarray, first: int, trials: int, step_cap: int,
                 seed: int, stop_depth: int | None):
     """The one walk loop: every trial at once, each live walker moving by
-    state = move(state, u) on one uniform per step, at depth depth_of[state].
-    Walkers start in state `first`, at depth start = depth_of[first] after
-    `start` steps, and stop at the root, on first reaching stop_depth if set,
-    or at step_cap steps.
+    state = move(state, u) on one uniform per step, at depth depth_of[state],
+    which must be nondecreasing in the state.  Walkers start in state
+    `first`, at depth start = depth_of[first] after `start` steps, and stop
+    at the root, on first reaching stop_depth if set, or at step_cap steps.
 
-    The uniforms come from the one (seed, WALK_STREAM) Philox stream, drawn
-    ahead in blocks of _BLOCK, or of m when more walkers are live; a step
-    takes the next m, one per live walker in trial order.  Philox random(a)
-    then random(b) draws what random(a + b) draws, so a walker reads the same
-    uniform as if every step drew its own m.  The running maximum depth is
-    kept on the live arrays and written out when a walker stops.
+    The walkers advance in chunks of K steps in which no walker can stop
+    before the last: a walker at depth d needs d steps to reach the root
+    and one at depth d' needs stop_depth - d' to reach stop_depth, so K is
+    at most the least live depth, stop_depth less the greatest, and the
+    steps left.  A step is move on one row of a (K, m) view of the draw
+    buffer, m the live walkers, and the running maximum, kept on the state
+    (the deepest state is the deepest depth); the stop test and the
+    compaction of the live arrays run once per chunk.  Between tests the
+    depth bounds move by K per chunk, so a chunk cut short by another bound
+    needs no min() or max() reduction.
+
+    The uniforms come from the one (seed, WALK_STREAM) Philox stream into
+    one buffer of max(_BLOCK, trials) doubles, refilled in place (the
+    unread tail moved to the front, the rest drawn) when a chunk's K * m do
+    not fit, and K * m never exceeds the buffer.  A step takes the next m,
+    one per live walker in trial order.  Philox random(a) then random(b)
+    draws what random(a + b) draws, and random(out=view) what
+    random(len(view)) would, so a walker reads the same uniform as if every
+    step drew its own m.
     """
     if step_cap < 1 or trials < 1:
         raise ValueError("need step_cap >= 1 and trials >= 1")
@@ -130,39 +149,50 @@ def _walk_batch(move, depth_of: np.ndarray, first: int, trials: int, step_cap: i
     start = int(depth_of[first])
     if stop_depth is not None and stop_depth <= start:
         step_cap = start  # the forced first step already stops every walk
+    # a walk is never deeper than its step count, so unset it is out of reach
+    stop = step_cap + 1 if stop_depth is None else stop_depth
     gen = rng.stream_rng(seed, rng.WALK_STREAM)
-    u, at = np.empty(0), 0
     idx = np.arange(trials)
     state = np.full(trials, first, dtype=np.int64)
-    top = np.full(trials, start, dtype=np.int64)  # max depth so far, per live walker
+    top = state.copy()  # deepest state so far, per live walker
     returned = np.zeros(trials, dtype=bool)
     final_steps = np.full(trials, step_cap, dtype=np.int64)
     maxd = np.empty(trials, dtype=np.int64)
-    m, step = trials, start
+    u = np.empty(max(_BLOCK, trials))  # the draw buffer, read from u[at:]
+    at = len(u)
+    # lo <= live depths <= hi, but a walk from the root leaves it on its first step
+    m, step, lo, hi = trials, start, max(start, 1), start
     while step < step_cap and m > 0:
-        if at + m > len(u):
-            u, at = np.concatenate((u[at:], gen.random(max(_BLOCK, m)))), 0
-        state = move(state, u[at:at + m])
-        at += m
-        step += 1
+        k = min(lo, stop - hi, step_cap - step)
+        if k * m > len(u) - at:
+            rest = len(u) - at
+            u[:rest] = u[at:]
+            gen.random(out=u[rest:])
+            at = 0
+            k = min(k, len(u) // m)
+        for row in u[at:at + k * m].reshape(k, m):
+            state = move(state, row)
+            np.maximum(top, state, out=top)
+        at += k * m
+        step += k
+        lo, hi = lo - k, hi + k
+        if lo == 0 or hi >= stop:  # a walker may have stopped: take the exact bounds
+            lo = int(depth_of[state.min()])
+            if stop_depth is not None:
+                hi = int(depth_of[state.max()])
+        if lo > 0 and hi < stop:
+            continue
         depth = depth_of[state]
-        np.maximum(top, depth, out=top)
-        if stop_depth is None:
-            if np.count_nonzero(depth) == m:
-                continue
-            done = depth == 0
-        else:
-            done = (depth == 0) | (depth >= stop_depth)
-            if not done.any():
-                continue
+        done = (depth == 0) | (depth >= stop)
         gone = idx[done]
         returned[gone] = depth[done] == 0
         final_steps[gone] = step
-        maxd[gone] = top[done]
+        maxd[gone] = depth_of[top[done]]
         live = ~done
         idx, state, top = idx[live], state[live], top[live]
         m = len(idx)
-    maxd[idx] = top
+        lo, hi = max(lo, 1), min(hi, stop - 1)
+    maxd[idx] = depth_of[top]
     return returned, final_steps, maxd
 
 
@@ -174,8 +204,9 @@ def simulate_walk(tree: Tree, log_c: np.ndarray, N: int, trials: int, step_cap: 
     A step moves to a neighbor with probability proportional to the edge's
     conductance; depth-N vertices reflect.  Row v of a CSR table holds v's
     neighbors (parent, then children) with cumulative weights scaled by the
-    row's largest, so a step is one searchsorted for all live walkers; the
-    walker's state is its vertex id.
+    row's largest, so a step is one searchsorted for all live walkers.  The
+    walker's state is its vertex's rank in level order, so that depth is
+    nondecreasing in the state, as _walk_batch needs.
     """
     tree.check_depth(N)
     d, par = tree.depth_array(), tree.parent_array()
@@ -192,12 +223,16 @@ def simulate_walk(tree: Tree, log_c: np.ndarray, N: int, trials: int, step_cap: 
     base = np.concatenate([[0.0], cum])[starts]
     last = np.searchsorted(cum, cum[starts + counts - 1])  # last positive weight
     span = cum[last] - base
+    level = np.argsort(d, kind="stable")  # the vertex of each state
+    rank = np.empty_like(level)
+    rank[level] = np.arange(tree.n_vertices)
+    nbr, base, span, last = rank[nbr], base[level], span[level], last[level]
 
     def move(pos, u):
         return nbr[np.minimum(np.searchsorted(cum, base[pos] + u * span[pos], side="right"),
                               last[pos])]
 
-    return _walk_batch(move, d, 0, trials, step_cap, seed, stop_depth)
+    return _walk_batch(move, d[level], 0, trials, step_cap, seed, stop_depth)
 
 
 def _p_up(degrees: np.ndarray, lam: float, N: int) -> np.ndarray:

@@ -9,6 +9,7 @@ import pytest
 from conftest import (all_cutsets, cutset_weight, igr_estimate_oracle, is_cutset, random_tree,
                       three_one_lattice)
 from ibntrees import classes
+from ibntrees import firefighter as ff
 from ibntrees import generators as gen
 from ibntrees import flowcut as fc
 from ibntrees import percolation as pc
@@ -317,6 +318,22 @@ def test_ibn_explicit_tree_route():
 def test_ibn_rejects_bad_grid():
     with pytest.raises(ValueError):
         fc.ibn_estimate(gen.sequence_family(), fc.DepthSchedule((16,)), grid=(0.0, 0.5))
+
+
+def test_every_estimator_rejects_an_empty_grid():
+    # an empty grid once came back as a bracket whose interval() raised
+    # IndexError, or failed inside the class sweep
+    fam, sched = gen.sequence_family(), fc.DepthSchedule((4, 8))
+    tree = fam.build(8)
+    psi = wk.psi_field(tree, wk.deterministic_conductances(tree, 0.3), 8)
+    with pytest.raises(ValueError, match="the grid is empty"):
+        fc.rate_grid(())
+    for estimate in (lambda: fc.ibn_estimate(fam, sched, []),
+                     lambda: pc.theta_estimate(fam, sched, []),
+                     lambda: ff.lambda_c_estimate(fam, 2, [], 1.0, sched),
+                     lambda: wk.rt_estimate(psi, [], sched)):
+        with pytest.raises(ValueError, match="the grid is empty"):
+            estimate()
 
 
 def test_sweeps_on_levels_out_of_id_order():

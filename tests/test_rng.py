@@ -27,3 +27,18 @@ def test_walk_stream_draws_split_anywhere_alike(a, b):
     whole = rng.stream_rng(9, rng.WALK_STREAM).random(a + b)
     g = rng.stream_rng(9, rng.WALK_STREAM)
     assert np.array_equal(np.concatenate((g.random(a), g.random(b))), whole)
+
+
+@pytest.mark.parametrize("a, b", [(0, 5), (1, 3), (3, 65536), (65533, 3), (5, 65537)])
+def test_walk_stream_fills_a_view_as_it_draws(a, b):
+    # the walk refills its draw buffer in place: the unread tail moves to
+    # the front and random(out=...) fills the rest, which must hold the
+    # values random(a + b) has at those positions
+    whole = rng.stream_rng(9, rng.WALK_STREAM).random(a + b)
+    g = rng.stream_rng(9, rng.WALK_STREAM)
+    head = g.random(a)
+    buf = np.full(b + 2, -1.0)
+    g.random(out=buf[1:b + 1])
+    assert np.array_equal(head, whole[:a])
+    assert np.array_equal(buf[1:b + 1], whole[a:])
+    assert buf[0] == buf[-1] == -1.0  # nothing outside the view is written

@@ -130,3 +130,81 @@ def test_a_batch_larger_than_a_block_matches():
     tree = fam.build(5)
     targs = (tree, walks.deterministic_conductances(tree, 0.5), *args[2:])
     _assert_identical(walks.simulate_walk(*targs), reference_tree_walk(*targs))
+
+
+# Chunk boundaries.  The walkers advance in chunks of K steps in which no
+# walker can stop before the last: K is at most the least live depth,
+# stop_depth less the greatest, and the steps left before step_cap.  Each
+# case below makes one of these bounds the one that ends a chunk.
+
+def test_a_stop_depth_the_deepest_walkers_close_in_on_matches():
+    # the escaped walkers climb to stop_depth with the shallowest of them
+    # far from the root, so stop_depth less the deepest live depth ends
+    # the chunks, down to one step
+    degrees = FAMILIES["seq"].degrees(512)
+    for stop_depth, seed in ((150, 4), (40, 8)):
+        args = (512, 2000, 30_000, seed, stop_depth)
+        _assert_identical(walks.depth_walk_batch(degrees, 0.3, *args),
+                          reference_depth_walk(degrees, 0.3, *args))
+
+
+@pytest.mark.parametrize("cap", [333, 777, 2500])
+def test_a_step_cap_that_cuts_a_chunk_short_matches(cap):
+    # by step 333 the live walkers are far from the root, and at these caps
+    # the last chunk, which the least live depth would let run on, ends on
+    # the cap
+    degrees = FAMILIES["seq"].degrees(512)
+    args = (512, 2000, cap, 2, None)
+    got = walks.depth_walk_batch(degrees, 0.3, *args)
+    assert (got[1] == cap).sum() > 100
+    _assert_identical(got, reference_depth_walk(degrees, 0.3, *args))
+
+
+def test_a_lone_walker_reaching_the_root_on_a_chunks_last_step_matches():
+    # a lone walker at depth d runs a chunk of d steps and can reach the
+    # root only on its last, so every return here ends a chunk
+    for family, lam in (("path", 0.0), ("seq", 0.7), ("binary", 0.0)):
+        fam = FAMILIES[family]
+        tree = fam.build(5)
+        log_c = walks.deterministic_conductances(tree, lam)
+        returns = 0
+        for seed in range(25):
+            args = (5, 1, 400, seed, None)
+            got = walks.depth_walk_batch(fam.degrees(5), lam, *args)
+            _assert_identical(got, reference_depth_walk(fam.degrees(5), lam, *args))
+            _assert_identical(walks.simulate_walk(tree, log_c, *args),
+                              reference_tree_walk(tree, log_c, *args))
+            returns += int(got[0][0] and got[1][0] > 2)
+        assert returns >= 5
+
+
+def test_chunks_that_span_a_buffer_refill_match():
+    # about 150 walkers escape on the unit-conductance binary tree; their
+    # chunks read over 6 buffers of 2**16 uniforms, and the unread tail of
+    # each buffer is the head of the next chunk; the truncation is deep
+    # enough that the last draws still set the maximum depths
+    fam = gen.binary_family()
+    args = (fam.degrees(4096), 0.0, 4096, 300, 3000, 11)
+    got = walks.depth_walk_batch(*args)
+    assert got[1].sum() - 300 > 6 * walks._BLOCK
+    _assert_identical(got, reference_depth_walk(*args))
+
+
+def test_the_tree_walker_with_a_stop_depth_matches():
+    for fam, N, lam, stop_depth in ((gen.three_one_family(), 28, 0.1, 20),
+                                    (gen.sequence_family(), 12, 0.3, 9),
+                                    (gen.binary_family(), 5, 0.0, 5)):
+        tree = fam.build(N)
+        log_c = walks.deterministic_conductances(tree, lam)
+        args = (tree, log_c, N, 500, 3000, 13, stop_depth)
+        got = walks.simulate_walk(*args)
+        assert (got[2] == stop_depth).any()
+        _assert_identical(got, reference_tree_walk(*args))
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_the_benchmark_transient_walk_matches(seed):
+    # walk --family seq --lambda 0.3 --depth 512 --trials 2000 --cap 30000
+    degrees = FAMILIES["seq"].degrees(512)
+    args = (degrees, 0.3, 512, 2000, 30_000, seed)
+    _assert_identical(walks.depth_walk_batch(*args), reference_depth_walk(*args))
