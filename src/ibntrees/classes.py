@@ -1,4 +1,4 @@
-"""Class tables: one sweep evaluates the deterministic quantities of a family.
+"""Class tables: one sweep evaluates the deterministic quantities of a source.
 
 The min-cut under exp(-|e|**lam), exact percolation survival and effective
 conductance see a vertex only through its depth and the shape of its
@@ -6,11 +6,14 @@ truncated subtree, so vertices of equal (depth, shape) merge into a class.
 A table holds per level its classes' children, as gather indices into the
 next level's classes, and the depth segment their edges span: runs of
 single-child depths collapse into one segment, and every frontier depth is
-a level boundary.  _sweep runs once over the levels, deepest first, on
-[class, column] arrays with one column per (rate, frontier), and reads a
-segment in O(1): its min-cut capacity is its deepest edge's weight (the
-weights fall with depth), survival passes the product of its opening
-probabilities, resistance adds the sum of its edge resistances.
+a level boundary.  A family's table comes from its degrees or the 3-1
+lattice (of_family); an explicit tree's is hash-consed level by level from
+its deepest frontier up (of_tree), one level per depth.  _sweep runs once
+over the levels, deepest first, on [class, column] arrays with one column
+per (rate, frontier), and reads a segment in O(1): its min-cut capacity is
+its deepest edge's weight (the weights fall with depth), survival passes
+the product of its opening probabilities, resistance adds the sum of its
+edge resistances.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .generators import LOG2, TreeFamily, base_level_at_depth, check_elements, triangular
+from .trees import Tree
 
 # Lattice floors at or above this take the closed-form child piece, which
 # needs it to be at least 5 (see _three_one_gathers); the positions below
@@ -37,6 +41,10 @@ _LIMB = 3 ** _LIMB_DIGITS
 _R = np.arange(3)[:, None]
 # _STEP[r, t, e] = sign(3e + r - t) - e: the child row of F_k + e is at + e + _STEP
 _STEP = np.array([[[0, 0], [-1, 0], [-1, 0]], [[1, 0], [0, 0], [-1, 0]], [[1, 0], [1, 0], [0, 0]]])
+# _sweep splits the rates so that a level's gathered values, width x
+# frontiers x rates, stay within this many doubles (32 MB)
+_SWEEP_CELLS = 1 << 22
+_LOWEST = np.finfo(float).min  # _log_sum pulls it out where every child is dead
 
 
 @dataclass(frozen=True)
@@ -46,12 +54,15 @@ class ClassTable:
     the row among level k+1's classes of class c's r-th child (-1: none),
     counted mult[k] times.  The min-cut and resistance folds scale level k
     by log_sizes[k], which absorbs the multiplicities: a symmetric
-    truncation is swept as its level sums, each term rounded once."""
+    truncation is swept as its level sums, each term rounded once.  width
+    bounds idx.size on every level where it can grow with the source (an
+    explicit tree's); _sweep sizes its rate chunks by it."""
 
     depths: tuple[int, ...]
     frontiers: tuple[int, ...]
     mult: np.ndarray
     levels: Callable[[], Iterator[np.ndarray]]
+    width: int = 1
 
     @cached_property
     def log_sizes(self) -> np.ndarray:
@@ -269,6 +280,26 @@ def of_family(family: TreeFamily, frontiers: Sequence[int]) -> ClassTable:
     return from_degrees(family.degrees(max(_check_frontiers(frontiers))), frontiers)
 
 
+def of_tree(tree: Tree, frontiers: Sequence[int]) -> ClassTable:
+    """An explicit tree's class table, one level per depth 0..D, D the
+    deepest frontier: its vertices hash-consed by the shape of their
+    subtree truncated at D (Tree.shape_classes).  Dead branches and
+    shallower frontiers need nothing more: a missing child reads _sweep's
+    dead row, and a frontier's columns join at its level."""
+    frontiers = _check_frontiers(frontiers)
+    D = max(frontiers)
+    gathers = tree.shape_classes(D)
+    return ClassTable(tuple(range(D + 1)), frontiers, np.ones(D), lambda: iter(gathers),
+                      max(idx.size for idx in gathers))
+
+
+def of_source(source: TreeFamily | Tree, frontiers: Sequence[int]) -> ClassTable:
+    """The class table of a family or of an explicit tree."""
+    if isinstance(source, Tree):
+        return of_tree(source, frontiers)
+    return of_family(source, frontiers)
+
+
 # -- the sweep ------------------------------------------------------------------
 
 class _Fold(NamedTuple):
@@ -280,16 +311,22 @@ class _Fold(NamedTuple):
 
 
 def _log_sum(g: np.ndarray, mult: float) -> np.ndarray:
-    """log sum over r of exp(g[r]) for one, two or three children; three
-    with the maximum pulled out, in place."""
+    """log sum over r of exp(g[r]): one child as it is, two by logaddexp,
+    more with the maximum pulled out, in place, and the rows added in
+    order.  Where every child is dead (-inf) the lowest double is pulled
+    out instead, and the sum is log 0 = -inf (the caller ignores that
+    division by zero)."""
     if len(g) < 3:
         return g[0] if len(g) == 1 else np.logaddexp(g[0], g[1])
     hi = np.maximum(g[0], g[1])
-    np.maximum(hi, g[2], out=hi)
+    for row in g[2:]:
+        np.maximum(hi, row, out=hi)
+    np.maximum(hi, _LOWEST, out=hi)
     g -= hi
     np.exp(g, out=g)
     v = g[0] + g[1]
-    v += g[2]
+    for row in g[2:]:
+        v += row
     np.log(v, out=v)
     v += hi
     return v
@@ -309,9 +346,14 @@ def _sweep(table: ClassTable, fold: _Fold, seg: np.ndarray) -> np.ndarray:
     j, i] is rate i's quantity for the segment of edges into level k, for
     the j-th of table.ends (or for all, if seg has one).  The live columns
     are a prefix: a frontier's columns join at its level, where every class
-    has the frontier's value."""
-    joins = iter(bisect_left(table.depths, f) for f in table.ends)
+    has the frontier's value.  The rates are swept in chunks that keep a
+    level's gathered values within _SWEEP_CELLS."""
     L = seg.shape[2]
+    chunk = max(1, _SWEEP_CELLS // (table.width * len(table.ends)))
+    if L > chunk:
+        return np.concatenate([_sweep(table, fold, seg[:, :, i:i + chunk])
+                               for i in range(0, L, chunk)])
+    joins = iter(bisect_left(table.depths, f) for f in table.ends)
     seg = np.broadcast_to(seg, (len(seg), len(table.ends), L)).reshape(len(seg), -1)
     vals, live, at = None, 0, next(joins)
     for k, idx in zip(range(len(table.depths) - 2, -1, -1), table.levels()):
@@ -339,7 +381,8 @@ def _capacities(table: ClassTable, lams: Sequence[float]) -> np.ndarray:
 
 def log_min_cut(table: ClassTable, lams: Sequence[float]) -> np.ndarray:
     """Log min-cut of every truncation under exp(-|e|**lam), [rate, frontier]."""
-    return _sweep(table, _MIN_CUT, _capacities(table, lams))
+    with np.errstate(divide="ignore"):  # log 0 where a class's children are all dead
+        return _sweep(table, _MIN_CUT, _capacities(table, lams))
 
 
 def cut_levels(table: ClassTable, lam: float) -> list[tuple[float, int]]:

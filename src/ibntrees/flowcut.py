@@ -3,19 +3,21 @@
 The branching-number weight exp(-|e|**lam) underflows doubles long before
 the depths the estimators need, so every cut computation here works on log
 weights, per-edge arrays indexed by child vertex id (ibn_log_weights
-builds the IBN's); linear values are derived views.  Two evaluation routes
-feed the same classifier:
+builds the IBN's); linear values are derived views.  Two evaluation
+routes:
 
-* explicit trees and materialized truncations: a bottom-up recursion
-  m(v) = min(w(v), sum over children), one Tree.sweep_up that folds
-  siblings by one np.logaddexp reduction, as effective conductance does;
-  the cut and the flow are read off it by Tree.sweep_down;
-* families: one sweep of the family's class table (classes.py) evaluates
-  every (rate, depth) pair of a bracket at once, far beyond any
-  materializable truncation.
+* per vertex, on a materialized tree under any per-edge log weights: a
+  bottom-up recursion m(v) = min(w(v), sum over children), one
+  Tree.sweep_up that folds siblings by one np.logaddexp reduction, as
+  effective conductance does; the cut and the flow are read off it by
+  Tree.sweep_down;
+* per class, under the depth-only IBN weight: one sweep of the source's
+  class table (classes.py) evaluates every (rate, depth) pair of a bracket
+  at once, for a family far beyond any materializable truncation.
 
-A family takes the class-table route and an explicit Tree the level
-sweeps, each scheduled depth on the one tree.  Every estimator reports a
+ibn_estimate takes the class-table route for every source, a family or
+an explicit Tree; min_cut serves the random fields and the cut sets, and
+is the class route's test oracle.  Every estimator reports a
 BracketResult: per-value classifications and the bracket they induce.
 """
 
@@ -243,9 +245,11 @@ class DepthSchedule:
 
 def classify_trajectory(log_values: Sequence[float], schedule: DepthSchedule) -> str:
     """'above' if values fall below eps_stop monotonically, 'below' if they
-    stay at or above c_stay, else 'undecided'."""
+    stay at or above c_stay, else 'undecided'.  A value of 0 (log -inf)
+    that stays 0 does not rise."""
     v = np.asarray(log_values, dtype=float)
-    monotone = bool((np.diff(v) <= 1e-9).all())
+    with np.errstate(invalid="ignore"):  # -inf - -inf is nan, and nan > x is False
+        monotone = not (np.diff(v) > 1e-9).any()
     if monotone and v[-1] < math.log(schedule.eps_stop):
         return "above"
     if v.min() >= math.log(schedule.c_stay):
@@ -318,17 +322,10 @@ def ibn_estimate(source: TreeFamily | Tree, schedule: DepthSchedule,
                  grid: Sequence[float] = DEFAULT_GRID) -> BracketResult:
     """Bracket the branching number by classifying min-cut trajectories.
 
-    A family sweeps its class table once for every (rate, depth), and an
-    explicit Tree is swept per depth on the tree itself (it must reach the
-    deepest scheduled depth).
+    Every source, a family or an explicit Tree (which must reach the
+    deepest scheduled depth), sweeps its class table (classes.of_source)
+    once for every (rate, depth).
     """
     grid = rate_grid(grid)
-    if isinstance(source, TreeFamily):
-        table = classes.log_min_cut(classes.of_family(source, schedule.depths), grid)
-        return trajectory_bracket(grid, schedule, dict(zip(grid, map(tuple, table.tolist()))))
-    trajectories = {}
-    for lam in grid:
-        logw = ibn_log_weights(source, lam)
-        trajectories[lam] = tuple(min_cut(source, logw, N, want_cut=False).log_value
-                                  for N in schedule.depths)
-    return trajectory_bracket(grid, schedule, trajectories)
+    table = classes.log_min_cut(classes.of_source(source, schedule.depths), grid)
+    return trajectory_bracket(grid, schedule, dict(zip(grid, map(tuple, table.tolist()))))

@@ -5,11 +5,12 @@ survive through branching but shallow thin stretches kill clusters; the
 survival recursion is evaluated with log1p/expm1 to keep tiny
 probabilities meaningful.  The conductance bound's comparison network is
 per-depth (one log conductance per depth, from one cumsum) and is reduced
-in log space.  survival_table is the one place that picks how a source's
-survival and bound are evaluated: a family, three-one included, by one
-sweep of its class table for every (rate, depth), an explicit Tree by one
-Tree.sweep_up per (rate, depth); theta_estimate reads its survival.  Monte
-Carlo is one Tree.sweep_down per chunk of trials.
+in log space.  survival_table evaluates every source's survival and bound
+by one sweep each of its class table (classes.of_source: a family's, or
+an explicit Tree's hash-consed one) for every (rate, depth);
+theta_estimate reads its survival.  exact_survival and conductance_bound
+sweep a Tree per vertex, the class route's test oracles.  Monte Carlo is
+one Tree.sweep_down per chunk of trials.
 """
 
 from __future__ import annotations
@@ -108,19 +109,16 @@ def survival_table(source: TreeFamily | Tree, grid: Sequence[float], depths: Seq
                    mc_trials: int = 0, seed: int = 0) -> dict[tuple[float, int], tuple]:
     """(exact survival, Monte Carlo estimate, its standard error, conductance
     bound) for every (lam, N) of grid x depths; nan for the Monte Carlo pair
-    when mc_trials is 0.  A family sweeps its class table once for every
-    exact pair, an explicit Tree is swept per (lam, N); Monte Carlo draws
-    every depth on one truncation, at the deepest N."""
+    when mc_trials is 0.  Every source, a family or an explicit Tree,
+    sweeps its class table (classes.of_source) once for all the exact
+    pairs; Monte Carlo draws every depth on one truncation, at the deepest
+    N."""
     laws = [PercolationLaw(lam) for lam in grid]
-    if isinstance(source, Tree):
-        survival = np.array([[exact_survival(source, law, N) for N in depths] for law in laws])
-        bound = np.array([[conductance_bound(source, law, N) for N in depths] for law in laws])
-    else:
-        class_table = classes.of_family(source, depths)
-        D = class_table.depths[-1]
-        survival = classes.survival(class_table, (law.log_p(np.arange(1, D + 1)) for law in laws))
-        bound = _bound(classes.log_conductance(
-            class_table, (_comparison_log_conductances(law, D) for law in laws)))
+    class_table = classes.of_source(source, depths)
+    D = class_table.depths[-1]
+    survival = classes.survival(class_table, (law.log_p(np.arange(1, D + 1)) for law in laws))
+    bound = _bound(classes.log_conductance(
+        class_table, (_comparison_log_conductances(law, D) for law in laws)))
     # levels <= N of a deeper truncation list the same vertices in the same
     # order, so every depth draws as on its own truncation
     tree = truncation(source, max(depths)) if mc_trials else None

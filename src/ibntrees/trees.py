@@ -12,7 +12,9 @@ sweeps read -- height, per-level id arrays, sibling groups and CSR
 children -- are computed once, on first use, and can be shared across
 concurrent readers.  Every exact level recursion runs through sweep_down
 (from the root) or sweep_up (towards it), and each sweep checks that the
-tree reaches its depth N, so its callers do not.
+tree reaches its depth N, so its callers do not.  shape_classes hash-conses
+the vertices by the shape of their truncated subtree, level by level from
+depth N up, for the class tables (classes.of_tree).
 """
 
 from __future__ import annotations
@@ -31,6 +33,16 @@ import numpy as np
 _TEXT_CHUNK = 1 << 12  # rows formatted per write in write_text
 _READ_CHUNK = 1 << 13  # lines parsed per np.loadtxt call in read_text
 _FLOW_TOL = 1e-9  # relative tolerance of every check_flow test
+# shape_classes codes a level's child-class rows as int64 below _CODE_LIMIT
+# and deduplicates up to _TABLE_CODES codes by a lookup table, more by
+# np.unique.  It hash-conses a level of fewer children than _SMALL_LEVEL,
+# or of wider rows, in Python: numpy keeps the freed buffers of its arrays
+# under 1 KiB for reuse, and a numpy pass over the small levels near the
+# root left a hundred such buffers, of as many sizes, across the heap,
+# where they kept its freed pages resident
+_TABLE_CODES = 1 << 16
+_CODE_LIMIT = 1 << 62
+_SMALL_LEVEL = 128
 
 
 def _nondecreasing(a: np.ndarray) -> bool:
@@ -92,6 +104,68 @@ def _text_rows(ids: np.ndarray, parent: np.ndarray, depth: np.ndarray) -> str:
         if k:
             np.greater(x, 0, out=keep[:, k - 1])  # the number has a digit left of k
     return digits[keep].tobytes().decode("ascii")
+
+
+def _place(level: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The positions of ids in level, an ascending id array that holds them."""
+    if level[-1] - level[0] == len(level) - 1:  # one run of ids
+        return ids - level[0]
+    if len(ids) == len(level) and _nondecreasing(ids):  # all of level, in order
+        return np.arange(len(ids))
+    return np.searchsorted(level, ids)
+
+
+def _numpy_classes(child: np.ndarray, starts: np.ndarray, at: np.ndarray, n: int,
+                   n_cls: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """One level of Tree.shape_classes: (its gathers, the class of each of
+    the n vertices above it), or None if its rows are too wide for one
+    int64.  child holds the children's classes in sibling order, starts
+    each sibling group's first child and at the position of its parent
+    among the n.  A parent's row, its child classes ascending, is coded as
+    one int64 in base n_cls + 1, digit r its r-th class + 1 (0 pads); the
+    codes are deduplicated by a lookup table up to _TABLE_CODES of them,
+    else by np.unique, and numbered in order.  A level of single children
+    codes each parent's row as its child's class + 1 directly."""
+    codes, base = np.zeros(n, dtype=np.int64), n_cls + 1
+    if len(starts) == len(child):
+        width, power = 1, np.ones(1, dtype=np.int64)
+        codes[at] = child + 1
+    else:
+        group = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(child)))
+        rank = np.arange(len(child)) - starts[group]
+        width = int(rank.max()) + 1
+        if base ** width > _CODE_LIMIT:
+            return None
+        key = group * n_cls + child
+        if not _nondecreasing(key):
+            key.sort()  # each group's child classes ascending
+        power = base ** np.arange(width, dtype=np.int64)
+        codes[at] = np.add.reduceat((key - (group * n_cls - 1)) * power[rank], starts)
+    if base ** width > _TABLE_CODES:
+        uniq, cls = np.unique(codes, return_inverse=True)
+    else:
+        seen = np.zeros(base ** width, dtype=bool)
+        seen[codes] = True
+        uniq, cls = np.flatnonzero(seen), np.cumsum(seen) - 1
+        cls = cls[codes]
+    return uniq // power[:, None] % base - 1, cls.reshape(-1)
+
+
+def _python_classes(child: list, starts: list, at: list, n: int,
+                    n_cls: int) -> tuple[np.ndarray, np.ndarray]:
+    """_numpy_classes in Python, for a level of few children or of wide
+    rows: the same codes, as Python integers, and the same numbers."""
+    rows = [()] * n
+    for p, a, b in zip(at, starts, [*starts[1:], len(child)]):
+        rows[p] = tuple(sorted(child[a:b]))
+    base = n_cls + 1
+    codes = [sum((c + 1) * base ** r for r, c in enumerate(row)) for row in rows]
+    first = dict(sorted(zip(codes, rows)))  # code -> row, in code order
+    idx = np.full((max(map(len, rows)), len(first)), -1, dtype=np.int64)
+    for j, row in enumerate(first.values()):
+        idx[:len(row), j] = row
+    rank = {code: j for j, code in enumerate(first)}
+    return idx, np.array([rank[code] for code in codes], dtype=np.int64)
 
 
 class Tree:
@@ -240,6 +314,33 @@ class Tree:
             ids, starts, parents = self.siblings(k)
             out[parents] = fold(out[ids], ids, starts)
         return out
+
+    def shape_classes(self, N: int) -> list[np.ndarray]:
+        """The vertices at depths 0..N hash-consed by the shape of their
+        subtree truncated at depth N, from N up: every depth-N vertex is
+        one class, and above it a vertex's class is the sorted multiset of
+        its children's classes (a childless vertex's the empty one),
+        deduplicated per level and numbered in the order of its code
+        (_numpy_classes).  Returns, for k = N-1, ..., 0, idx[r, c]: the
+        row among level k+1's classes of class c's r-th child, ascending
+        (-1: none)."""
+        self.check_depth(N)
+        for k in range(1, N + 1):  # the cached groups first, so that the loop's
+            self.siblings(k)       # scratch arrays, freed, do not sit below them
+        gathers = []
+        below = self.level(N)
+        cls, n_cls = np.zeros(len(below), dtype=np.int64), 1
+        for k in range(N, 0, -1):
+            ids, starts, parents = self.siblings(k)
+            above = self.level(k - 1)
+            child, at = cls[_place(below, ids)], _place(above, parents)
+            sizes = (len(above), n_cls)
+            if len(ids) < _SMALL_LEVEL or (level := _numpy_classes(child, starts, at, *sizes)) is None:
+                level = _python_classes(child.tolist(), starts.tolist(), at.tolist(), *sizes)
+            idx, cls = level
+            gathers.append(idx)
+            below, n_cls = above, idx.shape[1]
+        return gathers
 
     # -- serialization ----------------------------------------------------
 

@@ -340,13 +340,15 @@ def psi_field(tree: Tree, log_c: np.ndarray, N: int) -> PsiField:
 def rt_estimate(psi: PsiField, gamma_grid: Sequence[float],
                 schedule: DepthSchedule) -> BracketResult:
     """Bracket the recurrence/transience exponent: classify, per gamma, the
-    min-cut trajectory on psi.tree under weights Psi(e)**gamma."""
+    min-cut trajectory on psi.tree under weights Psi(e)**gamma.  A weight
+    whose log overflows is 0 (log -inf), as in ibn_log_weights."""
     gamma_grid = rate_grid(gamma_grid, upper=math.inf)
     if psi.N < schedule.depths[-1]:
         raise ValueError("psi field shallower than the schedule")
     trajectories = {}
     for g in gamma_grid:
-        w = g * psi.log_Psi
+        with np.errstate(over="ignore"):  # log Psi <= 0, so an overflow is -inf
+            w = g * psi.log_Psi
         w[0] = np.nan
         vals = [min_cut(psi.tree, w, N, want_cut=False).log_value for N in schedule.depths]
         trajectories[g] = tuple(vals)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (hash_cons, log_effective_conductance_symmetric, min_cut_symmetric,
                       survival_symmetric, three_one_gathers_oracle, three_one_lattice)
@@ -10,7 +12,9 @@ from ibntrees import classes
 from ibntrees import flowcut as fc
 from ibntrees import generators as gen
 from ibntrees import percolation as pc
+from ibntrees import trees
 from ibntrees import walks
+from ibntrees.trees import Tree
 
 LAMS = (0.2, 0.5, 0.8)
 
@@ -148,3 +152,202 @@ def test_kept_symmetric_names_refuse_depth_0():
                  lambda: walks.effective_conductance_symmetric(lv, 0.5, 0)):
         with pytest.raises(ValueError, match="frontier depths must be >= 1"):
             call()
+
+
+# -- explicit trees -------------------------------------------------------------
+
+def branching_tree(seed: int, height: int, depth_first: bool, wide: int = 0) -> Tree:
+    """A random tree of the given height whose vertices have 0, 1, 2, 4, 5
+    or 6 children (levels past 40 vertices only 0, 1 or 2): the root has 4
+    to 6, one of them a leaf at depth 1, so branches die above every
+    deeper frontier.  With wide, the first vertex at depth 1 gets that many
+    more leaf children.  Numbered breadth first, or depth first, so that no
+    level below the root is one run of ids."""
+    gen = np.random.default_rng(seed)
+    kids = {0: list(range(1, 1 + int(gen.integers(4, 7))))}
+    n, level, depth = 1 + len(kids[0]), kids[0][1:], 1
+    kids[kids[0][0]] = []
+    if wide:
+        kids[kids[0][1]] = list(range(n, n + wide))
+        n += wide
+        level = level[1:]
+    while depth < height:
+        choices = [0, 1, 2] if len(level) > 40 else [0, 1, 2, 4, 5, 6]
+        nxt = []
+        for v in level:
+            k = int(gen.choice(choices))
+            kids[v] = list(range(n, n + k))
+            n += k
+            nxt += kids[v]
+        if not nxt:  # keep the height
+            kids[level[-1]] = [n]
+            nxt, n = [n], n + 1
+        level, depth = nxt, depth + 1
+    order = [0]  # old ids in the new numbering
+    if depth_first:
+        stack = [0]
+        order = []
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            stack += reversed(kids.get(v, []))
+    else:
+        for v in order:
+            order += kids.get(v, [])
+    new = {v: i for i, v in enumerate(order)}
+    parent, depth_of = np.full(n, -1), np.zeros(n, dtype=np.int64)
+    for v, cs in kids.items():
+        for c in cs:
+            parent[new[c]] = new[v]
+    for i in range(1, n):
+        depth_of[i] = depth_of[parent[i]] + 1
+    return Tree(parent, depth_of)
+
+
+def assert_tree_sweeps_match_the_vertex_sweeps(t: Tree, depths):
+    """of_tree's min-cut, survival and conductance bound at every frontier
+    within 1e-12 relative of the per-vertex sweeps of Tree.sweep_up."""
+    got = sweeps(classes.of_tree(t, depths), max(depths))
+    for i, lam in enumerate(LAMS):
+        law, logw = pc.PercolationLaw(lam), fc.ibn_log_weights(t, lam)
+        for j, N in enumerate(depths):
+            cut = fc.min_cut(t, logw, N, want_cut=False).log_value
+            assert math.isclose(math.exp(got[0][i, j]), math.exp(cut), rel_tol=1e-12), (lam, N)
+            assert math.isclose(got[1][i, j], pc.exact_survival(t, law, N), rel_tol=1e-12)
+            assert math.isclose(got[3][i, j], pc.conductance_bound(t, law, N), rel_tol=1e-12)
+
+
+# the levels that Tree.shape_classes hash-conses in Python: none, or all of these trees'
+PYTHON_LEVELS = pytest.mark.parametrize("small", [0, 10 ** 9], ids=["numpy", "python"])
+
+
+@PYTHON_LEVELS
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), height=st.integers(2, 7), depth_first=st.booleans())
+def test_tree_sweeps_match_the_vertex_sweeps(small, seed, height, depth_first):
+    t = branching_tree(seed, height, depth_first)
+    assert t.height() == height and t.n_children_array().max() >= 4
+    depths = list(range(1, height + 1))
+    np.random.default_rng(seed).shuffle(depths)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(trees, "_SMALL_LEVEL", small)
+        assert_tree_sweeps_match_the_vertex_sweeps(t, tuple(depths))
+
+
+@PYTHON_LEVELS
+@pytest.mark.parametrize("depth_first", [False, True], ids=["bfs", "dfs"])
+def test_rows_too_wide_for_a_code_match_the_vertex_sweeps(small, depth_first, monkeypatch):
+    # 70 leaves under one vertex: 2**70 codes at the deepest level
+    monkeypatch.setattr(trees, "_SMALL_LEVEL", small)
+    t = branching_tree(3, 1, depth_first, wide=70)
+    assert_tree_sweeps_match_the_vertex_sweeps(t, (1,))
+    t = branching_tree(3, 5, depth_first, wide=70)
+    assert_tree_sweeps_match_the_vertex_sweeps(t, (1, 2, 3, 4, 5))
+
+
+
+@PYTHON_LEVELS
+@pytest.mark.parametrize("seed", range(4))
+def test_shuffled_ids_and_single_children_match_the_vertex_sweeps(small, seed, monkeypatch):
+    # ids in a random topological order, so that no level is one run of ids
+    # or in sibling order
+    monkeypatch.setattr(trees, "_SMALL_LEVEL", small)
+    t = branching_tree(seed, 6, depth_first=False)
+    d, parent = t.depth_array(), t.parent_array()
+    rng, ready, order = np.random.default_rng(seed), [0], []
+    while ready:
+        order.append(ready.pop(int(rng.integers(len(ready)))))
+        ready += t.children(order[-1])
+    order = np.array(order)
+    new = np.empty_like(order)
+    new[order] = np.arange(len(order))
+    shuffled = Tree(np.concatenate(([-1], new[parent[order[1:]]])), d[order])
+    assert_tree_sweeps_match_the_vertex_sweeps(shuffled, (2, 4, 6))
+    # a level of single children beside a childless vertex: their rows differ
+    paths = Tree([-1, 0, 0, 0, 1, 2, 4, 5], [0, 1, 1, 1, 2, 2, 3, 3])
+    assert_tree_sweeps_match_the_vertex_sweeps(paths, (1, 2, 3))
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_every_dedupe_numbers_the_classes_alike(seed, monkeypatch):
+    t = branching_tree(seed, 7, depth_first=True)
+    monkeypatch.setattr(trees, "_SMALL_LEVEL", 0)
+    want = list(classes.of_tree(t, (3, 7)).levels())
+    # np.unique, then rows, on every level; then Python on every level
+    for name, value in (("_TABLE_CODES", 0), ("_CODE_LIMIT", 0), ("_SMALL_LEVEL", 10 ** 9)):
+        with monkeypatch.context() as m:
+            m.setattr(trees, name, value)
+            got = list(classes.of_tree(t, (3, 7)).levels())
+        assert len(got) == len(want) == 7
+        assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want)), name
+    wide = branching_tree(seed, 4, depth_first=False, wide=70)
+    want = list(classes.of_tree(wide, (2, 4)).levels())
+    monkeypatch.setattr(trees, "_SMALL_LEVEL", 10 ** 9)
+    assert all(np.array_equal(a, b) for a, b in zip(classes.of_tree(wide, (2, 4)).levels(), want))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tree_classes_are_the_hash_consed_ones(seed):
+    # a frontier at the height truncates nothing: one class per distinct
+    # (depth, multiset of child classes)
+    t = branching_tree(seed, 6, depth_first=bool(seed % 2))
+    ids, d = hash_cons(t), t.depth_array()
+    table = classes.of_tree(t, (6,))
+    counts = [idx.shape[1] for idx in table.levels()][::-1]
+    assert counts == [len(np.unique(ids[d == k])) for k in range(6)]
+
+
+@pytest.mark.parametrize("family, N", [
+    (gen.sequence_family(), 40), (gen.binary_family(), 9), (gen.path_family(), 12),
+    (gen.marks_family([True, False, True, True, False]), 11),
+], ids=["seq", "binary", "path", "marks"])
+def test_symmetric_truncation_has_one_class_per_level(family, N):
+    t = gen.spherically_symmetric(family.degrees(N), N)
+    table = classes.of_tree(t, (N // 2, N))
+    assert table.depths == tuple(range(N + 1))
+    assert [idx.shape for idx in table.levels()] == [(d, 1) for d in family.degrees(N)[::-1]]
+
+
+def test_tree_table_refuses_what_the_tree_cannot_reach():
+    t = branching_tree(0, 4, depth_first=False)
+    with pytest.raises(ValueError, match="^tree must reach depth N=5$"):
+        classes.of_tree(t, (2, 5))
+    with pytest.raises(ValueError, match="frontier depths must be >= 1"):
+        classes.of_tree(t, (0, 2))
+
+
+@pytest.mark.parametrize("rows", range(1, 8))
+def test_log_sum_folds_every_child(rows):
+    g = np.random.default_rng(rows).normal(scale=30.0, size=(rows, 5, 3))
+    g[:, 0] = -np.inf  # every child dead
+    g[0, 1] = -np.inf  # one child dead
+    want = np.logaddexp.reduce(g, axis=0)
+    with np.errstate(divide="ignore"):  # as log_min_cut calls it
+        got = classes._log_sum(g.copy(), 1.0)
+    assert np.array_equal(got[0], want[0]) and (got[0] == -np.inf).all()
+    assert np.allclose(got[1:], want[1:], rtol=1e-14, atol=0.0)
+
+
+def test_tree_sweep_splits_the_rates_alike(monkeypatch):
+    t = branching_tree(5, 6, depth_first=False)
+    table = classes.of_tree(t, (2, 4, 6))
+    want = sweeps(table, 6)
+    monkeypatch.setattr(classes, "_SWEEP_CELLS", 1)  # one rate per chunk
+    got = sweeps(table, 6)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_tree_estimates_sweep_the_class_table(monkeypatch):
+    # the estimators read a tree only through its class table
+    t = branching_tree(7, 6, depth_first=True)
+    sched = fc.DepthSchedule((2, 4, 6))
+    ibn = fc.ibn_estimate(t, sched, LAMS)
+    table = pc.survival_table(t, LAMS, sched.depths)
+
+    def refuse(*args):
+        raise AssertionError("per-vertex sweep")
+
+    monkeypatch.setattr(Tree, "sweep_up", refuse)
+    assert fc.ibn_estimate(t, sched, LAMS).trajectories == ibn.trajectories
+    assert pc.survival_table(t, LAMS, sched.depths) == table
+    cut = classes.log_min_cut(classes.of_tree(t, sched.depths), LAMS)
+    assert [ibn.trajectories[lam] for lam in LAMS] == list(map(tuple, cut.tolist()))

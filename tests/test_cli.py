@@ -8,7 +8,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import run_cli
@@ -645,8 +645,13 @@ def cli_argv(draw) -> list[str]:
     return [sub, *value(SOURCE), *options, *seed, "--out", "o.csv"]
 
 
+RWRC_OVERFLOW = ["rwrc", "--family", "seq", "--lambda", "0.5", "--gamma-grid", "1e308",
+                 "--schedule", "1,2", "--seed", "0", "--out", "o.csv"]
+
+
 @settings(max_examples=400, deadline=None)
 @given(argv=cli_argv())
+@example(argv=RWRC_OVERFLOW)
 def test_cli_contract(argv):
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "t.txt").write_text(generators.sequence_family().build(3).to_text())
@@ -672,3 +677,14 @@ def test_cli_contract(argv):
         for path in outputs:
             assert path.exists() == (rc == 0), path
             assert Path(f"{path}.manifest.json").exists() == (rc == 0), path
+
+
+@pytest.mark.parametrize("schedule", ["1,2", "2,3"])
+def test_rwrc_weight_that_overflows_is_zero(schedule, tmp_path):
+    # gamma * log Psi overflows past depth 1: the weight is 0 (log -inf), and
+    # a trajectory that stays at 0 is 'above'
+    argv = RWRC_OVERFLOW[:-5] + [schedule, "--seed", "0", "--out", str(tmp_path / "o.csv")]
+    assert cli.main(argv) == 0
+    rows = (tmp_path / "o.csv").read_text().splitlines()
+    first = "1e+308,1,1.0,above" if schedule == "1,2" else "1e+308,2,0.0,above"
+    assert rows[1:] == [first, f"1e+308,{schedule[-1]},0.0,above"]

@@ -115,7 +115,8 @@ def test_draws_that_cross_block_refills_mid_step_match():
     # half of the walks escape on the unit-conductance binary tree and run
     # to the cap, drawing over 13 blocks of 2**16 uniforms (one per step
     # after the forced first); 3001 live walkers or fewer never divide a
-    # block, so refills fall inside steps
+    # block, so every in-place refill leaves an unread tail, which must be
+    # moved to the front and read first
     fam = gen.binary_family()
     args = (fam.degrees(64), 0.0, 64, 3001, 600, 5)
     assert walks.depth_walk_batch(*args)[1].sum() - 3001 > 13 * walks._BLOCK
