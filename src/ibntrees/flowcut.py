@@ -16,9 +16,11 @@ routes:
   at once, for a family far beyond any materializable truncation.
 
 ibn_estimate takes the class-table route for every source, a family or
-an explicit Tree; min_cut serves the random fields and the cut sets, and
-is the class route's test oracle.  Every estimator reports a
-BracketResult: per-value classifications and the bracket they induce.
+an explicit Tree; min_cut serves the firefighter's cut sets, and is the
+test oracle of the class route and of walks.rt_estimate, which folds the
+random fields' cuts on the tree's branch depths only.  Every estimator
+reports a BracketResult: per-value classifications and the bracket they
+induce.
 """
 
 from __future__ import annotations

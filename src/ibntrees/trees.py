@@ -107,10 +107,11 @@ def _text_rows(ids: np.ndarray, parent: np.ndarray, depth: np.ndarray) -> str:
 
 
 def _place(level: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """The positions of ids in level, an ascending id array that holds them."""
+    """The positions of ids in level: level ascends strictly, and ids holds
+    values of level in any order, repeats allowed."""
     if level[-1] - level[0] == len(level) - 1:  # one run of ids
         return ids - level[0]
-    if len(ids) == len(level) and _nondecreasing(ids):  # all of level, in order
+    if len(ids) == len(level) and (ids[1:] > ids[:-1]).all():  # all of level, in order
         return np.arange(len(ids))
     return np.searchsorted(level, ids)
 

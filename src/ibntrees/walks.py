@@ -5,7 +5,10 @@ them stays in log space: sampled values like exp(-t**lam), t in the
 hundreds of digits, underflow any linear sum.  Effective conductance is
 one Tree.sweep_up on a materialized tree and a sweep of the class table
 (classes.py) on a family; the psi fields and the coupled open set are
-Tree.sweep_down passes.
+Tree.sweep_down passes.  rt_estimate's min-cuts under the weights
+Psi(e)**gamma fold only depth 0, the scheduled frontiers and the depths
+where the tree branches: log Psi never rises along a root path, so a
+chain of single children passes its bottom vertex's cut up unchanged.
 
 Both walkers run on one loop, _walk_batch: all trials of a batch at once,
 one uniform per live walker per step.  A walker is a state in a next-state
@@ -36,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from . import classes, rng
-from .flowcut import BracketResult, DepthSchedule, min_cut, rate_grid, trajectory_bracket
+from .flowcut import BracketResult, DepthSchedule, rate_grid, trajectory_bracket
 from .flowcut import ibn_log_weights as deterministic_conductances
 from .generators import TreeFamily, check_elements, truncation
 from .trees import Tree
@@ -113,6 +116,7 @@ def effective_conductance_symmetric(log2_levels: Sequence[float], lam: float, N:
 # -- walkers -----------------------------------------------------------------
 
 _BLOCK = 1 << 16  # doubles in the walk's draw buffer, or trials if more (512 KB)
+_FIRST_FILL = 1 << 13  # doubles its first refill fills, or trials if more
 
 
 def _walk_batch(move, depth_of: np.ndarray, first: int, trials: int, step_cap: int,
@@ -137,7 +141,10 @@ def _walk_batch(move, depth_of: np.ndarray, first: int, trials: int, step_cap: i
     The uniforms come from the one (seed, WALK_STREAM) Philox stream into
     one buffer of max(_BLOCK, trials) doubles, refilled in place (the
     unread tail moved to the front, the rest drawn) when a chunk's K * m do
-    not fit, and K * m never exceeds the buffer.  A step takes the next m,
+    not fit, and K * m never exceeds its filled part.  That part grows as
+    the walk reads on, from max(_FIRST_FILL, trials) doubles, doubling at
+    each refill up to the whole buffer, so a short walk touches few of the
+    buffer's pages.  A step takes the next m,
     one per live walker in trial order.  Philox random(a) then random(b)
     draws what random(a + b) draws, and random(out=view) what
     random(len(view)) would, so a walker reads the same uniform as if every
@@ -158,18 +165,19 @@ def _walk_batch(move, depth_of: np.ndarray, first: int, trials: int, step_cap: i
     returned = np.zeros(trials, dtype=bool)
     final_steps = np.full(trials, step_cap, dtype=np.int64)
     maxd = np.empty(trials, dtype=np.int64)
-    u = np.empty(max(_BLOCK, trials))  # the draw buffer, read from u[at:]
-    at = len(u)
+    u = np.empty(max(_BLOCK, trials))  # the draw buffer, filled to end and read from u[at:end]
+    at = end = 0
     # lo <= live depths <= hi, but a walk from the root leaves it on its first step
     m, step, lo, hi = trials, start, max(start, 1), start
     while step < step_cap and m > 0:
         k = min(lo, stop - hi, step_cap - step)
-        if k * m > len(u) - at:
-            rest = len(u) - at
-            u[:rest] = u[at:]
-            gen.random(out=u[rest:])
+        if k * m > end - at:
+            rest = end - at
+            u[:rest] = u[at:end]
+            end = min(max(2 * end, _FIRST_FILL, trials), len(u))  # doubling, as the walk reads on
+            gen.random(out=u[rest:end])
             at = 0
-            k = min(k, len(u) // m)
+            k = min(k, end // m)
         for row in u[at:at + k * m].reshape(k, m):
             state = move(state, row)
             np.maximum(top, state, out=top)
@@ -337,21 +345,73 @@ def psi_field(tree: Tree, log_c: np.ndarray, N: int) -> PsiField:
     return PsiField(tree, log_S, log_psi, log_Psi, N)
 
 
+def _cut_steps(tree: Tree, depths: Sequence[int]) -> list[tuple]:
+    """rt_estimate's fold steps for the depths, deepest first: one (a, low,
+    anc) per pair a < b of consecutive kept depths, which are 0, the depths
+    and every depth where some vertex has two or more children.  No vertex
+    at depths a + 1..b - 1 has two children, so each depth-b vertex has its
+    own ancestor at depth a + 1: low is level(b) and anc those ancestors,
+    or both are None when b = a + 1."""
+    N, par = depths[-1], tree.parent_array()
+    kept = [k for k in range(1, N)
+            if k in depths or len(tree.siblings(k + 1)[1]) < len(tree.level(k + 1))]
+    steps = []
+    for a, b in zip([0, *kept], [*kept, N]):
+        low = anc = None
+        if b > a + 1:
+            low = anc = tree.level(b)
+            for _ in range(b - a - 1):
+                anc = par[anc]
+        steps.append((a, low, anc))
+    return steps[::-1]
+
+
+def _log_cut(tree: Tree, steps, g: float, log_Psi: np.ndarray, N: int, cut: np.ndarray) -> float:
+    """The log min-cut of the depth-N truncation under the weights g * log
+    Psi, folded along _cut_steps' steps above N, in the scratch array cut."""
+    cut[tree.level(N)] = np.inf  # a frontier vertex cuts its own edge
+    for a, low, anc in steps:
+        if a >= N:
+            continue  # below this truncation
+        if low is not None:  # a chain's bottom m, written at its top
+            m = np.minimum(g * log_Psi[low], cut[low])
+            cut[tree.level(a + 1)] = NEG_INF  # chains that die out cost nothing
+            cut[anc] = m
+        ids, starts, parents = tree.siblings(a + 1)
+        m = np.minimum(g * log_Psi[ids], cut[ids])
+        cut[tree.level(a)] = NEG_INF  # as do childless vertices
+        cut[parents] = np.logaddexp.reduceat(m, starts)
+    return float(cut[0])
+
+
 def rt_estimate(psi: PsiField, gamma_grid: Sequence[float],
                 schedule: DepthSchedule) -> BracketResult:
     """Bracket the recurrence/transience exponent: classify, per gamma, the
-    min-cut trajectory on psi.tree under weights Psi(e)**gamma.  A weight
-    whose log overflows is 0 (log -inf), as in ibn_log_weights."""
+    min-cut trajectory on psi.tree under weights w = gamma * log Psi(e).  A
+    weight whose log overflows is 0 (log -inf), as in ibn_log_weights.
+
+    Each (gamma, depth N) cut is flowcut.min_cut's recursion, m(v) =
+    min(w(v), sum over children m(c)), on the kept depths only (_cut_steps).
+    log Psi never rises along a root path (psi_field: log S never falls, as
+    np.logaddexp never returns less than its larger argument), so for
+    gamma > 0 neither does w, and a vertex with one child c has m(v) =
+    min(w(v), m(c)) = m(c) exactly, as m(c) <= w(c) <= w(v).  So a
+    chain of single children passes its bottom vertex's m up unchanged: the
+    sweep writes it at the chain's top and folds that level's siblings as
+    min_cut does, the same terms in the same order, and every value equals
+    min_cut's.  A PsiField whose log Psi rises somewhere gets no such
+    guarantee.
+    """
     gamma_grid = rate_grid(gamma_grid, upper=math.inf)
-    if psi.N < schedule.depths[-1]:
+    tree, depths = psi.tree, schedule.depths
+    if psi.N < depths[-1]:
         raise ValueError("psi field shallower than the schedule")
-    trajectories = {}
-    for g in gamma_grid:
-        with np.errstate(over="ignore"):  # log Psi <= 0, so an overflow is -inf
-            w = g * psi.log_Psi
-        w[0] = np.nan
-        vals = [min_cut(psi.tree, w, N, want_cut=False).log_value for N in schedule.depths]
-        trajectories[g] = tuple(vals)
+    tree.check_depth(depths[-1])
+    steps = _cut_steps(tree, depths)
+    cut = np.empty(tree.n_vertices)  # the sweeps' scratch: each vertex's children's log cut
+    with np.errstate(over="ignore"):  # log Psi <= 0, so an overflow is -inf
+        trajectories = {g: tuple(_log_cut(tree, steps, g, psi.log_Psi, N, cut) for N in depths)
+                        for g in gamma_grid}
     return trajectory_bracket(gamma_grid, schedule, trajectories)
 
 

@@ -131,6 +131,18 @@ def cutset_weight(t: Tree, cut, lam: float) -> float:
     return sum(math.exp(-float(d[v]) ** lam) for v in cut)
 
 
+def rt_trajectories_oracle(psi, gamma_grid, depths) -> dict[float, tuple[float, ...]]:
+    """walks.rt_estimate's trajectories by one flowcut.min_cut sweep of the
+    whole truncation per (gamma, depth), every level folded."""
+    out = {}
+    for g in sorted(gamma_grid):
+        with np.errstate(over="ignore"):  # log Psi <= 0, so an overflow is -inf
+            w = g * psi.log_Psi
+        w[0] = np.nan
+        out[g] = tuple(flowcut.min_cut(psi.tree, w, N, want_cut=False).log_value for N in depths)
+    return out
+
+
 def brute_force_fire(tree: Tree, k: int, protections: dict[int, list[int]],
                      rounds: int) -> tuple[set[int], set[int]]:
     """Closed-form fire evolution: a vertex burns at round max(0, |v|-k)

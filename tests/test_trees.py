@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import is_cutset, random_tree, text_rows_oracle, tree_text_oracle
 from ibntrees import generators as gen
-from ibntrees.trees import _READ_CHUNK, _TEXT_CHUNK, Tree, _text_rows, check_flow
+from ibntrees.trees import _READ_CHUNK, _TEXT_CHUNK, Tree, _place, _text_rows, check_flow
 
 
 def test_constructor_depth_recurrence():
@@ -216,6 +216,18 @@ def test_levels_and_sibling_groups_out_of_id_order():
     assert t.n_children_array().tolist() == [2, 1, 2, 2, 1, 1, 0, 0, 0, 0]
     assert t.level_sizes().tolist() == [1, 2, 3, 4]
     assert t.level(4).tolist() == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(level=st.lists(st.integers(0, 60), min_size=1, max_size=8, unique=True), data=st.data())
+def test_place_finds_ids_with_repeats_in_any_order(level, data):
+    # repeats of as many ids as the level holds once passed the test for the
+    # whole level in order: _place([3, 9], [9, 9]) gave [0, 1]
+    assert _place(np.array([3, 9]), np.array([9, 9])).tolist() == [1, 1]
+    assert _place(np.array([3, 5, 9]), np.array([3, 3, 9])).tolist() == [0, 0, 2]
+    level = np.array(sorted(level))
+    ids = np.array(data.draw(st.lists(st.sampled_from(level.tolist()), min_size=1, max_size=10)))
+    assert _place(level, ids).tolist() == [level.tolist().index(v) for v in ids.tolist()]
 
 
 def test_sweep_kernels_match_per_vertex_loops():

@@ -209,3 +209,17 @@ def test_the_benchmark_transient_walk_matches(seed):
     degrees = FAMILIES["seq"].degrees(512)
     args = (degrees, 0.3, 512, 2000, 30_000, seed)
     _assert_identical(walks.depth_walk_batch(*args), reference_depth_walk(*args))
+
+
+@pytest.mark.parametrize("trials, N, cap, seed", [(5, 4096, 60_000, 0),
+                                                  (walks._FIRST_FILL + 1, 64, 40, 2)])
+def test_refills_while_the_filled_part_of_the_buffer_grows_match(trials, N, cap, seed):
+    # the first refill fills max(_FIRST_FILL, trials) doubles and each later
+    # one twice as many, up to the whole buffer; these walks read past two
+    # buffers, so their chunks cross every growing refill: few walkers with
+    # a small first fill, and more walkers than _FIRST_FILL
+    fam = gen.binary_family()
+    args = (fam.degrees(N), 0.0, N, trials, cap, seed)
+    got = walks.depth_walk_batch(*args)
+    assert got[1].sum() - trials > 2 * walks._BLOCK
+    _assert_identical(got, reference_depth_walk(*args))

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import log_effective_conductance_symmetric, random_tree
+from conftest import log_effective_conductance_symmetric, random_tree, rt_trajectories_oracle
 from ibntrees import generators as gen
 from ibntrees import rng, walks
-from ibntrees.flowcut import DepthSchedule, min_cut
+from ibntrees.flowcut import DepthSchedule
 from ibntrees.trees import Tree
 
 
@@ -331,6 +333,55 @@ def test_rt_deterministic_field_matches_level_oracle():
             n = np.arange(1, N + 1, dtype=float)
             oracle = (lv[1:N + 1] * math.log(2.0) - g * np.power(n, beta)).min()
             assert abs(got - oracle) < 1e-9
+
+
+def _grown_tree(gen_rng, steps: int) -> Tree:
+    """A tree grown by attaching, to a vertex drawn from all so far, either
+    one leaf or a chain of single children: ids are out of level order,
+    and the tree has dead branches and single-child chains."""
+    parent, depth = [-1], [0]
+    for _ in range(steps):
+        p = int(gen_rng.integers(len(parent)))
+        for _ in range(1 if gen_rng.random() < 0.5 else int(gen_rng.integers(2, 7))):
+            parent.append(p)
+            depth.append(depth[p] + 1)
+            p = len(parent) - 1
+    return Tree(parent, depth)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), steps=st.integers(1, 40),
+       lam=st.floats(0.05, 0.95), sampled=st.booleans(),
+       gammas=st.lists(st.floats(1e-3, 50.0), min_size=1, max_size=3, unique=True),
+       data=st.data())
+def test_rt_estimate_matches_a_min_cut_per_gamma_and_depth(seed, steps, lam, sampled, gammas, data):
+    # the sweep on the branch depths must give every value of one
+    # flowcut.min_cut per (gamma, depth) exactly, with frontiers at any
+    # depth, a branch depth or not, and a gamma whose weights overflow
+    gen_rng = np.random.default_rng(seed)
+    t = _grown_tree(gen_rng, steps)
+    N = t.height()
+    depths = sorted(data.draw(st.sets(st.integers(1, N), max_size=4)) | {N})
+    log_c = (walks.sample_conductances(t, lam, seed) if sampled
+             else walks.deterministic_conductances(t, lam))  # ties among siblings
+    psi = walks.psi_field(t, log_c, N)
+    grid = (*gammas, 1e308)
+    res = walks.rt_estimate(psi, grid, DepthSchedule(tuple(depths)))
+    assert res.trajectories == rt_trajectories_oracle(psi, grid, depths)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), steps=st.integers(1, 40),
+       log_c=st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=8))
+def test_psi_field_log_Psi_never_rises_along_a_root_path(seed, steps, log_c):
+    # rt_estimate's sweep on the branch depths rests on this, exactly
+    t = _grown_tree(np.random.default_rng(seed), steps)
+    field = np.resize(np.array(log_c), t.n_vertices)
+    pf = walks.psi_field(t, field, t.height())
+    v = np.arange(1, t.n_vertices)
+    assert (pf.log_psi[v] <= 0.0).all()
+    inner = v[t.depth_array()[v] >= 2]
+    assert (pf.log_Psi[inner] <= pf.log_Psi[t.parent_array()[inner]]).all()
 
 
 def test_coupled_percolation_ancestor_closure():
