@@ -24,7 +24,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, firefighter, flowcut, generators, grigorchuk, nathanson, percolation, walks
-from .trees import Tree
+from .trees import _TEXT_CHUNK, Tree, _text_rows
 
 
 # output option -> the summary key that records its resolved path
@@ -181,7 +181,7 @@ def _run_estimate_ibn(opts: dict) -> dict:
     summary = {"ibn_lower": res.lower, "ibn_upper": res.upper, "family": opts.get("family")}
     if opts.get("family"):
         N = schedule.depths[-1]
-        est = flowcut.igr_estimate(source.level_log2_sizes(N), N)
+        est = flowcut.igr_estimate(source.level_reader(N), N)
         summary["igr"] = est.estimate
     return summary
 
@@ -190,8 +190,11 @@ def _run_walk(opts: dict) -> dict:
     trials = opts["trials"]
     returned, steps, maxd = walks.root_walks(_load_source(opts), opts["lam"], opts["depth"],
                                              trials, opts["cap"], opts["seed"])
-    rows = [[t, int(returned[t]), int(steps[t]), int(maxd[t])] for t in range(trials)]
-    _write_csv(opts["out"], ["trial", "returned", "steps", "maxdepth"], rows)
+    with open(opts["out"], "w") as fh:  # _write_csv's bytes, formatted by numpy
+        fh.write("trial,returned,steps,maxdepth\n")
+        for i in range(0, trials, _TEXT_CHUNK):
+            j = min(i + _TEXT_CHUNK, trials)
+            fh.write(_text_rows(np.arange(i, j), returned[i:j], steps[i:j], maxd[i:j], sep=","))
     return {"return_frequency": float(returned.mean()), "trials": trials}
 
 
@@ -201,8 +204,7 @@ def _run_rwrc(opts: dict) -> dict:
     grid = _parse_grid(opts["gamma_grid"])
     N = schedule.depths[-1]
     tree = generators.truncation(source, N)
-    field = walks.sample_conductances(tree, opts["lam"], opts["seed"])
-    psi = walks.psi_field(tree, field, N)
+    psi = walks.psi_field(tree, walks.sample_conductances(tree, opts["lam"], opts["seed"]), N)
     res = walks.rt_estimate(psi, grid, schedule)
     _write_csv(opts["out"], ["gamma", "depth", "rtvalue", "class"], _trajectory_rows(grid, res))
     tag = f"rt@{opts['lam']:g}"

@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from . import classes
-from .generators import LOG2, TreeFamily, triangular
+from .generators import LOG2, LevelReader, TreeFamily, triangular
 from .trees import Tree
 
 NEG_INF = float("-inf")
@@ -161,22 +161,24 @@ class IgrEstimate:
     grid_sup: float | None  # largest grid lam with all tail level sums >= 1, else None
 
 
-def _tail_chunks(lv: np.ndarray, lo: int, N: int):
+def _tail_chunks(levels: LevelReader, lo: int, N: int):
     """(n, ln #E_n) for depths n = lo..N, _IGR_CHUNK depths at a time."""
     for a in range(lo, N + 1, _IGR_CHUNK):
         b = min(a + _IGR_CHUNK, N + 1)
-        yield np.arange(a, b, dtype=float), lv[a:b] * LOG2
+        yield np.arange(a, b, dtype=float), levels(a, b) * LOG2
 
 
-def igr_estimate(level_log2_sizes: Sequence[float], N: int) -> IgrEstimate:
-    """Growth index of a truncation from its level sizes.
+def igr_estimate(levels: LevelReader, N: int) -> IgrEstimate:
+    """Growth index of a truncation from its level sizes, read through
+    levels (TreeFamily.level_reader).
 
     The headline number is the least-squares slope of log log #E_n on
     log n over the depths of the tail window [N/8, N] with #E_n > e, in
     closed form: one pass over the window takes the means, a second the
     centered sums S_xy and S_xx, and slope = S_xy / S_xx.  Both passes read
-    the window _IGR_CHUNK depths at a time, so the memory used beyond the
-    input does not grow with N.  grid_sup is a diagnostic: the largest
+    the window _IGR_CHUNK depths at a time from the reader, which holds one
+    value per step of the sizes, so the fit holds no per-depth array and
+    its memory does not grow with N.  grid_sup is a diagnostic: the largest
     _IGR_GRID lam whose level-sum test (#E_n * exp(-n**lam) >= 1 on the whole
     window) holds, found by bisecting the grid: n**lam grows with lam
     for n >= 2, so the passing rates are a prefix of the grid.  Each
@@ -185,12 +187,11 @@ def igr_estimate(level_log2_sizes: Sequence[float], N: int) -> IgrEstimate:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    lv = np.asarray(level_log2_sizes, dtype=float)
-    if len(lv) < N + 1:
+    if levels.N < N:
         raise ValueError("need level sizes up to depth N")
     lo = max(2, N // 8)
     count, sum_x, sum_y = 0, 0.0, 0.0
-    for n, loge in _tail_chunks(lv, lo, N):
+    for n, loge in _tail_chunks(levels, lo, N):
         usable = loge > 0
         count += int(usable.sum())
         sum_x += float(np.log(n[usable]).sum())
@@ -199,16 +200,17 @@ def igr_estimate(level_log2_sizes: Sequence[float], N: int) -> IgrEstimate:
     if count >= 2:
         mean_x, mean_y = sum_x / count, sum_y / count
         sxy = sxx = 0.0
-        for n, loge in _tail_chunks(lv, lo, N):
+        for n, loge in _tail_chunks(levels, lo, N):
             usable = loge > 0
             dx = np.log(n[usable]) - mean_x
             sxy += float((dx * (np.log(loge[usable]) - mean_y)).sum())
             sxx += float((dx * dx).sum())
         slope = sxy / sxx
-    endpoint = float(math.log(lv[N] * LOG2) / math.log(N)) if lv[N] * LOG2 > 1.0 and N > 1 else 0.0
+    top = float(levels(N, N + 1)[0]) * LOG2
+    endpoint = math.log(top) / math.log(N) if top > 1.0 and N > 1 else 0.0
 
     def fails(lam: float) -> bool:
-        return not all((loge - np.power(n, lam) >= 0).all() for n, loge in _tail_chunks(lv, lo, N))
+        return not all((loge - np.power(n, lam) >= 0).all() for n, loge in _tail_chunks(levels, lo, N))
 
     passing = bisect.bisect_left(_IGR_GRID, True, key=fails) if lo <= N else 0
     grid_sup = _IGR_GRID[passing - 1] if passing else None

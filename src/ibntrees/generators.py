@@ -10,7 +10,8 @@ the tree near the root -- which is why they appear among the examples, but
 sub-periodicity itself is never computed here.
 
 A family is a name plus its degree array (None for the stretched 3-1 tree);
-it builds truncations and gives the cheap level-size arithmetic.  A
+it builds truncations and reads its level sizes, a range of depths at a
+time, from a step function (LevelReader).  A
 source is an explicit Tree or a family, whose class table (classes.py)
 stands in for a truncation too large to materialize; the estimators test
 which one they were given, and truncation() materializes either.
@@ -147,15 +148,43 @@ def three_one_stretched(N: int) -> Tree:
     return Tree(np.concatenate(parent), np.concatenate(depth))
 
 
-def three_one_level_log2_sizes(N: int) -> np.ndarray:
-    """log2 #E_d for d = 0..N of the stretched 3-1 tree: 2**j on the j
-    depths of the paths into base level j."""
+def three_one_levels(N: int) -> LevelReader:
+    """log2 #E_d of the stretched 3-1 tree to depth N: step j is 2**j on the
+    j depths T(j-1)+1..T(j) of the paths into base level j."""
     check_elements(N, "the 3-1 level-size table")
-    j = np.arange(1, base_level_at_depth(N) + 1)
-    return np.concatenate(([0.0], np.repeat(j, j)[:N].astype(float)))
+    j = np.arange(base_level_at_depth(N) + 1)
+    bounds = np.append(j * (j - 1) // 2 + 1, N + 1)
+    bounds[0] = 0  # the root
+    return LevelReader(bounds, j.astype(float))
 
 
 # -- tree families ---------------------------------------------------------
+
+@dataclass(frozen=True)
+class LevelReader:
+    """log2 #E_n for n = 0..N of a depth-N truncation as a step function,
+    values[i] on the depths bounds[i] <= n < bounds[i + 1], from bounds[0]
+    = 0 to bounds[-1] = N + 1, read a range of depths at a time."""
+
+    bounds: np.ndarray  # int64, ascending
+    values: np.ndarray  # float64, one per step
+
+    @property
+    def N(self) -> int:
+        return int(self.bounds[-1]) - 1
+
+    def __call__(self, a: int, b: int) -> np.ndarray:
+        """log2 #E_n for a <= n < b, 0 <= a < b <= N + 1: one np.repeat of
+        the steps that meet the range, the first and the last cut to it."""
+        if not 0 <= a < b <= self.N + 1:
+            raise ValueError(f"depths {a}..{b - 1} are not a range in 0..{self.N}")
+        i = int(np.searchsorted(self.bounds, a, side="right")) - 1
+        k = int(np.searchsorted(self.bounds, b, side="left"))
+        lengths = np.diff(self.bounds[i:k + 1])
+        lengths[0] -= a - self.bounds[i]
+        lengths[-1] -= self.bounds[k] - b
+        return np.repeat(self.values[i:k], lengths)
+
 
 @dataclass(frozen=True)
 class TreeFamily:
@@ -165,6 +194,8 @@ class TreeFamily:
     symmetric family, which is all of it; degrees is None only for the
     stretched 3-1 tree.  Every family's degrees(N) raises MemoryCapError
     before it allocates more than DEFAULT_VERTEX_CAP elements.
+    level_reader(N) holds one level size per step, so the growth-index fit
+    holds no per-depth array.
     """
 
     name: str
@@ -186,11 +217,21 @@ class TreeFamily:
             return three_one_stretched(N)
         return spherically_symmetric(self.degrees(N), N)
 
-    def level_log2_sizes(self, N: int) -> np.ndarray:
-        """log2 #E_n for n = 0..N."""
+    def level_reader(self, N: int) -> LevelReader:
+        """log2 #E_n for n = 0..N.  A symmetric family's steps start one
+        below each depth whose degree is not 1, with the running log2 sums
+        of those degrees alone: cumsum(log2(degrees)) bit for bit, as a
+        degree 1 adds log2 1 = 0.0."""
         if self.degrees is None:
-            return three_one_level_log2_sizes(N)
-        return np.concatenate(([0.0], np.cumsum(np.log2(self.degrees(N)))))
+            return three_one_levels(N)
+        degrees = self.degrees(N)
+        branch = np.flatnonzero(degrees != 1)
+        return LevelReader(np.concatenate(([0], branch + 1, [N + 1])),
+                           np.concatenate(([0.0], np.cumsum(np.log2(degrees[branch])))))
+
+    def level_log2_sizes(self, N: int) -> np.ndarray:
+        """log2 #E_n for n = 0..N: level_reader(N) read at every depth."""
+        return self.level_reader(N)(0, N + 1)
 
 
 def sequence_family() -> TreeFamily:

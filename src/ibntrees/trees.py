@@ -80,20 +80,21 @@ def _parse_rows(first: str, lines, line: int) -> np.ndarray:
     return rows[1:]
 
 
-def _text_rows(ids: np.ndarray, parent: np.ndarray, depth: np.ndarray) -> str:
-    """The lines `<id> <parent> <depth>` of three columns of nonnegative
-    int64.  Every number gets a row of one uint8 matrix, its digits right
-    aligned in the width of the largest number and its separator after
-    them; the digits are written least significant first, one column per
-    pass, and one boolean mask drops the leading zeros."""
-    x = np.stack([ids, parent, depth], axis=1).ravel()  # the numbers in file order
+def _text_rows(*columns: np.ndarray, sep: str = " ") -> str:
+    """The lines of columns of nonnegative integers, each number followed
+    by sep and the last of a line by a newline.  Every number gets a row of
+    one uint8 matrix, its digits right aligned in the width of the largest
+    number and its separator after them; the digits are written least
+    significant first, one column per pass, and one boolean mask drops the
+    leading zeros."""
+    x = np.stack(columns, axis=1).ravel()  # the numbers in file order
     w = len(str(int(x.max())))
     if w < 10:
         x = x.astype(np.uint32)  # numpy divides uint32 several times faster than int64
     digits = np.empty((len(x), w + 1), dtype=np.uint8)
     keep = np.empty((len(x), w + 1), dtype=bool)
-    digits[:, w] = ord(" ")
-    digits[2::3, w] = ord("\n")
+    digits[:, w] = ord(sep)
+    digits[len(columns) - 1::len(columns), w] = ord("\n")
     keep[:, w - 1:] = True  # the last digit, 0 too, and the separator
     for k in range(w - 1, -1, -1):
         q = x // 10

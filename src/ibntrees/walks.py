@@ -351,10 +351,14 @@ def _cut_steps(tree: Tree, depths: Sequence[int]) -> list[tuple]:
     and every depth where some vertex has two or more children.  No vertex
     at depths a + 1..b - 1 has two children, so each depth-b vertex has its
     own ancestor at depth a + 1: low is level(b) and anc those ancestors,
-    or both are None when b = a + 1."""
+    or both are None when b = a + 1.  Depth k branches when level k + 1
+    outnumbers the depth-k vertices that have children, so only the kept
+    levels' siblings are ever grouped."""
     N, par = depths[-1], tree.parent_array()
-    kept = [k for k in range(1, N)
-            if k in depths or len(tree.siblings(k + 1)[1]) < len(tree.level(k + 1))]
+    has_child = np.zeros(tree.n_vertices, dtype=bool)
+    has_child[par[1:]] = True
+    kept = [k for k in range(1, N) if k in depths
+            or np.count_nonzero(has_child[tree.level(k)]) < len(tree.level(k + 1))]
     steps = []
     for a, b in zip([0, *kept], [*kept, N]):
         low = anc = None

@@ -16,7 +16,7 @@ import pytest
 
 import ibntrees
 from ibntrees import flowcut, grigorchuk, rng
-from ibntrees.generators import LOG2
+from ibntrees.generators import LOG2, LevelReader, base_level_at_depth
 from ibntrees.trees import Tree
 
 CLI = [sys.executable, "-m", "ibntrees.cli"]
@@ -319,6 +319,22 @@ def log_effective_conductance_symmetric(log2_levels, log_c) -> float:
     terms = -log_c - np.asarray(log2_levels, dtype=float)[1:len(log_c) + 1] * LOG2
     hi = terms.max()
     return -(hi + math.log(np.exp(terms - hi).sum()))
+
+
+def array_levels(level_log2_sizes) -> LevelReader:
+    """A LevelReader of log2 level sizes given as an array, one step per
+    depth, for flowcut.igr_estimate."""
+    lv = np.asarray(level_log2_sizes, dtype=float)
+    return LevelReader(np.arange(len(lv) + 1), lv)
+
+
+def level_log2_sizes_oracle(family, N: int) -> np.ndarray:
+    """log2 #E_n for n = 0..N as whole-depth arrays: the cumulative sum of
+    log2(degrees), or the 3-1 tree's 2**j on the j depths into base level j."""
+    if family.degrees is None:
+        j = np.arange(1, base_level_at_depth(N) + 1)
+        return np.concatenate(([0.0], np.repeat(j, j)[:N].astype(float)))
+    return np.concatenate(([0.0], np.cumsum(np.log2(family.degrees(N)))))
 
 
 def igr_estimate_oracle(level_log2_sizes, N: int, grid=tuple(np.arange(1, 20) * 0.05)):

@@ -6,8 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (all_cutsets, cutset_weight, igr_estimate_oracle, is_cutset, random_tree,
-                      three_one_lattice)
+from conftest import (all_cutsets, array_levels, cutset_weight, igr_estimate_oracle, is_cutset,
+                      level_log2_sizes_oracle, random_tree, three_one_lattice)
 from ibntrees import classes
 from ibntrees import firefighter as ff
 from ibntrees import generators as gen
@@ -207,12 +207,12 @@ def test_three_one_dp_decays_for_every_lambda():
 
 def test_igr_binary_saturates_grid():
     lv = np.arange(21, dtype=float)  # log2 #E_n = n
-    est = fc.igr_estimate(lv, 20)
+    est = fc.igr_estimate(array_levels(lv), 20)
     assert est.estimate >= 0.99 * 0.95
 
 
 def test_igr_path_at_grid_minimum():
-    est = fc.igr_estimate(np.zeros(21), 20)
+    est = fc.igr_estimate(array_levels(np.zeros(21)), 20)
     assert est.estimate == 0.05
     assert est.grid_sup is None
 
@@ -220,14 +220,14 @@ def test_igr_path_at_grid_minimum():
 def test_igr_sequence_window():
     sizes = gen.level_sizes(gen.sequence_degrees(1000))
     lv = np.array([math.log2(float(s)) for s in sizes])
-    est = fc.igr_estimate(lv, 1000)
+    est = fc.igr_estimate(array_levels(lv), 1000)
     assert 0.42 <= est.slope <= 0.58
     assert 0.42 <= est.endpoint <= 0.58
 
 
 def test_igr_three_one_near_half():
     N = gen.triangular(512)
-    est = fc.igr_estimate(gen.three_one_level_log2_sizes(N), N)
+    est = fc.igr_estimate(gen.three_one_family().level_reader(N), N)
     assert abs(est.slope - 0.5) < 0.02
 
 
@@ -246,20 +246,27 @@ IGR_CASES = [("seq", 20), ("seq", 1024), ("seq", 100000), ("three-one", 528),
 def test_igr_streamed_fit_matches_polyfit_oracle(family, N):
     # the chunked centered fit sums in another order than polyfit's lstsq
     lv = gen.family_by_name(family, SQUARE_MARKS).level_log2_sizes(N)
-    est, want = fc.igr_estimate(lv, N), igr_estimate_oracle(lv, N)
+    est, want = fc.igr_estimate(array_levels(lv), N), igr_estimate_oracle(lv, N)
     assert math.isclose(est.slope, want.slope, rel_tol=1e-12), (est.slope, want.slope)
     assert math.isclose(est.estimate, want.estimate, rel_tol=1e-12)
     assert (est.endpoint, est.grid_sup) == (want.endpoint, want.grid_sup)
 
 
+@pytest.mark.parametrize("family,N", IGR_CASES)
+def test_igr_on_a_family_reader_equals_the_fit_on_its_array(family, N):
+    fam = gen.family_by_name(family, SQUARE_MARKS)
+    lv = level_log2_sizes_oracle(fam, N)
+    assert fc.igr_estimate(fam.level_reader(N), N) == fc.igr_estimate(array_levels(lv), N)
+
+
 def test_igr_empty_window_has_no_grid_sup():
     # N = 1: the window [2, 1] holds no depth, so no rate passes its test
-    assert fc.igr_estimate(np.arange(2, dtype=float), 1).grid_sup is None
+    assert fc.igr_estimate(array_levels(np.arange(2, dtype=float)), 1).grid_sup is None
 
 
 def test_igr_memory_does_not_grow_with_depth():
     N = gen.triangular(512)
-    lv = gen.three_one_level_log2_sizes(N)
+    lv = array_levels(gen.three_one_family().level_log2_sizes(N))
     tracemalloc.start()
     try:
         fc.igr_estimate(lv, N)
@@ -269,9 +276,22 @@ def test_igr_memory_does_not_grow_with_depth():
     assert peak < 1 << 20, peak
 
 
+def test_igr_on_the_three_one_reader_holds_no_per_depth_array():
+    # the reader holds one value per base level: 513 at N = 131328, where
+    # one float per depth takes 1.05 MB
+    N = gen.triangular(512)
+    tracemalloc.start()
+    try:
+        fc.igr_estimate(gen.three_one_family().level_reader(N), N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (N + 1) // 2, peak
+
+
 def test_igr_rejects_shallow_input():
     with pytest.raises(ValueError):
-        fc.igr_estimate(np.zeros(3), 10)
+        fc.igr_estimate(array_levels(np.zeros(3)), 10)
 
 
 def test_schedule_validation():

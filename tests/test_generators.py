@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sequence_degree_oracle
+from conftest import level_log2_sizes_oracle, sequence_degree_oracle
 from ibntrees import generators as gen
 
 
@@ -129,7 +129,7 @@ def test_three_one_level_sizes_match_base_level_loop():
         loop = np.zeros(N + 1)
         for d in range(1, N + 1):
             loop[d] = gen.base_level_at_depth(d)
-        fast = gen.three_one_level_log2_sizes(N)
+        fast = gen.three_one_family().level_log2_sizes(N)
         assert fast.dtype == loop.dtype and np.array_equal(fast, loop), N
 
 
@@ -147,6 +147,29 @@ def test_level_log2_sizes_match_built_tree(family, N):
         assert gen.level_sizes(family.degrees(N)) == family.build(N).level_sizes().tolist()
 
 
+READER_FAMILIES = [gen.sequence_family(), gen.binary_family(), gen.path_family(),
+                   gen.marks_family(np.random.default_rng(5).random(3000) < 0.1),
+                   gen.three_one_family()]
+
+
+@pytest.mark.parametrize("N", [1, 192, 1024, 131328])
+@pytest.mark.parametrize("family", READER_FAMILIES, ids=lambda f: f.name)
+def test_level_reader_reads_the_whole_depth_arrays(family, N):
+    want = level_log2_sizes_oracle(family, N)
+    lv = family.level_log2_sizes(N)
+    assert lv.dtype == want.dtype and np.array_equal(lv, want)
+    read = family.level_reader(N)
+    rng = np.random.default_rng(N)
+    ranges = [(N, N + 1), (0, 1), (0, N + 1)] + [
+        (a, a + 1 + rng.integers(0, N + 1 - a)) for a in rng.integers(0, N + 1, size=50)]
+    for a, b in ranges:
+        got = read(a, b)
+        assert got.dtype == want.dtype and np.array_equal(got, want[a:b]), (a, b)
+    for a, b in [(-1, 2), (0, N + 2), (1, 1), (2, 1)]:
+        with pytest.raises(ValueError, match="not a range"):
+            read(a, b)
+
+
 def test_level_sizes_exact_past_int64():
     sizes = gen.level_sizes(np.full(100, 2, dtype=np.int64))
     assert sizes[100] == 2 ** 100 and all(type(s) is int for s in sizes)
@@ -157,7 +180,7 @@ def test_three_one_level_profile_matches_materialized():
     N = gen.triangular(6)
     t = gen.three_one_stretched(N)
     lv = t.level_sizes()
-    prof = gen.three_one_level_log2_sizes(N)
+    prof = gen.three_one_family().level_log2_sizes(N)
     for d in range(1, N + 1):
         assert lv[d] == 2 ** int(prof[d])
 
@@ -170,7 +193,7 @@ def test_three_one_memory_cap(monkeypatch):
     with pytest.raises(gen.MemoryCapError, match=r"needs ~2\*\*1414235\.4 vertices"):
         gen.three_one_stretched(10 ** 12)
     with pytest.raises(gen.MemoryCapError, match="level-size table"):
-        gen.three_one_level_log2_sizes(10 ** 12)
+        gen.three_one_family().level_log2_sizes(10 ** 12)
 
 
 def test_family_lookup():
