@@ -5,12 +5,12 @@ fail above a peak-RSS bound.
     python3 scripts/peak_rss.py MAX_MB ARGV...
 
 Prints the argv, the wall time and the child's peak resident set size
-(`ru_maxrss`), and exits nonzero when the command fails or its peak exceeds
-MAX_MB megabytes (MiB).
+(`ru_maxrss` of that one child, from os.wait4: RUSAGE_CHILDREN would also
+count every child reaped before an execve into this script), and exits
+nonzero when the command fails or its peak exceeds MAX_MB megabytes (MiB).
 """
 
 import os
-import resource
 import subprocess
 import sys
 import time
@@ -26,9 +26,11 @@ def main(argv):
     inherited = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + inherited if inherited else ""))
     start = time.perf_counter()
-    rc = subprocess.run([sys.executable, "-m", "ibntrees.cli", *args], env=env).returncode
+    child = subprocess.Popen([sys.executable, "-m", "ibntrees.cli", *args], env=env)
+    _, status, usage = os.wait4(child.pid, 0)
     wall = time.perf_counter() - start
-    mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024  # KiB on Linux
+    rc = child.returncode = os.waitstatus_to_exitcode(status)
+    mb = usage.ru_maxrss / 1024  # KiB on Linux
     print(f"{' '.join(args)}: {wall:.2f} s, peak RSS {mb:.1f} MB")
     if rc:
         sys.exit(f"exit code {rc}")

@@ -6,14 +6,16 @@ truncated subtree, so vertices of equal (depth, shape) merge into a class.
 A table holds per level its classes' children, as gather indices into the
 next level's classes, and the depth segment their edges span: runs of
 single-child depths collapse into one segment, and every frontier depth is
-a level boundary.  A family's table comes from its degrees or the 3-1
-lattice (of_family); an explicit tree's is hash-consed level by level from
-its deepest frontier up (of_tree), one level per depth.  _sweep runs once
-over the levels, deepest first, on [class, column] arrays with one column
-per (rate, frontier), and reads a segment in O(1): its min-cut capacity is
-its deepest edge's weight (the weights fall with depth), survival passes
-the product of its opening probabilities, resistance adds the sum of its
-edge resistances.
+a level boundary.  A symmetric family's table has one class per level and
+a level at the root, at each of its branch depths and at each frontier
+(symmetric); the 3-1 tree's comes from its breakpoint lattice (three_one);
+an explicit tree's is hash-consed level by level from its deepest frontier
+up (of_tree), one level per depth.  _sweep runs once over the levels,
+deepest first, on [class, column] arrays with one column per (rate,
+frontier), and reads a segment in O(1): its min-cut capacity is its
+deepest edge's weight (the weights fall with depth), survival passes the
+product of its opening probabilities, resistance adds the sum of its edge
+resistances.
 """
 
 from __future__ import annotations
@@ -85,22 +87,26 @@ def _check_frontiers(frontiers: Sequence[int]) -> tuple[int, ...]:
     return frontiers
 
 
-def from_degrees(degrees: np.ndarray, frontiers: Sequence[int]) -> ClassTable:
-    """A spherically symmetric tree: one class per level, from its degrees."""
+def symmetric(branches: np.ndarray, frontiers: Sequence[int], fan=2.0) -> ClassTable:
+    """A spherically symmetric tree: one class per level.  Its vertices at
+    the depths branches, ascending and below the deepest frontier, have fan
+    children (one fan for all, or one per branch depth), every other vertex
+    one."""
     frontiers = _check_frontiers(frontiers)
-    D = max(frontiers)
-    if len(degrees) < D:
-        raise ValueError(f"need degrees for depths 0..{D - 1}, got {len(degrees)}")
-    deg = np.asarray(degrees[:D])
-    depths = sorted({0, *np.flatnonzero(deg > 1).tolist(), *frontiers})
+    depths = sorted({0, *branches.tolist(), *frontiers})
+    mult = np.ones(len(depths) - 1)
+    mult[np.searchsorted(depths, branches)] = fan
     one = np.zeros((1, 1), dtype=np.int64)
-    return ClassTable(tuple(depths), frontiers, deg[depths[:-1]].astype(float),
-                      lambda: repeat(one, len(depths) - 1))
+    return ClassTable(tuple(depths), frontiers, mult, lambda: repeat(one, len(depths) - 1))
 
 
 def from_log2_levels(log2_levels: Sequence[float], N: int) -> ClassTable:
-    """from_degrees at the one frontier N, the degrees read off log2 #E_n."""
-    return from_degrees(np.rint(np.exp2(np.diff(np.asarray(log2_levels, float)[:N + 1]))), (N,))
+    """symmetric at the one frontier N, the degrees read off log2 #E_n."""
+    degrees = np.rint(np.exp2(np.diff(np.asarray(log2_levels, float)[:N + 1])))
+    if len(degrees) < N:
+        raise ValueError(f"need degrees for depths 0..{N - 1}, got {len(degrees)}")
+    at = np.flatnonzero(degrees > 1)
+    return symmetric(at, (N,), degrees[at])
 
 
 def _three_one_small(s, g, lo, hi, kb, n0: int, n1: int):
@@ -274,10 +280,12 @@ def three_one(frontiers: Sequence[int]) -> ClassTable:
 
 
 def of_family(family: TreeFamily, frontiers: Sequence[int]) -> ClassTable:
-    """A family's class table: from its degrees, else the 3-1 lattice."""
-    if family.degrees is None:
+    """A family's class table: from its branch depths, else the 3-1 lattice."""
+    if family.branches is None:
         return three_one(frontiers)
-    return from_degrees(family.degrees(max(_check_frontiers(frontiers))), frontiers)
+    D = max(_check_frontiers(frontiers))
+    check_elements(D, "the degree array")
+    return symmetric(family.branches(D), frontiers)
 
 
 def of_tree(tree: Tree, frontiers: Sequence[int]) -> ClassTable:

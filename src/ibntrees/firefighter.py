@@ -179,8 +179,8 @@ def _count_rule(gamma: float, N: int, k: int, budgets: BudgetSchedule,
 
 
 def _symmetric(source: TreeFamily | Tree) -> bool:
-    """A family with a degree array: its min-cut is a whole level."""
-    return isinstance(source, TreeFamily) and source.degrees is not None
+    """A family with branch depths: its min-cut is a whole level."""
+    return isinstance(source, TreeFamily) and source.branches is not None
 
 
 def attempt_containment(source: TreeFamily | Tree, k: int, gamma: float, K: float,
@@ -200,9 +200,8 @@ def attempt_containment(source: TreeFamily | Tree, k: int, gamma: float, K: floa
         logw = ibn_log_weights(tree, gamma)
         depth = tree.depth_array()
     elif depths:
-        degrees = source.degrees(depths[-1])
-        sizes = level_sizes(degrees)
-        cuts = classes.cut_levels(classes.from_degrees(degrees, depths), gamma)
+        sizes = level_sizes(source.degrees(depths[-1]))
+        cuts = classes.cut_levels(classes.of_family(source, depths), gamma)
     last = None
     for j, N in enumerate(depths):
         if symmetric:

@@ -1,20 +1,22 @@
 """Constructions of the example trees as depth-N truncations.
 
 All generators return finite truncations; asymptotic quantities are always
-taken along a schedule of increasing depths.  A spherically symmetric tree
-is its degree array: degrees[n] children below every depth-n vertex, for
-n = 0..N-1; its level sizes are the running products of the degrees, and
-their log2 the cumulative sum of log2(degrees).  Lexicographic minimal
-spanning trees of semigroups are sub-periodic -- each subtree embeds into
-the tree near the root -- which is why they appear among the examples, but
-sub-periodicity itself is never computed here.
+taken along a schedule of increasing depths.  A spherically symmetric
+family is the list of depths where it branches: every vertex at a branch
+depth has two children, every other vertex one, so #E_n is 2 to the number
+of branch depths below n, and log2 #E_n that count.  Its degree array,
+degrees[n] children below every depth-n vertex for n = 0..N-1, is a view
+of the branch depths for the tree builder and the depth chain.
+Lexicographic minimal spanning trees of semigroups are sub-periodic -- each
+subtree embeds into the tree near the root -- which is why they appear
+among the examples, but sub-periodicity itself is never computed here.
 
-A family is a name plus its degree array (None for the stretched 3-1 tree);
-it builds truncations and reads its level sizes, a range of depths at a
-time, from a step function (LevelReader).  A
-source is an explicit Tree or a family, whose class table (classes.py)
-stands in for a truncation too large to materialize; the estimators test
-which one they were given, and truncation() materializes either.
+A family is a name plus its branch depths (None for the stretched 3-1
+tree); it builds truncations and reads its level sizes, a range of depths
+at a time, from a step function (LevelReader).  A source is an explicit
+Tree or a family, whose class table (classes.py) stands in for a
+truncation too large to materialize; the estimators test which one they
+were given, and truncation() materializes either.
 """
 
 from __future__ import annotations
@@ -47,17 +49,15 @@ def check_elements(n: int, what: str) -> None:
         raise MemoryCapError(f"{what} would hold {n} elements (cap {DEFAULT_VERTEX_CAP})")
 
 
-def sequence_degrees(N: int) -> np.ndarray:
-    """Child counts at depths 0..N-1 of the sequence tree: 1,1,2,1,1,2,1,1,1,2,...
+def sequence_branches(N: int) -> np.ndarray:
+    """Depths below N where the sequence tree branches: 2, 5, 9, 14, ...
 
-    2 exactly at n = k + k(k+1)/2, k >= 1, so the runs of 1s between
-    consecutive 2s grow by one each time.
+    k + k(k+1)/2 = k(k+3)/2 for k >= 1, so the runs of single children
+    between consecutive branch depths grow by one each time.
     """
-    out = np.ones(N, dtype=np.int64)
     k = np.arange(1, math.isqrt(2 * N) + 2)
     at = k * (k + 3) // 2
-    out[at[at < N]] = 2
-    return out
+    return at[at < N]
 
 
 def level_sizes(degrees: np.ndarray) -> list[int]:
@@ -190,44 +190,41 @@ class LevelReader:
 class TreeFamily:
     """A named tree construction plus its cheap level-size arithmetic.
 
-    degrees(N) gives the child counts at depths 0..N-1 of a spherically
-    symmetric family, which is all of it; degrees is None only for the
-    stretched 3-1 tree.  Every family's degrees(N) raises MemoryCapError
-    before it allocates more than DEFAULT_VERTEX_CAP elements.
-    level_reader(N) holds one level size per step, so the growth-index fit
-    holds no per-depth array.
+    branches(N) gives the ascending depths below N whose vertices have two
+    children in a spherically symmetric family, every other vertex one;
+    branches is None only for the stretched 3-1 tree.  degrees(N) is the
+    per-depth view of them for the builder and the depth chain, and
+    level_reader(N) holds one level size per branch depth.  Each raises
+    MemoryCapError up front when a degree array to depth N would exceed
+    DEFAULT_VERTEX_CAP, whether or not it builds one.
     """
 
     name: str
-    degrees: Callable[[int], np.ndarray] | None = None
+    branches: Callable[[int], np.ndarray] | None = None
 
-    def __post_init__(self):
-        rule = self.degrees
-        if rule is None:
-            return
-
-        def degrees(N: int) -> np.ndarray:
-            check_elements(N, "the degree array")
-            return rule(N)
-
-        object.__setattr__(self, "degrees", degrees)
+    def degrees(self, N: int) -> np.ndarray:
+        """Child counts at depths 0..N-1: 2 at the branch depths, else 1."""
+        check_elements(N, "the degree array")
+        out = np.ones(N, dtype=np.int64)
+        out[self.branches(N)] = 2
+        return out
 
     def build(self, N: int) -> Tree:
-        if self.degrees is None:
+        if self.branches is None:
             return three_one_stretched(N)
         return spherically_symmetric(self.degrees(N), N)
 
     def level_reader(self, N: int) -> LevelReader:
         """log2 #E_n for n = 0..N.  A symmetric family's steps start one
-        below each depth whose degree is not 1, with the running log2 sums
-        of those degrees alone: cumsum(log2(degrees)) bit for bit, as a
-        degree 1 adds log2 1 = 0.0."""
-        if self.degrees is None:
+        below each branch depth, with the count of branch depths above:
+        cumsum(log2(degrees)) bit for bit, as log2 2 = 1.0 and log2 1 =
+        0.0."""
+        if self.branches is None:
             return three_one_levels(N)
-        degrees = self.degrees(N)
-        branch = np.flatnonzero(degrees != 1)
-        return LevelReader(np.concatenate(([0], branch + 1, [N + 1])),
-                           np.concatenate(([0.0], np.cumsum(np.log2(degrees[branch])))))
+        check_elements(N, "the degree array")
+        at = self.branches(N)
+        return LevelReader(np.concatenate(([0], at + 1, [N + 1])),
+                           np.arange(len(at) + 1, dtype=float))
 
     def level_log2_sizes(self, N: int) -> np.ndarray:
         """log2 #E_n for n = 0..N: level_reader(N) read at every depth."""
@@ -235,27 +232,21 @@ class TreeFamily:
 
 
 def sequence_family() -> TreeFamily:
-    return TreeFamily("seq", sequence_degrees)
+    return TreeFamily("seq", sequence_branches)
 
 
 def binary_family() -> TreeFamily:
-    return TreeFamily("binary", lambda N: np.full(N, 2, dtype=np.int64))
+    return TreeFamily("binary", np.arange)
 
 
 def path_family() -> TreeFamily:
-    return TreeFamily("path", lambda N: np.ones(N, dtype=np.int64))
+    return TreeFamily("path", lambda N: np.arange(0))
 
 
 def marks_family(marks: Sequence[bool]) -> TreeFamily:
     """Depth-n vertices have 2 children iff marks[n]; 1 past the marks."""
-    marks = np.asarray(marks, dtype=bool)
-
-    def degrees(N: int) -> np.ndarray:
-        out = np.ones(N, dtype=np.int64)
-        out[:len(marks)] += marks[:N]
-        return out
-
-    return TreeFamily("marks", degrees)
+    at = np.flatnonzero(marks)
+    return TreeFamily("marks", lambda N: at[:np.searchsorted(at, N)])
 
 
 def three_one_family() -> TreeFamily:

@@ -74,7 +74,11 @@ def exact_survival(tree: Tree, law: PercolationLaw, N: int) -> float:
 
 def survival_symmetric(degrees: np.ndarray, law: PercolationLaw, N: int) -> float:
     """exact_survival on a spherically symmetric tree from its degree array."""
-    return float(classes.survival(classes.from_degrees(degrees, (N,)),
+    if len(degrees) < N:
+        raise ValueError(f"need degrees for depths 0..{N - 1}, got {len(degrees)}")
+    degrees = np.asarray(degrees[:N], dtype=float)
+    at = np.flatnonzero(degrees > 1)
+    return float(classes.survival(classes.symmetric(at, (N,), degrees[at]),
                                   [law.log_p(np.arange(1, N + 1))])[0, 0])
 
 

@@ -35,14 +35,9 @@ _READ_CHUNK = 1 << 13  # lines parsed per np.loadtxt call in read_text
 _FLOW_TOL = 1e-9  # relative tolerance of every check_flow test
 # shape_classes codes a level's child-class rows as int64 below _CODE_LIMIT
 # and deduplicates up to _TABLE_CODES codes by a lookup table, more by
-# np.unique.  It hash-conses a level of fewer children than _SMALL_LEVEL,
-# or of wider rows, in Python: numpy keeps the freed buffers of its arrays
-# under 1 KiB for reuse, and a numpy pass over the small levels near the
-# root left a hundred such buffers, of as many sizes, across the heap,
-# where they kept its freed pages resident
+# np.unique; it hash-conses a level of wider rows in Python
 _TABLE_CODES = 1 << 16
 _CODE_LIMIT = 1 << 62
-_SMALL_LEVEL = 128
 
 
 def _nondecreasing(a: np.ndarray) -> bool:
@@ -155,8 +150,8 @@ def _numpy_classes(child: np.ndarray, starts: np.ndarray, at: np.ndarray, n: int
 
 def _python_classes(child: list, starts: list, at: list, n: int,
                     n_cls: int) -> tuple[np.ndarray, np.ndarray]:
-    """_numpy_classes in Python, for a level of few children or of wide
-    rows: the same codes, as Python integers, and the same numbers."""
+    """_numpy_classes in Python, for a level of rows too wide for an
+    int64: the same codes, as Python integers, and the same numbers."""
     rows = [()] * n
     for p, a, b in zip(at, starts, [*starts[1:], len(child)]):
         rows[p] = tuple(sorted(child[a:b]))
@@ -337,7 +332,7 @@ class Tree:
             above = self.level(k - 1)
             child, at = cls[_place(below, ids)], _place(above, parents)
             sizes = (len(above), n_cls)
-            if len(ids) < _SMALL_LEVEL or (level := _numpy_classes(child, starts, at, *sizes)) is None:
+            if (level := _numpy_classes(child, starts, at, *sizes)) is None:
                 level = _python_classes(child.tolist(), starts.tolist(), at.tolist(), *sizes)
             idx, cls = level
             gathers.append(idx)

@@ -303,10 +303,10 @@ def root_walks(source: TreeFamily | Tree, lam: float, N: int, trials: int,
     """Walks from the root of the depth-N truncation under the conductances
     exp(-|e|**lam): (returned, steps, max_depth) arrays, one entry per trial.
 
-    A family with a degree array walks its depth chain (depth_walk_batch),
+    A family with branch depths walks its depth chain (depth_walk_batch),
     any other source its truncation (simulate_walk).
     """
-    if isinstance(source, TreeFamily) and source.degrees is not None:
+    if isinstance(source, TreeFamily) and source.branches is not None:
         return depth_walk_batch(source.degrees(N), lam, N, trials, step_cap, seed)
     tree = truncation(source, N)
     return simulate_walk(tree, deterministic_conductances(tree, lam), N, trials, step_cap, seed)

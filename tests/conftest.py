@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import ibntrees
-from ibntrees import flowcut, grigorchuk, rng
+from ibntrees import classes, flowcut, grigorchuk, rng
 from ibntrees.generators import LOG2, LevelReader, base_level_at_depth
 from ibntrees.trees import Tree
 
@@ -328,10 +328,44 @@ def array_levels(level_log2_sizes) -> LevelReader:
     return LevelReader(np.arange(len(lv) + 1), lv)
 
 
+def degrees_oracle(name: str, N: int, marks=()) -> np.ndarray:
+    """A symmetric family's child counts at depths 0..N-1 by its per-depth
+    formula: the sequence tree's scalar rule, 2 everywhere (binary), 1
+    everywhere (path), or 2 exactly where marks[n] holds (marks)."""
+    if name == "seq":
+        return np.array([sequence_degree_oracle(n) for n in range(N)], dtype=np.int64)
+    if name == "marks":
+        return np.array([2 if n < len(marks) and marks[n] else 1 for n in range(N)],
+                        dtype=np.int64)
+    return np.full(N, {"binary": 2, "path": 1}[name], dtype=np.int64)
+
+
+def symmetric_table_oracle(degrees, frontiers) -> classes.ClassTable:
+    """The class table of a spherically symmetric tree read off its whole
+    degree array: a level at the root, at every depth whose degree exceeds
+    1 and at every frontier, each counted its depth's degree times."""
+    D = max(frontiers)
+    deg = np.asarray(degrees[:D])
+    depths = sorted({0, *np.flatnonzero(deg > 1).tolist(), *frontiers})
+    one = np.zeros((1, 1), dtype=np.int64)
+    return classes.ClassTable(tuple(depths), tuple(frontiers), deg[depths[:-1]].astype(float),
+                              lambda: repeat(one, len(depths) - 1))
+
+
+def level_reader_oracle(degrees) -> LevelReader:
+    """The level sizes of a spherically symmetric tree read off its whole
+    degree array: a step one below every depth whose degree is not 1, at
+    the running sum of log2(degrees) there."""
+    degrees = np.asarray(degrees)
+    branch = np.flatnonzero(degrees != 1)
+    return LevelReader(np.concatenate(([0], branch + 1, [len(degrees) + 1])),
+                       np.concatenate(([0.0], np.cumsum(np.log2(degrees[branch])))))
+
+
 def level_log2_sizes_oracle(family, N: int) -> np.ndarray:
     """log2 #E_n for n = 0..N as whole-depth arrays: the cumulative sum of
     log2(degrees), or the 3-1 tree's 2**j on the j depths into base level j."""
-    if family.degrees is None:
+    if family.branches is None:
         j = np.arange(1, base_level_at_depth(N) + 1)
         return np.concatenate(([0.0], np.repeat(j, j)[:N].astype(float)))
     return np.concatenate(([0.0], np.cumsum(np.log2(family.degrees(N)))))

@@ -34,7 +34,7 @@ def report(name: str, ok: bool, detail: str = "") -> bool:
 
 def test_criterion_1_sequence_growth():
     t0 = time.time()
-    sizes = gen.level_sizes(gen.sequence_degrees(2000))
+    sizes = gen.level_sizes(gen.sequence_family().degrees(2000))
     prod, count = 1, 0
     exact = True
     for n in range(1, 2001):

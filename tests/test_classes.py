@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (hash_cons, log_effective_conductance_symmetric, min_cut_symmetric,
-                      survival_symmetric, three_one_gathers_oracle, three_one_lattice)
+from conftest import (degrees_oracle, hash_cons, level_reader_oracle,
+                      log_effective_conductance_symmetric, min_cut_symmetric, survival_symmetric,
+                      symmetric_table_oracle, three_one_gathers_oracle, three_one_lattice)
 from ibntrees import classes
 from ibntrees import flowcut as fc
 from ibntrees import generators as gen
@@ -154,6 +155,57 @@ def test_kept_symmetric_names_refuse_depth_0():
             call()
 
 
+SYMMETRIC = ("seq", "binary", "path", "marks")
+MARKS = np.random.default_rng(34).random(5000) < 0.1  # shorter than the deepest N
+
+
+def assert_identical(a, b):
+    assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 14, 1000, 100_000])
+@pytest.mark.parametrize("name", SYMMETRIC)
+def test_branch_depths_match_the_degree_array_route(name, N):
+    family, degrees = gen.family_by_name(name, MARKS), degrees_oracle(name, N, MARKS)
+    assert_identical(family.degrees(N), degrees)
+    frontiers = (N, max(1, N // 3), 1)
+    got, want = classes.of_family(family, frontiers), symmetric_table_oracle(degrees, frontiers)
+    assert got.depths == want.depths and got.frontiers == want.frontiers
+    assert_identical(got.mult, want.mult)
+    assert_identical(got.log_sizes, want.log_sizes)
+    reader, oracle = family.level_reader(N), level_reader_oracle(degrees)
+    assert_identical(reader.bounds, oracle.bounds)
+    assert_identical(reader.values, oracle.values)
+    assert_identical(reader(0, N + 1), oracle(0, N + 1))
+
+
+def test_degree_arrays_keep_their_degrees_above_two():
+    # the array routes take any degree: a branch depth counts its own
+    degrees, N = np.array([3, 1, 2, 1, 1, 4, 1, 2]), 8
+    lv = np.concatenate(([0.0], np.cumsum(np.log2(degrees))))
+    table = classes.from_log2_levels(lv, N)
+    assert table.depths == (0, 2, 5, 7, 8) and table.mult.tolist() == [3.0, 2.0, 4.0, 2.0]
+    t = gen.spherically_symmetric(degrees, N)
+    for lam in LAMS:
+        law = pc.PercolationLaw(lam)
+        assert math.isclose(pc.survival_symmetric(degrees, law, N), pc.exact_survival(t, law, N),
+                            rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("name", SYMMETRIC)
+def test_family_routes_build_no_degree_array(name, monkeypatch):
+    def refuse(self, N):
+        raise AssertionError(f"a degree array to depth {N}")
+
+    family = gen.family_by_name(name, MARKS)
+    monkeypatch.setattr(gen.TreeFamily, "degrees", refuse)
+    with pytest.raises(AssertionError, match="a degree array"):
+        family.build(8)  # the builder reads one
+    fc.ibn_estimate(family, fc.DepthSchedule((16, 256, 1024)), LAMS)
+    pc.survival_table(family, LAMS, (16, 256, 1024))
+    fc.igr_estimate(family.level_reader(1024), 1024)
+
+
 # -- explicit trees -------------------------------------------------------------
 
 def branching_tree(seed: int, height: int, depth_first: bool, wide: int = 0) -> Tree:
@@ -217,28 +269,29 @@ def assert_tree_sweeps_match_the_vertex_sweeps(t: Tree, depths):
             assert math.isclose(got[3][i, j], pc.conductance_bound(t, law, N), rel_tol=1e-12)
 
 
-# the levels that Tree.shape_classes hash-conses in Python: none, or all of these trees'
-PYTHON_LEVELS = pytest.mark.parametrize("small", [0, 10 ** 9], ids=["numpy", "python"])
+# the levels that Tree.shape_classes hash-conses in Python: none, or every
+# level of these trees where a vertex has two or more children
+PYTHON_LEVELS = pytest.mark.parametrize("limit", [trees._CODE_LIMIT, 0], ids=["numpy", "python"])
 
 
 @PYTHON_LEVELS
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), height=st.integers(2, 7), depth_first=st.booleans())
-def test_tree_sweeps_match_the_vertex_sweeps(small, seed, height, depth_first):
+def test_tree_sweeps_match_the_vertex_sweeps(limit, seed, height, depth_first):
     t = branching_tree(seed, height, depth_first)
     assert t.height() == height and t.n_children_array().max() >= 4
     depths = list(range(1, height + 1))
     np.random.default_rng(seed).shuffle(depths)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(trees, "_SMALL_LEVEL", small)
+        m.setattr(trees, "_CODE_LIMIT", limit)
         assert_tree_sweeps_match_the_vertex_sweeps(t, tuple(depths))
 
 
 @PYTHON_LEVELS
 @pytest.mark.parametrize("depth_first", [False, True], ids=["bfs", "dfs"])
-def test_rows_too_wide_for_a_code_match_the_vertex_sweeps(small, depth_first, monkeypatch):
+def test_rows_too_wide_for_a_code_match_the_vertex_sweeps(limit, depth_first, monkeypatch):
     # 70 leaves under one vertex: 2**70 codes at the deepest level
-    monkeypatch.setattr(trees, "_SMALL_LEVEL", small)
+    monkeypatch.setattr(trees, "_CODE_LIMIT", limit)
     t = branching_tree(3, 1, depth_first, wide=70)
     assert_tree_sweeps_match_the_vertex_sweeps(t, (1,))
     t = branching_tree(3, 5, depth_first, wide=70)
@@ -248,10 +301,10 @@ def test_rows_too_wide_for_a_code_match_the_vertex_sweeps(small, depth_first, mo
 
 @PYTHON_LEVELS
 @pytest.mark.parametrize("seed", range(4))
-def test_shuffled_ids_and_single_children_match_the_vertex_sweeps(small, seed, monkeypatch):
+def test_shuffled_ids_and_single_children_match_the_vertex_sweeps(limit, seed, monkeypatch):
     # ids in a random topological order, so that no level is one run of ids
     # or in sibling order
-    monkeypatch.setattr(trees, "_SMALL_LEVEL", small)
+    monkeypatch.setattr(trees, "_CODE_LIMIT", limit)
     t = branching_tree(seed, 6, depth_first=False)
     d, parent = t.depth_array(), t.parent_array()
     rng, ready, order = np.random.default_rng(seed), [0], []
@@ -270,10 +323,9 @@ def test_shuffled_ids_and_single_children_match_the_vertex_sweeps(small, seed, m
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_every_dedupe_numbers_the_classes_alike(seed, monkeypatch):
     t = branching_tree(seed, 7, depth_first=True)
-    monkeypatch.setattr(trees, "_SMALL_LEVEL", 0)
     want = list(classes.of_tree(t, (3, 7)).levels())
-    # np.unique, then rows, on every level; then Python on every level
-    for name, value in (("_TABLE_CODES", 0), ("_CODE_LIMIT", 0), ("_SMALL_LEVEL", 10 ** 9)):
+    # np.unique on every level, then Python on every level of rows
+    for name, value in (("_TABLE_CODES", 0), ("_CODE_LIMIT", 0)):
         with monkeypatch.context() as m:
             m.setattr(trees, name, value)
             got = list(classes.of_tree(t, (3, 7)).levels())
@@ -281,7 +333,7 @@ def test_every_dedupe_numbers_the_classes_alike(seed, monkeypatch):
         assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want)), name
     wide = branching_tree(seed, 4, depth_first=False, wide=70)
     want = list(classes.of_tree(wide, (2, 4)).levels())
-    monkeypatch.setattr(trees, "_SMALL_LEVEL", 10 ** 9)
+    monkeypatch.setattr(trees, "_CODE_LIMIT", 0)
     assert all(np.array_equal(a, b) for a, b in zip(classes.of_tree(wide, (2, 4)).levels(), want))
 
 

@@ -273,7 +273,7 @@ def game_on_min_cut(source, k, gamma, K, schedule):
     the number of depths its surrounding set spans."""
     eps = ff.containment_margin(k, gamma)
     budgets = ff.BudgetSchedule.exponential(K, gamma)
-    symmetric = isinstance(source, gen.TreeFamily) and source.degrees is not None
+    symmetric = isinstance(source, gen.TreeFamily) and source.branches is not None
     last, spans = None, []
     for N in schedule.depths:
         if N <= k + 1:

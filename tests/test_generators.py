@@ -12,27 +12,28 @@ from ibntrees import generators as gen
 
 def test_sequence_degree_values():
     # 2 exactly at n = k + k(k+1)/2
-    d = gen.sequence_degrees(15)
+    d = gen.sequence_family().degrees(15)
     assert d.dtype == np.int64
     assert (d[2], d[3], d[9]) == (2, 1, 2)
     assert d[1:].tolist() == [1, 2, 1, 1, 2, 1, 1, 1, 2, 1, 1, 1, 1, 2]
-    assert len(gen.sequence_degrees(0)) == 0
+    assert len(gen.sequence_family().degrees(0)) == 0
 
 
 def test_sequence_degree_matches_enumeration():
     positions = {k + (1 + k) * k // 2 for k in range(1, 100)}
-    d = gen.sequence_degrees(3000)
+    d = gen.sequence_family().degrees(3000)
     for n in range(1, 3000):
         assert d[n] == (2 if n in positions else 1)
 
 
 def test_sequence_degrees_match_scalar_rule():
     for N in (1, 2, 3, 5, 6, 9, 10, 5000):
-        assert gen.sequence_degrees(N).tolist() == [sequence_degree_oracle(n) for n in range(N)]
+        want = [sequence_degree_oracle(n) for n in range(N)]
+        assert gen.sequence_family().degrees(N).tolist() == want
 
 
 def test_sequence_level_sizes_product_oracle():
-    sizes = gen.level_sizes(gen.sequence_degrees(40))
+    sizes = gen.level_sizes(gen.sequence_family().degrees(40))
     prod = 1
     for n in range(1, 41):
         prod *= sequence_degree_oracle(n - 1)
@@ -44,14 +45,14 @@ def test_sequence_log2_at_1000_is_two_count():
     # independent oracle: enumerate the doubling positions below 1000
     twos = sum(1 for k in range(1, 1000) if k + (1 + k) * k // 2 < 1000)
     assert twos == 43
-    sizes = gen.level_sizes(gen.sequence_degrees(1000))
+    sizes = gen.level_sizes(gen.sequence_family().degrees(1000))
     assert sizes[1000] == 2 ** twos
 
 
 def test_spherically_symmetric_counts():
     t = gen.spherically_symmetric(np.full(5, 2), 5)
     assert len(t.level_set(5)) == 32
-    t = gen.spherically_symmetric(gen.sequence_degrees(9), 6)  # reads depths 0..5 only
+    t = gen.spherically_symmetric(gen.sequence_family().degrees(9), 6)  # reads depths 0..5 only
     assert len(t.level_set(6)) == 4
     assert t.height() == 6
 
@@ -143,7 +144,7 @@ def test_level_log2_sizes_match_built_tree(family, N):
     lv = family.level_log2_sizes(N)
     assert len(lv) == N + 1
     assert np.array_equal(np.log2(family.build(N).level_sizes()), lv)
-    if family.degrees is not None:  # and the exact sizes of every symmetric family
+    if family.branches is not None:  # and the exact sizes of every symmetric family
         assert gen.level_sizes(family.degrees(N)) == family.build(N).level_sizes().tolist()
 
 
@@ -199,7 +200,7 @@ def test_three_one_memory_cap(monkeypatch):
 def test_family_lookup():
     assert gen.family_by_name("seq").name == "seq"
     assert gen.family_by_name("marks", [True, False]).degrees(3).tolist() == [2, 1, 1]
-    assert gen.family_by_name("three-one").degrees is None
+    assert gen.family_by_name("three-one").branches is None
     with pytest.raises(ValueError):
         gen.family_by_name("nope")
     with pytest.raises(ValueError):

@@ -24,3 +24,17 @@ def test_peak_rss_fails_with_the_command(tmp_path):
     failed = peak_rss(4096, "walk", "--family", "seq", "--lambda", "0.3", "--depth", "0",
                       "--out", "w.csv", cwd=tmp_path)
     assert failed.returncode == 1 and "exit code 2" in failed.stderr
+
+
+def test_peak_rss_reads_only_its_own_command(tmp_path):
+    # exec'd from a process whose child peaked at 150 MB: the peak of every
+    # child the process image ever waited for survives execve
+    argv = ["generate", "--family", "seq", "--depth", "4", "--out", "t.txt"]
+    launcher = (
+        "import os, subprocess, sys\n"
+        "subprocess.run([sys.executable, '-c', 'b = b\"x\" * (150 << 20)'], check=True)\n"
+        f"os.execv(sys.executable, [sys.executable, {str(SCRIPT)!r}, '100', *{argv!r}])\n")
+    ran = subprocess.run([sys.executable, "-c", launcher], cwd=tmp_path,
+                         capture_output=True, text=True)
+    assert ran.returncode == 0, ran.stderr
+    assert ran.stdout.startswith(" ".join(argv) + ": ") and (tmp_path / "t.txt").exists()
