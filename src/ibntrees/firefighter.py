@@ -21,7 +21,7 @@ import numpy as np
 
 from . import classes
 from .flowcut import BracketResult, DepthSchedule, ibn_log_weights, min_cut, rate_grid
-from .generators import TreeFamily, level_sizes, truncation
+from .generators import TreeFamily, truncation
 from .trees import Tree
 
 LOG_MAXSIZE = math.log(sys.maxsize)
@@ -162,25 +162,39 @@ class ContainmentAttempt:
 
 
 def _count_rule(gamma: float, N: int, k: int, budgets: BudgetSchedule,
-                cut: Sequence[int], free: Sequence[int]) -> ContainmentAttempt:
-    """The greedy game's outcome from cut[d] surrounding vertices and free[d]
-    vertices not under the set at depth d: the fire reaches depth d in round
-    d-k, and the set holds while g_1 + ... + g_{d-k} covers it down to d."""
-    if any(cut[:k + 1]):
+                cut: Sequence[tuple[int, int, int]], free: int) -> ContainmentAttempt:
+    """The greedy game's outcome from its surrounding set, one (d, c, f) per
+    depth d that holds c > 0 of its vertices, ascending in d, where f counts
+    the vertices not under the set at depths <= d and free all of them: the
+    fire reaches depth d in round d-k, and the set holds while g_1 + ... +
+    g_{d-k} covers it down to d.  The sum paid only grows between the set's
+    depths, so it can first fall short at one of them."""
+    if cut and cut[0][0] <= k:
         raise ValueError(f"cutset touches B({k})")
-    paid = held = 0
-    for d in range(k + 1, len(cut)):
-        paid += budgets(d - k)
-        held += cut[d]
+    paid = held = rounds = 0
+    for d, c, f in cut:
+        paid += sum(budgets(n) for n in range(rounds + 1, d - k + 1))
+        rounds, held = d - k, held + c
         if held > paid:
             return ContainmentAttempt(gamma, False, N, "fire reached the surrounding set",
-                                      sum(free[:d + 1]) + held - paid, paid)
-    return ContainmentAttempt(gamma, True, N, "fire frozen", sum(free), held)
+                                      f + held - paid, paid)
+    return ContainmentAttempt(gamma, True, N, "fire frozen", free, held)
 
 
 def _symmetric(source: TreeFamily | Tree) -> bool:
     """A family with branch depths: its min-cut is a whole level."""
     return isinstance(source, TreeFamily) and source.branches is not None
+
+
+def _level_counts(family: TreeFamily, L: int) -> tuple[list[tuple[int, int, int]], int]:
+    """_count_rule's counts for level L of a symmetric family as the set:
+    2**b vertices, b the branch depths above it, and sum_j 2**j * n_j free
+    vertices above it, n_j the length of the j-th run of levels between
+    branch depths."""
+    at = family.branches(L)
+    runs = np.diff(np.concatenate(([0], at + 1, [L]))).tolist()
+    free = sum(n << j for j, n in enumerate(runs))
+    return [(L, 1 << len(at), free)], free
 
 
 def attempt_containment(source: TreeFamily | Tree, k: int, gamma: float, K: float,
@@ -200,7 +214,6 @@ def attempt_containment(source: TreeFamily | Tree, k: int, gamma: float, K: floa
         logw = ibn_log_weights(tree, gamma)
         depth = tree.depth_array()
     elif depths:
-        sizes = level_sizes(source.degrees(depths[-1]))
         cuts = classes.cut_levels(classes.of_family(source, depths), gamma)
     last = None
     for j, N in enumerate(depths):
@@ -212,11 +225,15 @@ def attempt_containment(source: TreeFamily | Tree, k: int, gamma: float, K: floa
         if log_val >= math.log(eps):
             continue
         if symmetric:  # the set is level L, and every level above it is free
-            counts = [0] * L + [sizes[L]], sizes[:L]
+            counts = _level_counts(source, L)
         else:  # the cut's child endpoints; one sweep marks the vertices under them
             cut = np.bincount(res.cut, minlength=tree.n_vertices) > 0
             under = tree.sweep_down(np.logical_or, cut.copy(), cut, tree.height())
-            counts = np.bincount(depth[cut]).tolist(), np.bincount(depth[~under]).tolist()
+            held = np.bincount(depth[cut])
+            free = np.cumsum(np.bincount(depth[~under], minlength=len(held)))
+            at = np.flatnonzero(held)
+            counts = (list(zip(at.tolist(), held[at].tolist(), free[at].tolist())),
+                      int(free[-1]))
         last = _count_rule(gamma, N, k, budgets, *counts)
         if last.contained:
             return last

@@ -240,6 +240,27 @@ def loop_erase(word: str) -> str:
 
 # -- word search -----------------------------------------------------------------
 
+def _first_rows(rows: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first occurrence of each distinct row of a
+    2-D bool array, as np.unique(rows, axis=0, return_index=True) finds them.
+
+    Each row is packed into ceil(width / 64) uint64 words; one stable
+    lexsort over the words puts equal rows next to each other in their
+    original order, so a row that differs from the one before it in sorted
+    order is the first of its kind.  The first word is the primary key: the
+    last one holds the zero padding and ties more often.
+    """
+    packed = np.packbits(rows, axis=1)
+    keys = np.zeros((len(rows), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    keys[:, :packed.shape[1]] = packed
+    keys = keys.view(np.uint64)
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return np.sort(order[new])
+
+
 def search_word(n: int, beam: int = 256, seed: int = 0) -> str:
     """A length-n word with large inverted orbit.
 
@@ -250,8 +271,10 @@ def search_word(n: int, beam: int = 256, seed: int = 0) -> str:
     Each point met gets an id; moves[k, i] is the id of point i under
     generator k, read through _image for live points and x0 only.  States are
     rows of a bool matrix over the live points.  One scatter extends them
-    all (row 4 s + k is state s then generator k), and repeated rows are
-    dropped keeping the first, the order a dict of orbit sets would keep.
+    all (row 4 s + k is state s then generator k), its columns the point ids
+    it reaches, renumbered through a bool table over all ids.  Repeated rows
+    are dropped keeping the first, the order a dict of orbit sets would
+    keep, by one sort of the rows packed into uint64 words (_first_rows).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -272,23 +295,24 @@ def search_word(n: int, beam: int = 256, seed: int = 0) -> str:
             moves[k, i] = ids.setdefault(q, len(points))
             if moves[k, i] == len(points):
                 points.append(q)
-        new_cols, local = np.unique(np.concatenate([moves[:, cols].ravel(), moves[:, 0]]),
-                                    return_inverse=True)
+        image = np.concatenate([moves[:, cols].ravel(), moves[:, 0]])
+        seen = np.zeros(len(points), dtype=bool)
+        seen[image] = True
+        new_cols, local = np.flatnonzero(seen), (np.cumsum(seen) - 1)[image]
         S, C, P = len(words), len(cols), len(new_cols)
         check_elements(4 * S * P, "the word search")
         nxt = np.zeros((S, 4, P), dtype=bool)
         nxt[:, np.arange(4)[:, None], local[:4 * C].reshape(4, C)] = orbits[:, None, :]
         nxt[:, np.arange(4), local[4 * C:]] = True
         nxt = nxt.reshape(4 * S, P)
-        packed = np.packbits(nxt, axis=1)
-        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-        first = np.sort(np.unique(keys, return_index=True)[1])
+        first = _first_rows(nxt)
+        kept = nxt[first]
         if len(first) > beam:
             order = gen.permutation(len(first))
-            sizes = np.count_nonzero(nxt[first], axis=1)
-            first = first[np.lexsort((order, -sizes))[:beam]]
-        live = nxt[first].any(axis=0)
-        orbits, cols = nxt[np.ix_(first, live)], new_cols[live]
+            best = np.lexsort((order, -np.count_nonzero(kept, axis=1)))[:beam]
+            first, kept = first[best], kept[best]
+        live = kept.any(axis=0)
+        orbits, cols = kept[:, live], new_cols[live]
         words = [words[r >> 2] + GENERATORS[r & 3] for r in first.tolist()]
     return words[int(np.count_nonzero(orbits, axis=1).argmax())]
 

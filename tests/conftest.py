@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 import ibntrees
-from ibntrees import classes, flowcut, grigorchuk, rng
-from ibntrees.generators import LOG2, LevelReader, base_level_at_depth
+from ibntrees import classes, firefighter, flowcut, grigorchuk, rng
+from ibntrees.generators import LOG2, LevelReader, base_level_at_depth, level_sizes
 from ibntrees.trees import Tree
 
 CLI = [sys.executable, "-m", "ibntrees.cli"]
@@ -301,6 +301,33 @@ def min_cut_symmetric(log2_levels, lam: float, N: int) -> tuple[float, int]:
     logvals = np.asarray(log2_levels, dtype=float)[1:N + 1] * LOG2 - np.power(n, lam)
     i = int(np.argmin(logvals))
     return float(logvals[i]), i + 1
+
+
+def symmetric_containment_oracle(family, k: int, gamma: float, K: float, schedule):
+    """(contained, fire_size, protected_size) of firefighter.attempt_containment
+    on a symmetric family, from its exact level sizes (generators.level_sizes
+    to the deepest scheduled depth): at each min-cut level L below the
+    margin, the greedy game round by round over depths k+1..L, with level L
+    as the set and every level above it free.  (False, -1, -1) when no cut
+    qualifies."""
+    eps = firefighter.containment_margin(k, gamma)
+    budgets = firefighter.BudgetSchedule.exponential(K, gamma)
+    depths = [N for N in schedule.depths if N > k + 1]
+    last = (False, -1, -1)
+    if not depths:
+        return last
+    sizes = level_sizes(family.degrees(depths[-1]))
+    for log_val, L in classes.cut_levels(classes.of_family(family, depths), gamma):
+        if log_val >= math.log(eps):
+            continue
+        paid = 0
+        for d in range(k + 1, L + 1):
+            paid += budgets(d - k)
+        if sizes[L] > paid:
+            last = (False, sum(sizes[:L + 1]) - paid, paid)
+        else:
+            return (True, sum(sizes[:L]), sizes[L])
+    return last
 
 
 def survival_symmetric(degrees, log_p, N: int) -> float:

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import all_cutsets, brute_force_fire, random_tree
+from conftest import all_cutsets, brute_force_fire, random_tree, symmetric_containment_oracle
 from ibntrees import firefighter as ff
 from ibntrees import generators as gen
 from ibntrees import nathanson
@@ -347,10 +347,34 @@ def test_symmetric_closed_form_matches_the_game(cases, grid):
 def test_count_rule_rejects_a_cut_inside_the_ball():
     budgets = ff.BudgetSchedule.exponential(1.0, 0.5)
     with pytest.raises(ValueError, match=r"cutset touches B\(2\)"):
-        ff._count_rule(0.5, 8, 2, budgets, [0, 0, 1, 3], [1, 2, 3])
+        ff._count_rule(0.5, 8, 2, budgets, [(2, 1, 3), (3, 3, 6)], 6)
     # one vertex at depth 3, paid for in round 1: levels 0..2 burn
-    held = ff._count_rule(0.5, 8, 2, budgets, [0, 0, 0, 1], [1, 2, 3])
+    held = ff._count_rule(0.5, 8, 2, budgets, [(3, 1, 6)], 6)
     assert held == ff.ContainmentAttempt(0.5, True, 8, "fire frozen", 6, 1)
+
+
+@pytest.mark.parametrize("family, schedules", [
+    (gen.sequence_family(), ((8, 16, 32), (8, 64, 1000), (4000,))),
+    (gen.binary_family(), ((4, 8), (8, 40, 90), (130,))),
+    (gen.path_family(), ((8, 32), (8, 128, 1000))),
+    (gen.marks_family(np.random.default_rng(3).random(600) < 0.5), ((8, 64), (16, 200, 600))),
+], ids=["seq", "binary", "path", "marks"])
+def test_symmetric_counts_match_the_level_sizes_oracle(family, schedules):
+    # the set's size and the free count from the branch depths against the
+    # exact level sizes, past int64 on the deep seq and marks schedules
+    # (binary's cut is level 1 at every gamma below 1)
+    outcomes, largest = set(), 0
+    for depths, k, K, gamma in itertools.product(schedules, (0, 2, 5), (1e-9, 1.0, 50.0),
+                                                 (0.1, 0.3, 0.5, 0.6, 0.7, 0.9)):
+        att = ff.attempt_containment(family, k, gamma, K, DepthSchedule(depths))
+        want = symmetric_containment_oracle(family, k, gamma, K, DepthSchedule(depths))
+        assert (att.contained, att.fire_size, att.protected_size) == want, (depths, k, K, gamma)
+        outcomes.add(att.contained)
+        largest = max(largest, att.fire_size)
+    assert True in outcomes
+    if family.name != "path":
+        assert False in outcomes
+    assert (largest > 2 ** 63) == (family.name in ("seq", "marks"))
 
 
 def test_symmetric_containment_builds_no_tree(monkeypatch):

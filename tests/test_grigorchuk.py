@@ -141,9 +141,10 @@ def test_warm_tables_keep_the_exact_orbits(fresh_images):
 
 
 # (n, beam, seed): beam ties broken by the permutation draw, a short word
-# whose states never outgrow the beam, and a narrow beam on a short word
+# whose states never outgrow the beam, a narrow beam on a short word, and
+# CI's length 512, whose rows reach 113 points: keys of two uint64 words
 ORACLE_CASES = [(160, 64, 1), (160, 64, 2), (128, 64, 0), (12, 256, 0), (12, 4, 3),
-                (32, 32, 1), (256, 32, 1), (64, 64, 5), (200, 16, 7)]
+                (32, 32, 1), (256, 32, 1), (64, 64, 5), (200, 16, 7), (512, 64, 0)]
 
 
 @pytest.mark.parametrize("n, beam, seed", ORACLE_CASES)
@@ -159,6 +160,21 @@ def test_search_acts_on_the_oracles_points(fresh_images, monkeypatch, n, beam, s
     assert search_word_oracle(n, beam, seed) == word
     assert all(oracle_tables.values())
     assert fresh_images == oracle_tables
+
+
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 128, 129])
+def test_first_rows_match_unique(width):
+    # keys of one, two and three uint64 words; rows repeat, and some differ
+    # only in their last column
+    draws = np.random.default_rng(width)
+    for n_rows, distinct in ((1, 1), (7, 1), (50, 9), (300, 120)):
+        base = draws.random((distinct, width)) < 0.5
+        rows = base[draws.integers(0, distinct, n_rows)]
+        flipped = rows[-1].copy()
+        flipped[-1] ^= True
+        rows = np.vstack([rows, flipped, rows[:3]])
+        want = np.sort(np.unique(rows, axis=0, return_index=True)[1])
+        assert np.array_equal(gg._first_rows(rows), want), (width, n_rows)
 
 
 def test_search_stops_at_the_element_cap(monkeypatch):
